@@ -28,6 +28,7 @@ from .evaluation import (METHOD_ANN, METHOD_WLS, EvaluationError, TruthCache,
                          error_stats, load_catalog, run_test_case)
 from .grid import GridError, load_bundled, load_grid
 from .measurements import MeasurementError
+from .powerflow import PowerFlowError
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError,
                         export_scenarios, generate_set)
 from .seeding import seed_sequence
@@ -123,7 +124,7 @@ def cmd_generate(args) -> int:
         "\n".join(_header_lines(cfg)) + "\n" + body, encoding="utf-8")
 
     from .grid import apply_switch_config
-    from .powerflow import PowerFlowError, solve_pf
+    from .powerflow import solve_pf
     from .scenarios import injections
 
     catalog = load_catalog(grid)
@@ -379,6 +380,9 @@ def main(argv=None) -> int:
             EvaluationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except PowerFlowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

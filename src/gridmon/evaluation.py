@@ -263,6 +263,12 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
             assumed_views[cfg_idx] = (bits, None)
 
     truth_views = [apply_switch_config(grid, config) for config in configs]
+    if static_truth:
+        # a fixed impedance perturbation is the same for every sample, so the
+        # perturbed views (and their admittance models) are built once
+        factors = _truth_rx_factors(tc, grid, len(grid.lines), fault_seed, 0, 0)
+        if factors is not None:
+            truth_views = [view.with_scaled_impedance(factors) for view in truth_views]
 
     for cfg_idx, sc_idx in indices:
         config = configs[cfg_idx]
@@ -276,11 +282,10 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
         if cached is not None:
             sol, truth_view = cached
         else:
-            factors = _truth_rx_factors(tc, grid, len(grid.lines),
-                                        fault_seed, cfg_idx, sc_idx)
             truth_view = truth_views[cfg_idx]
-            if factors is not None:
-                truth_view = truth_view.with_scaled_impedance(factors)
+            if not static_truth:
+                truth_view = truth_view.with_scaled_impedance(_truth_rx_factors(
+                    tc, grid, len(grid.lines), fault_seed, cfg_idx, sc_idx))
             sol = solve_pf(truth_view, injections(grid, actual))
             if truth_cache is not None and cache_key:
                 truth_cache.put(cache_key, (sol, truth_view))
@@ -502,6 +507,8 @@ def search_measurement_config(grid: GridModel, scenarios, configs, *,
     reached = False
     if target_sr <= 0.0:
         return steps, tc, True
+    # the search case perturbs nothing, so truths hold across steps
+    truth_cache = TruthCache()
     for kind, ref in pool:
         if kind == "bus":
             v_buses.append(int(ref))
@@ -517,7 +524,8 @@ def search_measurement_config(grid: GridModel, scenarios, configs, *,
         try:
             result = run_test_case(tc, grid, scenarios, configs, models=models,
                                    methods=(method,), wls_cfg=wls_cfg,
-                                   meas_seed=meas_seed, criteria=criteria)[method]
+                                   meas_seed=meas_seed, criteria=criteria,
+                                   truth_cache=truth_cache)[method]
             sr = result.sr_c1 if criterion_name == "C1" else result.sr_c2
         except (ObservabilityError, EvaluationError):
             sr = 0.0

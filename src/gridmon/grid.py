@@ -1,7 +1,11 @@
-"""Electrical network data model, switch handling and admittance assembly.
+"""Electrical network data model, switch handling and the branch admittance model.
 
-All electrical computations downstream (power flow, WLS estimation) work on
-a :class:`GridView`, i.e. a grid plus one concrete switch configuration.
+All electrical computations downstream (power flow, measurement simulation,
+WLS estimation) work on a :class:`GridView`, i.e. a grid plus one concrete
+switch configuration. Each view builds its branch admittance model once
+(:class:`BranchModel`: the from/to branch matrices ``Yf``/``Yt`` and the
+bus matrix ``Ybus``, as in MATPOWER's ``makeYbus``) and keeps it; bus
+injections, line flows and their voltage derivatives all derive from it.
 Per-unit convention: ``s_base_mva`` from the grid file (bundled grids use
 1 MVA), voltage base is each bus's ``base_kv``.
 """
@@ -11,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-OMEGA = 2.0 * math.pi * 50.0  # rad/s, 50 Hz system
 
 LOAD_KIND_PREFIX = "load"
 GENERATOR_KINDS = ("pv", "wec", "battery")
@@ -315,7 +318,7 @@ class GridView:
     """A grid under one concrete switch configuration.
 
     ``line_in_service[l]`` is False for lines whose switch is open; those
-    lines are excluded from the admittance matrix and carry zero current.
+    lines are excluded from the admittance matrices and carry zero current.
     Buses cut off the slack (only ever unit-less ones) are listed in
     ``dead_buses`` and held at 1.0 pu by the power flow.
     """
@@ -328,6 +331,11 @@ class GridView:
     @property
     def n_bus(self) -> int:
         return self.grid.n_bus
+
+    @cached_property
+    def branches(self) -> BranchModel:
+        """The view's branch admittance model, built on first use and kept."""
+        return _build_branches(self)
 
     def with_scaled_impedance(self, factors: np.ndarray) -> GridView:
         """View over a copy of the grid with per-line r and x multiplied by factors."""
@@ -363,20 +371,86 @@ def apply_switch_config(grid: GridModel, config) -> GridView:
                                          if b.id not in reachable))
 
 
-def build_admittance(view: GridView) -> np.ndarray:
-    """Complex node admittance matrix in per-unit (pi model per line)."""
+@dataclass(frozen=True)
+class BranchModel:
+    """Pi-model branch admittances of one switch view, per unit.
+
+    Line ``l`` draws the current ``yf[l] @ V`` out of its from bus and
+    ``yt[l] @ V`` out of its to bus; rows of out-of-service lines are zero.
+    ``cf`` is the from-end incidence matrix. The matrices are read-only.
+    """
+
+    ybus: np.ndarray  # (n_bus, n_bus) complex
+    yf: np.ndarray  # (n_line, n_bus) complex
+    yt: np.ndarray  # (n_line, n_bus) complex
+    cf: np.ndarray  # (n_line, n_bus), 1 at the from bus
+    f_bus: np.ndarray  # (n_line,) from-bus index
+    t_bus: np.ndarray  # (n_line,) to-bus index
+    i_base_from: np.ndarray  # current base at the from end, A
+    i_base_to: np.ndarray  # current base at the to end, A
+    rating_amps: np.ndarray
+
+
+def _build_branches(view: GridView) -> BranchModel:
     grid = view.grid
-    n = grid.n_bus
-    y = np.zeros((n, n), dtype=complex)
-    for ln in grid.lines:
-        if not view.line_in_service[ln.id]:
-            continue
-        r, x, b = grid.line_pu(ln)
-        y_series = 1.0 / complex(r, x)
-        y_shunt = 0.5j * b
-        i, j = ln.from_bus, ln.to_bus
-        y[i, i] += y_series + y_shunt
-        y[j, j] += y_series + y_shunt
-        y[i, j] -= y_series
-        y[j, i] -= y_series
-    return y
+    lines = grid.lines
+    f_bus = np.array([ln.from_bus for ln in lines], dtype=int)
+    t_bus = np.array([ln.to_bus for ln in lines], dtype=int)
+    pu = [grid.line_pu(ln) for ln in lines]
+    on = view.line_in_service
+    y_series = np.where(on, [1.0 / complex(r, x) for r, x, _ in pu], 0.0)
+    y_end = y_series + np.where(on, [0.5j * b for _, _, b in pu], 0.0)
+    cf = np.eye(grid.n_bus)[f_bus]
+    ct = np.eye(grid.n_bus)[t_bus]
+    yf = y_end[:, None] * cf - y_series[:, None] * ct
+    yt = y_end[:, None] * ct - y_series[:, None] * cf
+    ybus = cf.T @ yf + ct.T @ yt
+    for a in (ybus, yf, yt, cf):
+        a.setflags(write=False)
+    return BranchModel(
+        ybus=ybus, yf=yf, yt=yt, cf=cf, f_bus=f_bus, t_bus=t_bus,
+        i_base_from=np.array([grid.i_base_amps(b) for b in f_bus]),
+        i_base_to=np.array([grid.i_base_amps(b) for b in t_bus]),
+        rating_amps=np.array([ln.rating_amps for ln in lines]),
+    )
+
+
+def build_admittance(view: GridView) -> np.ndarray:
+    """Complex node admittance matrix in per-unit (pi model per line).
+
+    This is the view's own read-only copy, built once per view.
+    """
+    return view.branches.ybus
+
+
+def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray):
+    """Bus injections ``S = V conj(Ybus V)`` and their derivatives.
+
+    Polar form of MATPOWER's ``dSbus_dV``: returns ``(s_bus, ds_dth,
+    ds_dv)``, where column k of ``ds_dth`` / ``ds_dv`` is the derivative
+    with respect to the voltage angle / magnitude of bus k. The magnitude is
+    the state variable ``v`` itself, so ``dV/dv = exp(j th)`` holds also at
+    an iterate with ``v < 0`` (MATPOWER's ``V / |V|`` would flip its sign).
+    """
+    unit = np.exp(1j * th)
+    vc = v * unit
+    i_bus = ybus @ vc
+    ds_dth = 1j * vc[:, None] * np.conj(np.diag(i_bus) - ybus * vc)
+    ds_dv = vc[:, None] * np.conj(ybus * unit) + np.diag(np.conj(i_bus) * unit)
+    return vc * np.conj(i_bus), ds_dth, ds_dv
+
+
+def dsf_dv(branches: BranchModel, v: np.ndarray, th: np.ndarray):
+    """From-end line flows ``S_f = V_f conj(Yf V)`` and their derivatives.
+
+    Polar form of MATPOWER's ``dSbr_dV`` for the from end, laid out as in
+    :func:`dsbus_dv` with one row per line.
+    """
+    unit = np.exp(1j * th)
+    vc = v * unit
+    i_f = branches.yf @ vc
+    v_f = vc[branches.f_bus]
+    at_from = np.conj(i_f)[:, None] * branches.cf
+    ds_dth = 1j * (at_from * vc - v_f[:, None] * np.conj(branches.yf * vc))
+    ds_dv = v_f[:, None] * np.conj(branches.yf * unit) + at_from * unit
+    return v_f * np.conj(i_f), ds_dth, ds_dv

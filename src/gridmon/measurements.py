@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridModel, GridView, build_admittance
-from .powerflow import PfSolution, derive_line_quantities
+from .powerflow import PfSolution, line_flows
 from .seeding import STREAM_MEASUREMENT, rng
 
 BUS_KINDS = ("v_bus", "p_bus", "q_bus")
@@ -155,30 +155,31 @@ class MeasurementSet:
                               spec_hash=self.spec_hash)
 
 
+def stacked_positions(pairs, n_bus: int, n_line: int) -> np.ndarray:
+    """Positions of ``(kind, location)`` pairs in the stacked vector
+    ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]`` (blocks in ``ALL_KINDS`` order,
+    one row per bus or per line)."""
+    start, offset = {}, 0
+    for kind in ALL_KINDS:
+        start[kind] = offset
+        offset += n_bus if kind in BUS_KINDS else n_line
+    try:
+        return np.array([start[kind] + loc for kind, loc in pairs], dtype=int)
+    except KeyError as exc:
+        raise MeasurementError(f"unknown kind {exc.args[0]!r}") from None
+
+
 def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> np.ndarray:
     """Noise-free measurement vector for a converged state."""
-    grid = view.grid
-    vc = solution.v_mag_pu * np.exp(1j * solution.v_ang_rad)
+    v, th = solution.v_mag_pu, solution.v_ang_rad
+    vc = v * np.exp(1j * th)
     s_bus = vc * np.conj(build_admittance(view) @ vc)
-    flows = derive_line_quantities(solution, view)
-    out = np.empty(len(spec.entries))
-    for i, e in enumerate(spec.entries):
-        if e.kind == "v_bus":
-            out[i] = solution.v_mag_pu[e.location]
-        elif e.kind == "p_bus":
-            out[i] = s_bus[e.location].real
-        elif e.kind == "q_bus":
-            out[i] = s_bus[e.location].imag
-        elif e.kind == "p_line":
-            out[i] = flows.p_from_pu[e.location]
-        elif e.kind == "q_line":
-            out[i] = flows.q_from_pu[e.location]
-        elif e.kind == "i_line":
-            out[i] = solution.i_line_amps[e.location] / grid.i_base_amps(
-                grid.lines[e.location].from_bus)
-        else:
-            raise MeasurementError(f"unknown kind {e.kind!r}")
-    return out
+    flows = line_flows(view, v, th)
+    stacked = np.concatenate([v, s_bus.real, s_bus.imag,
+                              flows.p_from_pu, flows.q_from_pu, flows.i_from_pu])
+    pos = stacked_positions(((e.kind, e.location) for e in spec.entries),
+                            view.n_bus, len(view.grid.lines))
+    return stacked[pos]
 
 
 def simulate(solution: PfSolution, view: GridView, spec: MeasurementSpec,

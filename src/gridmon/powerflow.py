@@ -1,8 +1,10 @@
-"""Newton-Raphson AC power flow.
+"""Newton-Raphson AC power flow and line flows.
 
 Produces the ground-truth system state for scenario evaluation: bus voltage
 magnitudes/angles, line currents and loadings, and the slack injection.
-All buses except the slack are treated as PQ buses.
+All buses except the slack are treated as PQ buses. The Jacobian and the
+line flows derive from the view's branch admittance model
+(:attr:`GridView.branches`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridView, build_admittance
+from .grid import GridView, build_admittance, dsbus_dv
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 30
@@ -45,10 +47,6 @@ class PfSolution:
     max_mismatch: float
 
 
-def _complex_voltage(v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
-    return v_mag * np.exp(1j * v_ang)
-
-
 def solve_pf(view: GridView, injections: InjectionSet,
              tol: float = MISMATCH_TOL, max_iter: int = MAX_ITERATIONS) -> PfSolution:
     """Solve the AC power flow from a flat start.
@@ -70,50 +68,27 @@ def solve_pf(view: GridView, injections: InjectionSet,
             raise ValueError("nonzero injection at a bus cut off the slack")
 
     y = build_admittance(view)
-    g, b = y.real, y.imag
     slack = grid.slack_bus
     pq = np.array([i for i in range(n) if i != slack and i not in view.dead_buses],
                   dtype=int)
 
     v = np.ones(n)
     th = np.zeros(n)
-    p_sched = np.asarray(injections.p_pu, dtype=float).copy()
-    q_sched = np.asarray(injections.q_pu, dtype=float).copy()
-
-    def calc_pq(v, th):
-        vc = _complex_voltage(v, th)
-        s = vc * np.conj(y @ vc)
-        return s.real, s.imag
+    p_sched = np.asarray(injections.p_pu, dtype=float)
+    q_sched = np.asarray(injections.q_pu, dtype=float)
 
     mismatch_norm = float("inf")
     for iteration in range(1, max_iter + 1):
-        p_calc, q_calc = calc_pq(v, th)
-        dp = p_sched[pq] - p_calc[pq]
-        dq = q_sched[pq] - q_calc[pq]
+        s_calc, ds_dth, ds_dv = dsbus_dv(y, v, th)
+        dp = p_sched[pq] - s_calc.real[pq]
+        dq = q_sched[pq] - s_calc.imag[pq]
         mismatch_norm = max(np.max(np.abs(dp)), np.max(np.abs(dq)))
         if mismatch_norm < tol:
-            return _finalize(view, v, th, y, iteration - 1, mismatch_norm)
+            return _finalize(view, v, th, s_calc[slack], iteration - 1, mismatch_norm)
 
-        # polar Jacobian over PQ buses
-        th_diff = th[:, None] - th[None, :]
-        cos_t, sin_t = np.cos(th_diff), np.sin(th_diff)
-        a = g * cos_t + b * sin_t  # used by P and dQ/dth
-        c = g * sin_t - b * cos_t  # used by Q and dP/dth
-        vv = np.outer(v, v)
-
-        dp_dth = vv * c
-        np.fill_diagonal(dp_dth, -q_calc - b.diagonal() * v**2)
-        dp_dv = v[:, None] * a
-        np.fill_diagonal(dp_dv, p_calc / v + g.diagonal() * v)
-        dq_dth = -vv * a
-        np.fill_diagonal(dq_dth, p_calc - g.diagonal() * v**2)
-        dq_dv = v[:, None] * c
-        np.fill_diagonal(dq_dv, q_calc / v - b.diagonal() * v)
-
-        jac = np.block([
-            [dp_dth[np.ix_(pq, pq)], dp_dv[np.ix_(pq, pq)]],
-            [dq_dth[np.ix_(pq, pq)], dq_dv[np.ix_(pq, pq)]],
-        ])
+        # rows: P then Q mismatch; columns: angle then magnitude, PQ buses only
+        ds = np.hstack([ds_dth[:, pq], ds_dv[:, pq]])[pq]
+        jac = np.vstack([ds.real, ds.imag])
         rhs = np.concatenate([dp, dq])
         try:
             step = np.linalg.solve(jac, rhs)
@@ -129,28 +104,14 @@ def solve_pf(view: GridView, injections: InjectionSet,
         mismatch_norm)
 
 
-def _finalize(view: GridView, v, th, y, iterations, mismatch) -> PfSolution:
-    grid = view.grid
-    vc = _complex_voltage(v, th)
-    slack = grid.slack_bus
-    s_slack = vc[slack] * np.conj(y[slack] @ vc)
-    s_base_kw = grid.s_base_mva * 1e3
-
-    n_line = len(grid.lines)
-    i_from_amps = np.zeros(n_line)
-    loading = np.zeros(n_line)
-    i_from_pu, i_to_pu = _branch_currents(view, vc)
-    for ln in grid.lines:
-        base = grid.i_base_amps(ln.from_bus)
-        i_from_amps[ln.id] = i_from_pu[ln.id] * base
-        worst = max(i_from_pu[ln.id] * base,
-                    i_to_pu[ln.id] * grid.i_base_amps(ln.to_bus))
-        loading[ln.id] = 100.0 * worst / ln.rating_amps
+def _finalize(view: GridView, v, th, s_slack, iterations, mismatch) -> PfSolution:
+    s_base_kw = view.grid.s_base_mva * 1e3
+    flows = line_flows(view, v, th)
     return PfSolution(
         v_mag_pu=v.copy(),
         v_ang_rad=th.copy(),
-        i_line_amps=i_from_amps,
-        loading_pct=loading,
+        i_line_amps=flows.i_from_pu * view.branches.i_base_from,
+        loading_pct=flows.loading_pct,
         p_slack_kw=float(s_slack.real) * s_base_kw,
         q_slack_kvar=float(s_slack.imag) * s_base_kw,
         iterations=iterations,
@@ -158,55 +119,39 @@ def _finalize(view: GridView, v, th, y, iterations, mismatch) -> PfSolution:
     )
 
 
-def _branch_currents(view: GridView, vc: np.ndarray):
-    grid = view.grid
-    n_line = len(grid.lines)
-    i_from = np.zeros(n_line)
-    i_to = np.zeros(n_line)
-    for ln in grid.lines:
-        if not view.line_in_service[ln.id]:
-            continue
-        r, x, b = grid.line_pu(ln)
-        y_s = 1.0 / complex(r, x)
-        y_sh = 0.5j * b
-        vi, vj = vc[ln.from_bus], vc[ln.to_bus]
-        i_from[ln.id] = abs(y_s * (vi - vj) + y_sh * vi)
-        i_to[ln.id] = abs(y_s * (vj - vi) + y_sh * vj)
-    return i_from, i_to
-
-
 @dataclass(frozen=True)
 class LineFlows:
-    """Complex power leaving each line end, per-unit, aligned with line ids."""
+    """Complex power leaving each line end (per-unit), the from-end current
+    magnitude (per-unit) and the loading, aligned with line ids."""
 
     p_from_pu: np.ndarray
     q_from_pu: np.ndarray
     p_to_pu: np.ndarray
     q_to_pu: np.ndarray
+    i_from_pu: np.ndarray
+    loading_pct: np.ndarray  # 100 * max(from, to current) / rating
 
     @property
     def losses_pu(self) -> np.ndarray:
         return self.p_from_pu + self.p_to_pu
 
 
+def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
+    """Per-line flows at both ends for the voltage state ``v``, ``th``."""
+    net = view.branches
+    vc = v * np.exp(1j * th)
+    i_f = net.yf @ vc
+    i_t = net.yt @ vc
+    s_f = vc[net.f_bus] * np.conj(i_f)
+    s_t = vc[net.t_bus] * np.conj(i_t)
+    i_f, i_t = np.abs(i_f), np.abs(i_t)
+    worst = np.maximum(i_f * net.i_base_from, i_t * net.i_base_to)
+    return LineFlows(p_from_pu=s_f.real, q_from_pu=s_f.imag,
+                     p_to_pu=s_t.real, q_to_pu=s_t.imag,
+                     i_from_pu=i_f,
+                     loading_pct=100.0 * worst / net.rating_amps)
+
+
 def derive_line_quantities(solution: PfSolution, view: GridView) -> LineFlows:
-    """Per-line complex flows at both ends, from the converged state."""
-    grid = view.grid
-    vc = _complex_voltage(solution.v_mag_pu, solution.v_ang_rad)
-    n_line = len(grid.lines)
-    p_f = np.zeros(n_line)
-    q_f = np.zeros(n_line)
-    p_t = np.zeros(n_line)
-    q_t = np.zeros(n_line)
-    for ln in grid.lines:
-        if not view.line_in_service[ln.id]:
-            continue
-        r, x, b = grid.line_pu(ln)
-        y_s = 1.0 / complex(r, x)
-        y_sh = 0.5j * b
-        vi, vj = vc[ln.from_bus], vc[ln.to_bus]
-        s_f = vi * np.conj(y_s * (vi - vj) + y_sh * vi)
-        s_t = vj * np.conj(y_s * (vj - vi) + y_sh * vj)
-        p_f[ln.id], q_f[ln.id] = s_f.real, s_f.imag
-        p_t[ln.id], q_t[ln.id] = s_t.real, s_t.imag
-    return LineFlows(p_from_pu=p_f, q_from_pu=q_f, p_to_pu=p_t, q_to_pu=q_t)
+    """Per-line flows at both ends, from the converged state."""
+    return line_flows(view, solution.v_mag_pu, solution.v_ang_rad)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ann import TrainConfig, build_training_set, train_monitor_pair
-from .evaluation import METHOD_ANN, run_test_case
+from .evaluation import METHOD_ANN, TruthCache, run_test_case
 from .grid import GridModel
 from .scenarios import generate_set
 
@@ -39,33 +39,38 @@ def tune_architecture(grid: GridModel, axes, test_cases, test_scenarios, configs
     cases. The row matching the default combination is flagged.
     """
     rows: list[TuneRow] = []
-    data_by_reps = {}
+    # training sets and test truths do not depend on the architecture, so
+    # they are built once and shared by every combination
+    data = {}
     for reps in sorted(set(repetition_counts)):
         scenario_list = generate_set(axes, grid, reps, train_seed)
-        data_by_reps[reps] = scenario_list
+        for tc in test_cases:
+            spec = tc.spec(grid)
+            if (reps, spec.spec_hash) not in data:
+                data[reps, spec.spec_hash] = build_training_set(
+                    grid, scenario_list, spec, configs, train_seed)
+    truth_cache = TruthCache()
 
     for n_layers in layer_counts:
         for mult in multipliers:
             for reps in repetition_counts:
-                spec_data = {}
+                models_by_spec = {}
                 sr1 = []
                 sr2 = []
                 seconds = 0.0
                 for tc in test_cases:
-                    spec = tc.spec(grid)
-                    key = spec.spec_hash
-                    if key not in spec_data:
-                        data = build_training_set(grid, data_by_reps[reps], spec,
-                                                  configs, train_seed)
+                    key = tc.spec(grid).spec_hash
+                    if key not in models_by_spec:
                         models, histories = train_monitor_pair(
-                            grid, data, train_cfg,
+                            grid, data[reps, key], train_cfg,
                             arch_overrides={"n_hidden_layers": n_layers,
                                             "layer_size_multiplier": mult})
                         seconds += sum(h.wall_seconds for h in histories.values())
-                        spec_data[key] = models
+                        models_by_spec[key] = models
                     result = run_test_case(
-                        tc, grid, test_scenarios, configs, models=spec_data[key],
-                        methods=(METHOD_ANN,), meas_seed=meas_seed)[METHOD_ANN]
+                        tc, grid, test_scenarios, configs, models=models_by_spec[key],
+                        methods=(METHOD_ANN,), meas_seed=meas_seed,
+                        truth_cache=truth_cache)[METHOD_ANN]
                     sr1.append(result.sr_c1)
                     sr2.append(result.sr_c2)
                 rows.append(TuneRow(

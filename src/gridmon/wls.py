@@ -6,6 +6,10 @@ output is transferred from measured units of the same kind by relative
 power, and the remaining balance (slack import minus measured injections
 minus DG estimate) is split over unmeasured load buses proportionally to
 installed power. Substitutes carry a 30 % standard deviation.
+
+The measurement functions h(x) and their Jacobian H(x) are row selections of
+the stacked bus and line quantities and their voltage derivatives, all
+derived from the view's branch admittance model.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridModel, GridView, build_admittance
-from .measurements import MeasurementSet, MeasurementSpec
+from .grid import GridModel, GridView, dsbus_dv, dsf_dv
+from .measurements import MeasurementSet, MeasurementSpec, stacked_positions
+from .powerflow import line_flows
 
 PSEUDO_SD_FRACTION = 0.30
 PSEUDO_SD_FLOOR_PU = 1e-3  # 1 kW on the 1 MVA base
@@ -179,8 +184,6 @@ class StateIndex:
     """Column layout of the WLS state vector: angles of reachable non-slack
     buses first, then magnitudes of all reachable buses."""
 
-    slack: int
-    dead: frozenset[int]
     non_slack: tuple[int, ...]
     mag_buses: tuple[int, ...]
 
@@ -190,7 +193,6 @@ class StateIndex:
         slack = view.grid.slack_bus
         dead = view.dead_buses
         return cls(
-            slack=slack, dead=dead,
             non_slack=tuple(i for i in range(n) if i != slack and i not in dead),
             mag_buses=tuple(i for i in range(n) if i not in dead),
         )
@@ -199,114 +201,38 @@ class StateIndex:
     def n_state(self) -> int:
         return len(self.non_slack) + len(self.mag_buses)
 
-    def angle_col(self, bus: int) -> int | None:
-        if bus == self.slack or bus in self.dead:
-            return None
-        return self.non_slack.index(bus)
-
-    def mag_col(self, bus: int) -> int | None:
-        if bus in self.dead:
-            return None
-        return len(self.non_slack) + self.mag_buses.index(bus)
-
 
 def measurement_model(view: GridView, rows, v: np.ndarray, th: np.ndarray,
                       index: StateIndex):
     """Measurement functions h(x) and their Jacobian at the given state.
 
-    ``rows`` are (kind, location, value, sd) tuples; the Jacobian columns
-    follow ``index``. Out-of-service line flows are identically zero.
+    ``rows`` are (kind, location, value, sd) tuples; h and H are their rows
+    of the stacked quantities ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]``, and the
+    Jacobian columns follow ``index``. Out-of-service line flows are
+    identically zero.
     """
-    grid = view.grid
-    n = grid.n_bus
-    y = build_admittance(view)
-    g, b = y.real, y.imag
-    ang = {bus: index.angle_col(bus) for bus in range(n)}
-    mag = {bus: index.mag_col(bus) for bus in range(n)}
+    n = view.n_bus
+    net = view.branches
+    s_bus, dsbus_th, dsbus_v = dsbus_dv(net.ybus, v, th)
+    s_f, dsf_th, dsf_v = dsf_dv(net, v, th)
+    # current magnitude |I_f| = |S_f| / V_f; the floor keeps H finite at zero flow
+    v_f = v[net.f_bus]
+    s_mag = np.abs(s_f)
+    i_mag = s_mag / v_f
+    denom = (np.maximum(s_mag, 1e-9) * v_f)[:, None]
+    di_dth = (np.conj(s_f)[:, None] * dsf_th).real / denom
+    di_dv = ((np.conj(s_f)[:, None] * dsf_v).real / denom
+             - (i_mag / v_f)[:, None] * net.cf)
 
-    th_diff = th[:, None] - th[None, :]
-    cos_t, sin_t = np.cos(th_diff), np.sin(th_diff)
-    a_mat = g * cos_t + b * sin_t
-    c_mat = g * sin_t - b * cos_t
-    p_calc = v * (a_mat @ v)
-    q_calc = v * (c_mat @ v)
-
-    h = np.zeros(len(rows))
-    jac = np.zeros((len(rows), index.n_state))
-
-    def put(m, bus, dth, dv):
-        if ang[bus] is not None:
-            jac[m, ang[bus]] += dth
-        if mag[bus] is not None:
-            jac[m, mag[bus]] += dv
-
-    for m, (kind, loc, _value, _sd) in enumerate(rows):
-        if kind == "v_bus":
-            h[m] = v[loc]
-            put(m, loc, 0.0, 1.0)
-        elif kind in ("p_bus", "q_bus"):
-            i = loc
-            if kind == "p_bus":
-                h[m] = p_calc[i]
-                for j in range(n):
-                    if j == i:
-                        continue
-                    put(m, j, v[i] * v[j] * c_mat[i, j], v[i] * a_mat[i, j])
-                put(m, i, -q_calc[i] - b[i, i] * v[i] ** 2,
-                    p_calc[i] / v[i] + g[i, i] * v[i])
-            else:
-                h[m] = q_calc[i]
-                for j in range(n):
-                    if j == i:
-                        continue
-                    put(m, j, -v[i] * v[j] * a_mat[i, j], v[i] * c_mat[i, j])
-                put(m, i, p_calc[i] - g[i, i] * v[i] ** 2,
-                    q_calc[i] / v[i] - b[i, i] * v[i])
-        else:
-            ln = grid.lines[loc]
-            if not view.line_in_service[ln.id]:
-                h[m] = 0.0
-                continue
-            r, x, b_sh = grid.line_pu(ln)
-            y_s = 1.0 / complex(r, x)
-            gs, bs = y_s.real, y_s.imag
-            y_sh = 0.5 * b_sh
-            i, j = ln.from_bus, ln.to_bus
-            tij = th[i] - th[j]
-            ct, st = math.cos(tij), math.sin(tij)
-            p_ij = v[i] ** 2 * gs - v[i] * v[j] * (gs * ct + bs * st)
-            q_ij = -v[i] ** 2 * (bs + y_sh) - v[i] * v[j] * (gs * st - bs * ct)
-            dp = {
-                "th_i": v[i] * v[j] * (gs * st - bs * ct),
-                "th_j": -v[i] * v[j] * (gs * st - bs * ct),
-                "v_i": 2.0 * v[i] * gs - v[j] * (gs * ct + bs * st),
-                "v_j": -v[i] * (gs * ct + bs * st),
-            }
-            dq = {
-                "th_i": -v[i] * v[j] * (gs * ct + bs * st),
-                "th_j": v[i] * v[j] * (gs * ct + bs * st),
-                "v_i": -2.0 * v[i] * (bs + y_sh) - v[j] * (gs * st - bs * ct),
-                "v_j": -v[i] * (gs * st - bs * ct),
-            }
-            if kind == "p_line":
-                h[m] = p_ij
-                put(m, i, dp["th_i"], dp["v_i"])
-                put(m, j, dp["th_j"], dp["v_j"])
-            elif kind == "q_line":
-                h[m] = q_ij
-                put(m, i, dq["th_i"], dq["v_i"])
-                put(m, j, dq["th_j"], dq["v_j"])
-            else:  # i_line magnitude = sqrt(P^2+Q^2)/V_i
-                s_mag = math.hypot(p_ij, q_ij)
-                i_mag = s_mag / v[i]
-                h[m] = i_mag
-                denom = max(s_mag, 1e-9) * v[i]
-                for key, bus_t in (("th_i", i), ("th_j", j)):
-                    put(m, bus_t, (p_ij * dp[key] + q_ij * dq[key]) / denom, 0.0)
-                put(m, i, 0.0,
-                    (p_ij * dp["v_i"] + q_ij * dq["v_i"]) / denom - i_mag / v[i])
-                put(m, j, 0.0, (p_ij * dp["v_j"] + q_ij * dq["v_j"]) / denom)
-    return h, jac
+    h = np.concatenate([v, s_bus.real, s_bus.imag, s_f.real, s_f.imag, i_mag])
+    d_th = np.vstack([np.zeros((n, n)), dsbus_th.real, dsbus_th.imag,
+                      dsf_th.real, dsf_th.imag, di_dth])
+    d_v = np.vstack([np.eye(n), dsbus_v.real, dsbus_v.imag,
+                     dsf_v.real, dsf_v.imag, di_dv])
+    pos = stacked_positions(((r[0], r[1]) for r in rows), n, len(net.f_bus))
+    jac = np.hstack([d_th[np.ix_(pos, index.non_slack)],
+                     d_v[np.ix_(pos, index.mag_buses)]])
+    return h[pos], jac
 
 
 def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
@@ -361,25 +287,8 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     h, _ = measurement_model(view, rows, v, th, index)
     objective = float(np.sum(weights * (z - h) ** 2))
     objective_history.append(objective)
-    loading = _derived_loading(grid, view, v, th)
-    return EstimatedState(v_mag=v, v_ang=th, loading_pct=loading,
+    return EstimatedState(v_mag=v, v_ang=th,
+                          loading_pct=line_flows(view, v, th).loading_pct,
                           converged=converged, iterations=iterations,
                           objective=objective,
                           objective_history=tuple(objective_history))
-
-
-def _derived_loading(grid: GridModel, view: GridView, v: np.ndarray,
-                     th: np.ndarray) -> np.ndarray:
-    vc = v * np.exp(1j * th)
-    loading = np.zeros(len(grid.lines))
-    for ln in grid.lines:
-        if not view.line_in_service[ln.id]:
-            continue
-        r, x, b_sh = grid.line_pu(ln)
-        y_s = 1.0 / complex(r, x)
-        y_sh = 0.5j * b_sh
-        vi, vj = vc[ln.from_bus], vc[ln.to_bus]
-        i_from = abs(y_s * (vi - vj) + y_sh * vi) * grid.i_base_amps(ln.from_bus)
-        i_to = abs(y_s * (vj - vi) + y_sh * vj) * grid.i_base_amps(ln.to_bus)
-        loading[ln.id] = 100.0 * max(i_from, i_to) / ln.rating_amps
-    return loading

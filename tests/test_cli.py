@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridmon.cli import EXIT_OK, EXIT_VALIDATION, main
+from gridmon.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
 def run(*argv):
@@ -121,3 +121,16 @@ def test_wls_only_needs_no_models(tmp_path):
                "--repetitions", "1", "--seed", "2", "--out", str(out))
     assert code == EXIT_OK
     assert "M0,wls" in (out / "summary.csv").read_text()
+
+
+def test_evaluate_diverged_power_flow_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    from gridmon.powerflow import PowerFlowError
+
+    def diverge(view, injections):
+        raise PowerFlowError("no convergence after 30 iterations", 1.0)
+
+    monkeypatch.setattr("gridmon.evaluation.solve_pf", diverge)
+    code = run("evaluate", "--cases", "M0", "--methods", "wls",
+               "--repetitions", "1", "--out", str(tmp_path / "diverged"))
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("error: no convergence")

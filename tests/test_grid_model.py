@@ -83,6 +83,8 @@ def test_admittance_two_bus_hand_computed(two_bus):
     # r=0, x=0.1 pu: off-diagonal -(1/j0.1) = +10j, diagonals -10j
     view = apply_switch_config(two_bus, ())
     y = build_admittance(view)
+    assert build_admittance(view) is y  # built once per view
+    assert not y.flags.writeable  # callers cannot corrupt the view's copy
     assert y[0, 1] == pytest.approx(10j)
     assert y[1, 0] == pytest.approx(10j)
     assert y[0, 0] == pytest.approx(-10j)

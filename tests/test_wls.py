@@ -159,10 +159,16 @@ def test_nonconvergence_is_flagged_not_raised(cigre, cigre_case):
     assert est.iterations == 1
 
 
-def test_jacobian_matches_finite_differences(cigre, cigre_case):
+# the second layout adds flows on 6-7 and a current on 11-4, both open in CONFIG_0
+@pytest.mark.parametrize("s_lines, i_lines, open_lines", [
+    (["1-2"], ["12-13"], ()),
+    (["1-2", "6-7"], ["12-13", "11-4"], ("6-7", "11-4")),
+], ids=["closed_lines", "open_lines"])
+def test_jacobian_matches_finite_differences(cigre, cigre_case, s_lines, i_lines,
+                                             open_lines):
     view, _, sol = cigre_case
     spec = make_spec(cigre, v_buses=[0, 6], s_buses=[4, 7],
-                     s_lines=["1-2"], i_lines=["12-13"])
+                     s_lines=s_lines, i_lines=i_lines)
     ms = simulate(sol, view, spec, seed=9)
     from gridmon.wls import StateIndex, _measurement_rows, measurement_model
 
@@ -174,7 +180,14 @@ def test_jacobian_matches_finite_differences(cigre, cigre_case):
     v = 1.0 + 0.02 * rng.normal(size=15)
     th = 0.01 * rng.normal(size=15)
     th[0] = 0.0
-    _, jac = measurement_model(view, rows, v, th, index)
+    h, jac = measurement_model(view, rows, v, th, index)
+    open_ids = {cigre.line_by_name(name).id for name in open_lines}
+    assert all(not view.line_in_service[lid] for lid in open_ids)
+    on_open = [m for m, r in enumerate(rows)
+               if r[0] in ("p_line", "q_line", "i_line") and r[1] in open_ids]
+    assert len(on_open) == (3 if open_lines else 0)  # P and Q on 6-7, I on 11-4
+    assert np.all(h[on_open] == 0.0)
+    assert np.all(jac[on_open] == 0.0)
 
     eps = 1e-7
     numeric = np.zeros_like(jac)
