@@ -14,7 +14,7 @@ from .scenarios import (DEFAULT_AXES, FIVE_AXES, Scenario, ScenarioAxis,
 from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
                            accuracy_to_sd, inject_fault, make_spec, simulate)
 from .ann import (AnnArchitecture, AnnModel, TrainConfig, hidden_size, init_model,
-                  predict, train)
+                  train)
 from .wls import PseudoMeasurement, WlsConfig, build_pseudo, estimate
 from .correction import CorrectionReport, correct_voltages
 from .evaluation import (C1, C2, Criterion, EvalResult, TestCase, is_successful,

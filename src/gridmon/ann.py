@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridModel
-from .measurements import MeasurementSet, MeasurementSpec, simulate
-from .powerflow import PowerFlowError, solve_pf
+from .grid import GridModel, apply_switch_config, grid_fingerprint
+from .measurements import MeasurementSpec, simulate
+from .powerflow import solve_truths
 from .scenarios import injections
 from .seeding import STREAM_ANN, rng
 
@@ -302,15 +302,6 @@ def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return model, history
 
 
-def predict(model: AnnModel, ms: MeasurementSet) -> np.ndarray:
-    """Estimate from one measurement set (values + switch bits appended)."""
-    if model.spec_hash and ms.spec_hash != model.spec_hash:
-        raise SpecHashMismatch(
-            f"measurement layout {ms.spec_hash} != model layout {model.spec_hash}")
-    x = np.concatenate([ms.values, ms.switch_states])[None, :]
-    return predict_batch(model, x)[0]
-
-
 def predict_batch(model: AnnModel, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != model.arch.n_in:
         raise AnnError(f"expected {model.arch.n_in} features, got {x.shape[1]}")
@@ -334,25 +325,21 @@ def build_training_set(grid: GridModel, scenario_list, spec: MeasurementSpec,
 
     Features are the noisy measurement vector plus switch bits; targets are
     noise-free voltages (pu) and loading fractions of monitored lines.
-    Diverging power flows are skipped and counted.
+    Rows are config-major; diverging power flows are skipped and counted.
     """
-    from .grid import apply_switch_config, grid_fingerprint
-
     monitored = [ln.id for ln in grid.monitored_lines]
     rows_x, rows_v, rows_l = [], [], []
     skipped = 0
-    for cfg_idx, config in enumerate(configs):
-        view = apply_switch_config(grid, config)
-        for sc_idx, scenario in enumerate(scenario_list):
-            try:
-                sol = solve_pf(view, injections(grid, scenario))
-            except PowerFlowError:
-                skipped += 1
-                continue
-            ms = simulate(sol, view, spec, seed, noise_key=(cfg_idx, sc_idx))
-            rows_x.append(np.concatenate([ms.values, ms.switch_states]))
-            rows_v.append(sol.v_mag_pu)
-            rows_l.append(sol.loading_pct[monitored] / 100.0)
+    views = [apply_switch_config(grid, config) for config in configs]
+    for cfg_idx, sc_idx, view, sol in solve_truths(
+            views, lambda s: injections(grid, scenario_list[s]), len(scenario_list)):
+        if sol is None:
+            skipped += 1
+            continue
+        ms = simulate(sol, view, spec, seed, noise_key=(cfg_idx, sc_idx))
+        rows_x.append(np.concatenate([ms.values, ms.switch_states]))
+        rows_v.append(sol.v_mag_pu)
+        rows_l.append(sol.loading_pct[monitored] / 100.0)
     if not rows_x:
         raise AnnError("every scenario diverged; no training data")
     return TrainingData(

@@ -5,9 +5,14 @@ and a power-flow truth cache, ``train`` fits monitor pairs per measurement
 configuration, ``evaluate`` runs test cases for both methods and writes
 per-scenario CSVs plus a summary, ``tune`` sweeps architectures.
 
+All three solve their truths through ``powerflow.solve_truths``. A diverged
+(switch config, scenario) pair is skipped by ``generate`` (NaN truth rows)
+and ``train`` and scored as failed by ``evaluate``; each command checks its
+diverged pairs against ``PF_FAILURE_BUDGET`` after writing all its outputs.
+
 Every output embeds the config hash and master seed; reruns with identical
 configs reproduce identical CSV bodies. Exit codes: 0 success, 2 validation
-error, 3 numerical failure budget exceeded.
+error, 3 numerical failure (diverged power flows over budget).
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from .ann import (AnnError, TrainConfig, build_training_set, load_model,
                   save_model, train_monitor_pair)
 from .evaluation import (METHOD_ANN, METHOD_WLS, EvaluationError, TruthCache,
                          error_stats, load_catalog, run_test_case)
-from .grid import GridError, load_bundled, load_grid
+from .grid import GridError, apply_switch_config, load_bundled, load_grid
 from .measurements import MeasurementError
-from .powerflow import PowerFlowError
+from .powerflow import PowerFlowError, solve_truths
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError,
-                        export_scenarios, generate_set)
+                        export_scenarios, generate_set, injections)
 from .seeding import seed_sequence
 from .tuning import tune_architecture
 
@@ -38,7 +43,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-PF_FAILURE_BUDGET = 0.001  # skipped power flows per scenario set
+PF_FAILURE_BUDGET = 0.001  # diverged power flows per (config, scenario) pair
 
 # stream tags for deriving sub-seeds from the master seed
 SEED_TRAIN_SCENARIOS = 10
@@ -103,6 +108,15 @@ def _resolved_config(args, keys) -> dict:
     return resolved
 
 
+def _check_pf_budget(diverged: int, total: int) -> int:
+    """Exit code for ``diverged`` of ``total`` pairs, with an error line over budget."""
+    if diverged > PF_FAILURE_BUDGET * total:
+        print(f"error: diverged power flows exceed budget "
+              f"({diverged}/{total})", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
+
+
 def _model_paths(models_dir: Path, spec_hash: str) -> dict[str, Path]:
     return {kind: models_dir / f"{spec_hash}_{kind}.npz"
             for kind in ("voltage", "loading")}
@@ -123,39 +137,25 @@ def cmd_generate(args) -> int:
     (out / "scenarios.csv").write_text(
         "\n".join(_header_lines(cfg)) + "\n" + body, encoding="utf-8")
 
-    from .grid import apply_switch_config
-    from .powerflow import solve_pf
-    from .scenarios import injections
-
-    catalog = load_catalog(grid)
+    views = [apply_switch_config(grid, config)
+             for config in load_catalog(grid).switch_configs]
+    # diverged pairs keep NaN rows
+    v_mag = np.full((len(views), len(scenarios), grid.n_bus), np.nan)
+    loading = np.full((len(views), len(scenarios), len(grid.lines)), np.nan)
     skipped = 0
-    truths = {}
-    for ci, config in enumerate(catalog.switch_configs):
-        view = apply_switch_config(grid, config)
-        v_rows = []
-        l_rows = []
-        for sc in scenarios:
-            try:
-                sol = solve_pf(view, injections(grid, sc))
-            except PowerFlowError:
-                skipped += 1
-                v_rows.append(np.full(grid.n_bus, np.nan))
-                l_rows.append(np.full(len(grid.lines), np.nan))
-                continue
-            v_rows.append(sol.v_mag_pu)
-            l_rows.append(sol.loading_pct)
-        truths[f"v_mag_config{ci}"] = np.array(v_rows)
-        truths[f"loading_config{ci}"] = np.array(l_rows)
+    for ci, si, _view, sol in solve_truths(
+            views, lambda s: injections(grid, scenarios[s]), len(scenarios)):
+        if sol is None:
+            skipped += 1
+        else:
+            v_mag[ci, si], loading[ci, si] = sol.v_mag_pu, sol.loading_pct
+    truths = {f"{name}_config{ci}": table[ci] for ci in range(len(views))
+              for name, table in (("v_mag", v_mag), ("loading", loading))}
     np.savez(out / "truth_cache.npz",
              config_hash=_config_hash(cfg), seed=cfg["seed"], **truths)
-    total = len(scenarios) * len(catalog.switch_configs)
-    print(f"generated {len(scenarios)} scenarios x {len(catalog.switch_configs)} "
+    print(f"generated {len(scenarios)} scenarios x {len(views)} "
           f"configs -> {out} (skipped {skipped} diverged power flows)")
-    if skipped > PF_FAILURE_BUDGET * total:
-        print(f"error: diverged power flows exceed budget "
-              f"({skipped}/{total})", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _check_pf_budget(skipped, len(scenarios) * len(views))
 
 
 def cmd_train(args) -> int:
@@ -203,11 +203,7 @@ def cmd_train(args) -> int:
     _write_csv(out / "training_history.csv", _header_lines(cfg),
                ["case", "spec_hash", "target", "best_epoch", "stopped_epoch",
                 "best_val_mse", "wall_seconds"], history_rows)
-    if total_rows and total_skipped > PF_FAILURE_BUDGET * total_rows:
-        print(f"error: diverged power flows exceed budget "
-              f"({total_skipped}/{total_rows})", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _check_pf_budget(total_skipped, total_rows)
 
 
 def cmd_evaluate(args) -> int:
@@ -234,6 +230,8 @@ def cmd_evaluate(args) -> int:
     cache = TruthCache()
     summary_rows = []
     header = _header_lines(cfg)
+    diverged = 0
+    total = 0
     for case_id in case_ids:
         tc = catalog.case(case_id)
         if cfg["v_correction"] == "on":
@@ -255,6 +253,10 @@ def cmd_evaluate(args) -> int:
             methods=methods, meas_seed=noise_seed, fault_seed=fault_seed,
             truth_cache=cache, jobs=cfg["jobs"])
         wall = time.perf_counter() - t0
+        # the methods share each pair's truth, so its divergence counts once
+        first = next(iter(results.values()))
+        diverged += int(first.pf_diverged.sum())
+        total += first.n_scenarios
         for method, res in results.items():
             rows = [
                 (i, i // len(scenarios), i % len(scenarios),
@@ -282,7 +284,10 @@ def cmd_evaluate(args) -> int:
         lines.append(f"{case:6s} {method:6s} {n:6d} {100 * sr1:8.2f}% {100 * sr2:8.2f}%")
     (out / "summary.txt").write_text("\n".join(header + lines) + "\n",
                                      encoding="utf-8")
-    return EXIT_OK
+    if diverged:
+        print(f"{diverged} of {total} evaluated pairs had a diverged power flow "
+              f"(scored as failed)")
+    return _check_pf_budget(diverged, total)
 
 
 def cmd_tune(args) -> int:

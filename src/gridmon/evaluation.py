@@ -3,7 +3,8 @@
 Each test case pairs a measurement configuration with optional bad-data
 faults and topology errors, and is evaluated over every scenario and
 switching configuration. Both estimators consume identical measurement
-vectors; errors are scored against the noise-free power flow truth.
+vectors; errors are scored against the noise-free power flow truth. A pair
+whose truth power flow diverges is scored as failed for every method.
 
 Error conventions: voltage error in percent of nominal (pu * 100), loading
 error in percentage points, both as the maximum over buses / monitored
@@ -25,7 +26,7 @@ from .grid import GridModel, IsolationError, apply_switch_config
 from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
                            assumed_sd_overrides, inject_fault, make_spec,
                            scale_unit_powers, simulate)
-from .powerflow import solve_pf
+from .powerflow import solve_truths
 from .scenarios import injections
 from .seeding import STREAM_FAULT, rng
 from .wls import ObservabilityError, WlsConfig, estimate
@@ -170,6 +171,7 @@ class EvalResult:
     success_c1: np.ndarray
     success_c2: np.ndarray
     failed_structurally: np.ndarray  # estimator produced no usable state
+    pf_diverged: np.ndarray  # the truth power flow diverged (also failed)
     bus_err_mean: np.ndarray
     bus_err_sd: np.ndarray
     bus_err_max: np.ndarray
@@ -186,20 +188,9 @@ class EvalResult:
         return float(np.mean(self.success_c2))
 
 
-class TruthCache:
-    """Keyed store of power-flow truths for (perturbation, config, scenario)."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def get(self, key):
-        return self._store.get(key)
-
-    def put(self, key, value):
-        self._store[key] = value
-
-    def __len__(self):
-        return len(self._store)
+class TruthCache(dict):
+    """Power-flow truths ``(solution, view)`` keyed by (perturbation tag,
+    config, scenario); filled and read by :func:`powerflow.solve_truths`."""
 
 
 def _truth_rx_factors(tc: TestCase, grid: GridModel, n_lines: int,
@@ -231,12 +222,14 @@ def _assumed_bits(tc: TestCase, config) -> tuple[bool, ...]:
 
 @dataclass
 class _ScenarioRecord:
-    x_row: np.ndarray | None
-    v_true: np.ndarray
-    loading_true: np.ndarray
-    wls_v: np.ndarray | None
-    wls_loading: np.ndarray | None
-    wls_failed: bool
+    """One evaluated pair; the defaults describe a diverged truth power flow."""
+
+    v_true: np.ndarray | None = None
+    loading_true: np.ndarray | None = None
+    x_row: np.ndarray | None = None
+    wls_v: np.ndarray | None = None
+    wls_loading: np.ndarray | None = None
+    wls_failed: bool = True
 
 
 def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
@@ -248,7 +241,6 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
                     if f.kind in ("zero_value", "scale_value", "constant_substitute")]
     deviations = [f for f in tc.faults if f.kind == "power_deviation"]
     sd_over = assumed_sd_overrides(tc.faults, spec) or None
-    static_truth = tc.rx_uniform is None
     perturb_tag = (tc.rx_model_factor, tc.rx_lines,
                    tuple(sorted(f.buses for f in deviations)),
                    tuple(f.factor for f in deviations)) \
@@ -263,32 +255,31 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
             assumed_views[cfg_idx] = (bits, None)
 
     truth_views = [apply_switch_config(grid, config) for config in configs]
-    if static_truth:
+    sample_factors = None
+    if tc.rx_uniform is None:
         # a fixed impedance perturbation is the same for every sample, so the
         # perturbed views (and their admittance models) are built once
         factors = _truth_rx_factors(tc, grid, len(grid.lines), fault_seed, 0, 0)
         if factors is not None:
             truth_views = [view.with_scaled_impedance(factors) for view in truth_views]
+    else:
+        def sample_factors(cfg_idx, sc_idx):
+            return _truth_rx_factors(tc, grid, len(grid.lines), fault_seed,
+                                     cfg_idx, sc_idx)
 
-    for cfg_idx, sc_idx in indices:
-        config = configs[cfg_idx]
-        scenario = scenarios[sc_idx]
-        actual = scenario
+    def actual_injections(sc_idx):
+        actual = scenarios[sc_idx]
         for f in deviations:
             actual = scale_unit_powers(actual, grid, f.buses, f.factor)
+        return injections(grid, actual)
 
-        cache_key = (perturb_tag, cfg_idx, sc_idx) if static_truth else None
-        cached = truth_cache.get(cache_key) if truth_cache is not None and cache_key else None
-        if cached is not None:
-            sol, truth_view = cached
-        else:
-            truth_view = truth_views[cfg_idx]
-            if not static_truth:
-                truth_view = truth_view.with_scaled_impedance(_truth_rx_factors(
-                    tc, grid, len(grid.lines), fault_seed, cfg_idx, sc_idx))
-            sol = solve_pf(truth_view, injections(grid, actual))
-            if truth_cache is not None and cache_key:
-                truth_cache.put(cache_key, (sol, truth_view))
+    truths = solve_truths(truth_views, actual_injections, len(scenarios),
+                          pairs=indices, cache=truth_cache, tag=perturb_tag,
+                          sample_factors=sample_factors)
+    for cfg_idx, sc_idx, truth_view, sol in truths:
+        if sol is None:
+            records.append(_ScenarioRecord())
+            continue
 
         ms = simulate(sol, truth_view, spec, meas_seed, noise_key=(cfg_idx, sc_idx))
         for f in value_faults:
@@ -371,26 +362,26 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
                                       meas_seed, fault_seed, wls_cfg, monitored,
                                       truth_cache, indices)
 
-    n = len(records)
+    def stack(rows, width):  # a missing row reads NaN
+        return np.array([np.full(width, np.nan) if r is None else r for r in rows])
+
     results: dict[str, EvalResult] = {}
-    v_true = np.array([r.v_true for r in records])
-    l_true = np.array([r.loading_true for r in records]) * 100.0
+    v_true = stack([r.v_true for r in records], grid.n_bus)
+    l_true = stack([r.loading_true for r in records], len(monitored)) * 100.0
+    diverged = np.array([r.v_true is None for r in records], dtype=bool)
 
     if METHOD_ANN in methods:
-        x = np.array([r.x_row for r in records])
+        x = stack([r.x_row for r in records], models["voltage"].arch.n_in)
         v_est = predict_batch(models["voltage"], x)
         l_est = predict_batch(models["loading"], x) * 100.0
         results[METHOD_ANN] = _score(METHOD_ANN, tc.label, v_est, l_est,
-                                     v_true, l_true,
-                                     np.zeros(n, dtype=bool), criteria)
+                                     v_true, l_true, diverged, diverged, criteria)
     if METHOD_WLS in methods:
         failed = np.array([r.wls_failed for r in records])
-        v_est = np.array([r.wls_v if r.wls_v is not None else np.full(grid.n_bus, np.nan)
-                          for r in records])
-        l_est = np.array([r.wls_loading if r.wls_loading is not None
-                          else np.full(len(monitored), np.nan) for r in records])
+        v_est = stack([r.wls_v for r in records], grid.n_bus)
+        l_est = stack([r.wls_loading for r in records], len(monitored))
         results[METHOD_WLS] = _score(METHOD_WLS, tc.label, v_est, l_est,
-                                     v_true, l_true, failed, criteria)
+                                     v_true, l_true, failed, diverged, criteria)
     return results
 
 
@@ -411,7 +402,8 @@ def _parallel_evaluate(tc, grid, spec, scenarios, configs, methods,
     return records
 
 
-def _score(method, label, v_est, l_est, v_true, l_true, failed, criteria):
+def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged,
+           criteria):
     n = v_true.shape[0]
     v_err_abs = np.abs(v_est - v_true) * 100.0
     l_err_abs = np.abs(l_est - l_true)
@@ -435,7 +427,7 @@ def _score(method, label, v_est, l_est, v_true, l_true, failed, criteria):
         v_err_max_pct=v_max, loading_err_max_pp=l_max,
         success_c1=crit.get("C1", np.zeros(n, dtype=bool)),
         success_c2=crit.get("C2", np.zeros(n, dtype=bool)),
-        failed_structurally=failed,
+        failed_structurally=failed, pf_diverged=diverged,
         bus_err_mean=bus_mean, bus_err_sd=bus_sd, bus_err_max=bus_max,
         line_err_mean=line_mean, line_err_sd=line_sd, line_err_max=line_max,
     )
@@ -548,14 +540,19 @@ class SotaComparison:
 
 
 def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
-                 *, train_seed: int = 0, meas_seed: int = 0,
-                 train_cfg=None, small_arch_epochs: int = 1000) -> SotaComparison:
+                 train_data, truth_cache: TruthCache, *, train_seed: int = 0,
+                 meas_seed: int = 0, train_cfg=None,
+                 small_arch_epochs: int = 1000) -> SotaComparison:
     """Reproduce earlier published baselines as regression anchors.
 
     (a) training on five hand-picked extreme scenarios instead of the full
         tuple grid; (b) a single-hidden-layer, two-neuron sigmoid network
         whose inputs are the measurements alone (no switch bits), estimating
         voltages only and scored on the voltage limit alone.
+
+    ``train_data`` is the caller's full training set for ``tc``, and
+    ``truth_cache`` holds (or receives) the unperturbed truths of
+    ``test_scenarios``; both are reused, not rebuilt.
 
     Baseline (b) regresses per-unit voltages that are mean-centred only, not
     scaled per bus, so its loss is the MSE in pu. With two hidden units its
@@ -571,7 +568,7 @@ def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
     from .ann import (AnnArchitecture, TrainConfig, build_training_set,
                       init_model, predict_batch as ann_predict, train,
                       train_monitor_pair)
-    from .scenarios import expand, generate_set
+    from .scenarios import expand
 
     train_cfg = train_cfg or TrainConfig(seed=train_seed)
     spec = tc.spec(grid)
@@ -582,21 +579,28 @@ def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
     few_data = build_training_set(grid, few, spec, configs, train_seed)
     few_models, _ = train_monitor_pair(grid, few_data, train_cfg)
     few_res = run_test_case(tc, grid, test_scenarios, configs, models=few_models,
-                            methods=(METHOD_ANN,), meas_seed=meas_seed)[METHOD_ANN]
+                            methods=(METHOD_ANN,), meas_seed=meas_seed,
+                            truth_cache=truth_cache)[METHOD_ANN]
 
-    full = generate_set(axes, grid, 3, train_seed)
-    full_data = build_training_set(grid, full, spec, configs, train_seed)
-    test_data = build_training_set(grid, test_scenarios, spec, configs, meas_seed)
-    arch = AnnArchitecture(n_in=n_meas, n_out=full_data.y_voltage.shape[1],
+    # measurement-only inputs on the unperturbed test truths, read from the cache
+    views = [apply_switch_config(grid, config) for config in configs]
+    test_x, test_v = [], []
+    for ci, si, view, sol in solve_truths(
+            views, lambda s: injections(grid, test_scenarios[s]),
+            len(test_scenarios), cache=truth_cache):
+        if sol is not None:
+            test_x.append(simulate(sol, view, spec, meas_seed, noise_key=(ci, si)).values)
+            test_v.append(sol.v_mag_pu)
+    arch = AnnArchitecture(n_in=n_meas, n_out=train_data.y_voltage.shape[1],
                            n_hidden_layers=1, hidden_size_override=2,
                            hidden_activation="sigmoid")
     small = init_model(arch, train_cfg.seed)
     small_cfg = TrainConfig(max_epochs=small_arch_epochs, patience=100,
                             seed=train_cfg.seed, batch_size=train_cfg.batch_size)
-    small, _ = train(small, full_data.x[:, :n_meas], full_data.y_voltage, small_cfg,
+    small, _ = train(small, train_data.x[:, :n_meas], train_data.y_voltage, small_cfg,
                      standardize_targets=False)
-    v_est = ann_predict(small, test_data.x[:, :n_meas])
-    v_err = np.abs(v_est - test_data.y_voltage).max(axis=1) * 100.0
+    v_est = ann_predict(small, np.array(test_x))
+    v_err = np.abs(v_est - np.array(test_v)).max(axis=1) * 100.0
     return SotaComparison(
         few_scenario_sr_c1=few_res.sr_c1,
         few_scenario_sr_c2=few_res.sr_c2,

@@ -116,12 +116,6 @@ class GridModel:
                 return ln
         raise GridValidationError(f"no line between buses {a} and {b}")
 
-    def units_at(self, bus: int) -> tuple[Unit, ...]:
-        return tuple(u for u in self.units if u.bus == bus)
-
-    def nominal_config(self) -> tuple[bool, ...]:
-        return tuple(sw.closed for sw in self.switches)
-
     def z_base_ohm(self, bus: int) -> float:
         return self.buses[bus].base_kv ** 2 / self.s_base_mva
 
@@ -281,12 +275,6 @@ def parse_grid(text: str, source: str = "<string>") -> GridModel:
 def load_grid(path: str | Path) -> GridModel:
     path = Path(path)
     return parse_grid(path.read_text(encoding="utf-8"), source=str(path))
-
-
-def bundled_grid_names() -> list[str]:
-    data = resources.files("gridmon.data")
-    return sorted(p.name[: -len(".grid.json")] for p in data.iterdir()
-                  if p.name.endswith(".grid.json"))
 
 
 def load_bundled(name: str) -> GridModel:

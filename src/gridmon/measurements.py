@@ -216,17 +216,6 @@ class FaultInjection:
     value: float = 0.0
     assumed_sd_pct: float | None = None
 
-    def entry_indices(self, spec: MeasurementSpec) -> list[int]:
-        idx = []
-        for i, e in enumerate(spec.entries):
-            if self.target_kind is not None and e.kind != self.target_kind:
-                continue
-            if e.kind in BUS_KINDS and e.location in self.buses:
-                idx.append(i)
-            elif e.kind in LINE_KINDS and e.location in self.lines:
-                idx.append(i)
-        return idx
-
 
 def inject_fault(ms: MeasurementSet, fault: FaultInjection,
                  spec: MeasurementSpec) -> MeasurementSet:

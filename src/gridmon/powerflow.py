@@ -1,15 +1,17 @@
-"""Newton-Raphson AC power flow and line flows.
+"""Newton-Raphson AC power flow, line flows and the power-flow truth layer.
 
 Produces the ground-truth system state for scenario evaluation: bus voltage
 magnitudes/angles, line currents and loadings, and the slack injection.
 All buses except the slack are treated as PQ buses. The Jacobian and the
 line flows derive from the view's branch admittance model
-(:attr:`GridView.branches`).
+(:attr:`GridView.branches`). :func:`solve_truths` solves the (switch
+config, scenario) pairs of every caller and yields None for a diverged one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -152,6 +154,33 @@ def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
                      loading_pct=100.0 * worst / net.rating_amps)
 
 
-def derive_line_quantities(solution: PfSolution, view: GridView) -> LineFlows:
-    """Per-line flows at both ends, from the converged state."""
-    return line_flows(view, solution.v_mag_pu, solution.v_ang_rad)
+def solve_truths(views, injections, n_scenarios: int, *, pairs=None, cache=None,
+                 tag=(), sample_factors=None):
+    """Noise-free truths of (switch config, scenario) pairs, one at a time.
+
+    Yields ``(cfg_idx, sc_idx, view, solution)`` config-major, or over
+    ``pairs`` in their order; ``solution`` is None where Newton-Raphson
+    diverges. ``views[c]`` is the network of config ``c``, ``injections(s)``
+    the bus injections of scenario ``s``. ``sample_factors(c, s)`` scales each
+    pair's line impedances, and such truths are never memoised; otherwise a
+    ``cache`` (a dict such as ``evaluation.TruthCache``) keeps
+    ``(solution, view)``, divergences too, under ``(tag, c, s)``, with ``tag``
+    naming a fixed perturbation.
+    """
+    if pairs is None:
+        pairs = product(range(len(views)), range(n_scenarios))
+    memo = cache if sample_factors is None else None
+    for cfg_idx, sc_idx in pairs:
+        key = (tag, cfg_idx, sc_idx)
+        truth = memo.get(key) if memo is not None else None
+        if truth is None:
+            view = views[cfg_idx]
+            if sample_factors is not None:
+                view = view.with_scaled_impedance(sample_factors(cfg_idx, sc_idx))
+            try:
+                truth = (solve_pf(view, injections(sc_idx)), view)
+            except PowerFlowError:
+                truth = (None, view)
+            if memo is not None:
+                memo[key] = truth
+        yield cfg_idx, sc_idx, truth[1], truth[0]

@@ -81,7 +81,3 @@ def tune_architecture(grid: GridModel, axes, test_cases, test_scenarios, configs
                     is_default=(n_layers, mult, reps) == DEFAULT_COMBINATION,
                 ))
     return rows
-
-
-def best_row(rows: list[TuneRow]) -> TuneRow:
-    return max(rows, key=lambda r: (r.mean_sr_c1, -r.train_seconds))

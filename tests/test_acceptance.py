@@ -17,7 +17,7 @@ from gridmon.evaluation import (METHOD_ANN, METHOD_WLS, TruthCache, compare_sota
                                 load_catalog, run_test_case)
 from gridmon.grid import apply_switch_config, load_bundled
 from gridmon.measurements import MeasurementSpec, MeasurementSet, make_spec, simulate, true_values
-from gridmon.powerflow import InjectionSet, derive_line_quantities, solve_pf
+from gridmon.powerflow import InjectionSet, line_flows, solve_pf
 from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
 from gridmon.wls import estimate
 
@@ -53,7 +53,7 @@ def bundle():
     eval_seconds = time.perf_counter() - t1
     return {
         "grid": grid, "catalog": catalog, "m4": m4, "models": models,
-        "test_scenarios": test_scenarios, "cache": cache,
+        "data": data, "test_scenarios": test_scenarios, "cache": cache,
         "m4_results": m4_results,
         "train_seconds": train_seconds, "eval_seconds": eval_seconds,
     }
@@ -89,7 +89,7 @@ def test_criterion_1_power_flow_oracles(cigre):
 
         inj = injections(cigre, Scenario(p_kw, q_kvar, (), 0, 0, None))
         sol = solve_pf(view, inj)
-        flows = derive_line_quantities(sol, view)
+        flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
         balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - flows.losses_pu.sum()
         worst = max(worst, abs(balance))
     elapsed = time.perf_counter() - start
@@ -169,7 +169,7 @@ def test_criterion_5_baseline_separation(bundle):
 def sota(bundle):
     return compare_sota(bundle["grid"], bundle["m4"], DEFAULT_AXES,
                         bundle["catalog"].switch_configs,
-                        bundle["test_scenarios"],
+                        bundle["test_scenarios"], bundle["data"], bundle["cache"],
                         train_seed=TRAIN_SEED, meas_seed=NOISE_SEED,
                         train_cfg=TrainConfig(seed=ANN_SEED))
 

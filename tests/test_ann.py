@@ -5,9 +5,9 @@ import pytest
 
 from gridmon.ann import (AnnArchitecture, AnnError, SpecHashMismatch, TrainConfig,
                          build_training_set, forward, hidden_size, init_model,
-                         load_model, loss_and_grads, predict, predict_batch,
+                         load_model, loss_and_grads, predict_batch,
                          save_model, train, train_monitor_pair)
-from gridmon.measurements import MeasurementSet, make_spec
+from gridmon.measurements import make_spec
 from gridmon.scenarios import DEFAULT_AXES, generate_set
 from gridmon.seeding import STREAM_ANN, rng as seeded_rng
 
@@ -205,6 +205,32 @@ def test_build_training_set_shapes(m4_training):
     assert data.y_loading.max() < 3.0
 
 
+def test_build_training_set_skips_diverged_pair(m4_training, monkeypatch):
+    from gridmon import powerflow
+    from gridmon.powerflow import PowerFlowError
+
+    grid, spec, data = m4_training
+    scenarios = generate_set(DEFAULT_AXES, grid, 1, seed=501)[:3]
+    real = powerflow.solve_pf
+    calls = []
+
+    def diverge_fourth(view, injections):
+        calls.append(None)
+        if len(calls) == 4:  # config 1, scenario 0
+            raise PowerFlowError("no convergence after 30 iterations", 1.0)
+        return real(view, injections)
+
+    monkeypatch.setattr(powerflow, "solve_pf", diverge_fourth)
+    small = build_training_set(grid, scenarios, spec,
+                               [CONFIG_0, (True, False, True, False, True, False)],
+                               seed=501)
+    assert small.skipped == 1
+    assert small.x.shape[0] == 5
+    # rows are config-major and keep the rows of the parent set's pairs
+    assert np.array_equal(small.x[:3], data.x[:3])
+    assert np.array_equal(small.x[3:], data.x[301:303])
+
+
 def test_train_monitor_pair_independent_weights(m4_training):
     grid, spec, data = m4_training
     models, histories = train_monitor_pair(
@@ -225,20 +251,6 @@ def test_switch_bits_bypass_normalization(m4_training):
     assert model.norm_mask[:-6].all()
     bits = data.x[0, -6:]
     assert np.array_equal(model.normalize(data.x[0])[None][0, -6:], bits)
-
-
-def test_predict_checks_spec_hash(m4_training):
-    grid, spec, data = m4_training
-    models, _ = train_monitor_pair(grid, data, TrainConfig(max_epochs=5, seed=3))
-    ms = MeasurementSet(values=data.x[0, :12], switch_states=data.x[0, 12:],
-                        spec_hash="0000deadbeef0000")
-    with pytest.raises(SpecHashMismatch):
-        predict(models["voltage"], ms)
-    ok = MeasurementSet(values=data.x[0, :12], switch_states=data.x[0, 12:],
-                        spec_hash=spec.spec_hash)
-    out = predict(models["voltage"], ok)
-    assert out.shape == (15,)
-    assert np.isfinite(out).all()
 
 
 def test_topology_seen_flag(m4_training):

@@ -129,8 +129,50 @@ def test_evaluate_diverged_power_flow_is_numerical_failure(tmp_path, monkeypatch
     def diverge(view, injections):
         raise PowerFlowError("no convergence after 30 iterations", 1.0)
 
-    monkeypatch.setattr("gridmon.evaluation.solve_pf", diverge)
+    monkeypatch.setattr("gridmon.powerflow.solve_pf", diverge)
+    out = tmp_path / "diverged"
     code = run("evaluate", "--cases", "M0", "--methods", "wls",
-               "--repetitions", "1", "--out", str(tmp_path / "diverged"))
+               "--repetitions", "1", "--out", str(out))
     assert code == EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("error: no convergence")
+    assert capsys.readouterr().err.startswith(
+        "error: diverged power flows exceed budget (4400/4400)")
+    assert (out / "summary.csv").exists()
+
+
+def _csv_rows(path):
+    return [line for line in path.read_text().splitlines()
+            if line and not line.startswith("#")]
+
+
+def test_evaluate_scores_diverged_pair_as_failed(tmp_path, trained_dir, monkeypatch,
+                                                 capsys):
+    from gridmon import powerflow
+    from gridmon.powerflow import PowerFlowError
+
+    argv = ["evaluate", "--cases", "M4", "--methods", "ann,wls",
+            "--repetitions", "1", "--seed", "5", "--models", str(trained_dir)]
+    assert run(*argv, "--out", str(tmp_path / "clean")) == EXIT_OK
+    assert "diverged" not in capsys.readouterr().out
+
+    target = 1102  # pairs run config-major: config 1, scenario 2
+    real = powerflow.solve_pf
+    calls = []
+
+    def diverge_once(view, injections):
+        calls.append(None)
+        if len(calls) == target + 1:
+            raise PowerFlowError("no convergence after 30 iterations", 1.0)
+        return real(view, injections)
+
+    monkeypatch.setattr("gridmon.powerflow.solve_pf", diverge_once)
+    assert run(*argv, "--out", str(tmp_path / "diverged")) == EXIT_OK
+    assert "1 of 4400 evaluated pairs had a diverged power flow" in capsys.readouterr().out
+    for name in ("M4_ann.csv", "M4_wls.csv"):
+        clean = _csv_rows(tmp_path / "clean" / name)
+        diverged = _csv_rows(tmp_path / "diverged" / name)
+        assert len(diverged) == len(clean) == 4401
+        row = diverged[target + 1].split(",")
+        assert row[:3] == [str(target), "1", "2"]
+        assert row[5:] == ["0", "0", "1"]
+        assert diverged[:target + 1] == clean[:target + 1]
+        assert diverged[target + 2:] == clean[target + 2:]

@@ -118,6 +118,19 @@ def test_run_deterministic(setup):
         assert np.array_equal(a[method].success_c1, b[method].success_c1)
 
 
+def test_per_sample_impedance_truths_bypass_cache(setup):
+    grid, catalog, scenarios, _ = setup
+    cache = TruthCache()
+    t4 = catalog.case("T4")
+    assert t4.rx_uniform is not None
+    run_test_case(t4, grid, scenarios[:3], catalog.switch_configs,
+                  methods=(METHOD_WLS,), truth_cache=cache)
+    assert len(cache) == 0
+    run_test_case(catalog.case("T0"), grid, scenarios[:3], catalog.switch_configs,
+                  methods=(METHOD_WLS,), truth_cache=cache)
+    assert len(cache) == 3 * len(catalog.switch_configs)
+
+
 def test_missing_models_rejected(setup):
     grid, catalog, scenarios, _ = setup
     with pytest.raises(EvaluationError, match="trained models"):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gridmon import powerflow
+from gridmon.evaluation import TruthCache
 from gridmon.grid import apply_switch_config, build_admittance
-from gridmon.powerflow import (InjectionSet, PowerFlowError, derive_line_quantities,
-                               solve_pf)
+from gridmon.powerflow import (InjectionSet, PowerFlowError, line_flows, solve_pf,
+                               solve_truths)
 from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
 
 from conftest import flat_scenario
@@ -75,7 +77,7 @@ def test_power_balance_identity(cigre):
     scenario = flat_scenario(cigre, load=1.0, dg=0.5)
     inj = injections(cigre, scenario)
     sol = solve_pf(view, inj)
-    flows = derive_line_quantities(sol, view)
+    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
     total_injection = inj.p_pu.sum() + sol.p_slack_kw / (cigre.s_base_mva * 1e3)
     assert abs(total_injection - flows.losses_pu.sum()) < 1e-8
 
@@ -83,14 +85,14 @@ def test_power_balance_identity(cigre):
 def test_losses_nonnegative_with_resistance(cigre):
     view = apply_switch_config(cigre, CONFIG_0)
     sol = solve_pf(view, injections(cigre, flat_scenario(cigre, load=0.7, dg=0.9)))
-    flows = derive_line_quantities(sol, view)
+    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
     assert (flows.losses_pu >= -1e-12).all()
 
 
 def test_lossless_line_conserves_power(two_bus):
     view = apply_switch_config(two_bus, ())
     sol = solve_pf(view, InjectionSet(np.array([0.0, -0.1]), np.array([0.0, 0.0])))
-    flows = derive_line_quantities(sol, view)
+    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
     assert flows.p_from_pu[0] == pytest.approx(-flows.p_to_pu[0], abs=1e-10)
 
 
@@ -100,7 +102,7 @@ def test_open_line_carries_nothing(three_bus):
     bare = replace(three_bus, units=(three_bus.units[0],))
     view = apply_switch_config(bare, (False,))
     sol = solve_pf(view, injections(bare, flat_scenario(bare, load=0.5)))
-    flows = derive_line_quantities(sol, view)
+    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
     assert sol.i_line_amps[1] == 0.0
     assert flows.p_from_pu[1] == 0.0 and flows.p_to_pu[1] == 0.0
     assert sol.loading_pct[1] == 0.0
@@ -143,6 +145,63 @@ def test_scenario_set_converges_and_balances(cigre):
     for sc in scenarios:
         inj = injections(cigre, sc)
         sol = solve_pf(view, inj)
-        flows = derive_line_quantities(sol, view)
+        flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
         balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - flows.losses_pu.sum()
         assert abs(balance) < 1e-8
+
+
+@pytest.fixture
+def truth_inputs(two_bus):
+    """One two-bus view and three loads; the middle one makes NR diverge."""
+    view = apply_switch_config(two_bus, ())
+    loads = [InjectionSet(np.array([0.0, -p]), np.array([0.0, -q]))
+             for p, q in ((0.1, 0.0), (60.0, 5.0), (0.2, 0.05))]
+    return view, loads
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts solve_pf calls made through the truth layer."""
+    calls = []
+    real = powerflow.solve_pf
+
+    def counting(view, injections):
+        calls.append(view)
+        return real(view, injections)
+
+    monkeypatch.setattr(powerflow, "solve_pf", counting)
+    return calls
+
+
+def test_solve_truths_config_major_and_diverged_is_none(truth_inputs, solve_calls):
+    view, loads = truth_inputs
+    truths = list(solve_truths([view, view], loads.__getitem__, len(loads)))
+    assert [(c, s) for c, s, _, _ in truths] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert [(c, s) for c, s, _, sol in truths if sol is None] == [(0, 1), (1, 1)]
+    assert all(v is view for _, _, v, _ in truths)
+    assert len(solve_calls) == 6
+
+
+def test_solve_truths_second_pass_reads_cache(truth_inputs, solve_calls):
+    view, loads = truth_inputs
+    cache = TruthCache()
+    first = list(solve_truths([view], loads.__getitem__, 3, cache=cache, tag="t"))
+    assert len(solve_calls) == 3
+    assert len(cache) == 3
+    second = list(solve_truths([view], loads.__getitem__, 3, cache=cache, tag="t"))
+    assert len(solve_calls) == 3  # diverged pair included
+    assert [(c, s) for c, s, _, _ in second] == [(c, s) for c, s, _, _ in first]
+    assert all(a[2] is b[2] and a[3] is b[3] for a, b in zip(first, second))
+    assert second[1][3] is None
+
+
+def test_solve_truths_never_memoises_per_sample_impedances(truth_inputs, solve_calls):
+    view, loads = truth_inputs
+    cache = TruthCache()
+    for _ in range(2):
+        truths = list(solve_truths([view], loads.__getitem__, 3, cache=cache,
+                                   sample_factors=lambda c, s: np.array([1.0 + 0.1 * s])))
+    assert len(solve_calls) == 6
+    assert len(cache) == 0
+    assert truths[2][2].grid.lines[0].x_ohm == pytest.approx(1.2 * 40.0)
