@@ -15,7 +15,7 @@ from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
                            accuracy_to_sd, inject_fault, make_spec, simulate)
 from .ann import (AnnArchitecture, AnnModel, TrainConfig, hidden_size, init_model,
                   train)
-from .wls import PseudoMeasurement, WlsConfig, build_pseudo, estimate
+from .wls import PseudoMeasurement, build_pseudo, estimate
 from .correction import CorrectionReport, correct_voltages
 from .evaluation import (C1, C2, Criterion, EvalResult, TestCase, is_successful,
                          load_catalog, run_test_case, search_measurement_config)

@@ -275,7 +275,8 @@ def cmd_evaluate(args) -> int:
                   f"SR_C2 {100 * res.sr_c2:6.2f} %  ({wall:.1f} s)")
         stats = error_stats(results, grid)
         (out / f"{tc.label.replace('*', 'star')}_stats.json").write_text(
-            json.dumps({"config_hash": _config_hash(cfg), **stats}, indent=1)
+            json.dumps({"config_hash": _config_hash(cfg), **stats}, indent=1,
+                       allow_nan=False)
             + "\n", encoding="utf-8")
     _write_csv(out / "summary.csv", header,
                ["case", "method", "n", "sr_c1", "sr_c2"], summary_rows)

@@ -29,7 +29,7 @@ from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
 from .powerflow import solve_truths
 from .scenarios import injections
 from .seeding import STREAM_FAULT, rng
-from .wls import ObservabilityError, WlsConfig, estimate
+from .wls import ObservabilityError, estimate
 
 METHOD_ANN = "ann"
 METHOD_WLS = "wls"
@@ -48,6 +48,12 @@ class Criterion:
         if self.v_err_limit_pct <= 0 or self.loading_err_limit_pct <= 0:
             raise EvaluationError("criterion limits must be positive")
 
+    def passes(self, v_err_pct, loading_err_pp):
+        """Strict comparison on both errors: an error exactly at its limit
+        fails. Works elementwise on arrays of per-scenario maxima."""
+        return ((v_err_pct < self.v_err_limit_pct)
+                & (loading_err_pp < self.loading_err_limit_pct))
+
 
 C1 = Criterion(1.0, 10.0)
 C2 = Criterion(0.5, 5.0)
@@ -55,19 +61,10 @@ C2 = Criterion(0.5, 5.0)
 
 def is_successful(v_est, v_true, loading_est, loading_true,
                   criterion: Criterion) -> bool:
-    """Strict comparison: an error exactly at the limit fails."""
-    v_err = scenario_voltage_error(v_est, v_true)
-    l_err = scenario_loading_error(loading_est, loading_true)
-    return bool(v_err < criterion.v_err_limit_pct
-                and l_err < criterion.loading_err_limit_pct)
-
-
-def scenario_voltage_error(v_est, v_true) -> float:
-    return float(np.max(np.abs(np.asarray(v_est) - np.asarray(v_true))) * 100.0)
-
-
-def scenario_loading_error(loading_est, loading_true) -> float:
-    return float(np.max(np.abs(np.asarray(loading_est) - np.asarray(loading_true))))
+    """One scenario scored on its largest voltage and loading errors."""
+    v_err = np.max(np.abs(np.asarray(v_est) - np.asarray(v_true))) * 100.0
+    l_err = np.max(np.abs(np.asarray(loading_est) - np.asarray(loading_true)))
+    return bool(criterion.passes(v_err, l_err))
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,7 @@ class _ScenarioRecord:
 
 
 def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
-                        meas_seed, fault_seed, wls_cfg, monitored,
-                        truth_cache, indices):
+                        meas_seed, fault_seed, monitored, truth_cache, indices):
     """Worker: run the truth + measurement + WLS pipeline for given indices."""
     records = []
     value_faults = [f for f in tc.faults
@@ -305,8 +301,7 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
                 wls_failed = True
             else:
                 try:
-                    est = estimate(assumed_view, ms, spec, cfg=wls_cfg,
-                                   sd_overrides=sd_over)
+                    est = estimate(assumed_view, ms, spec, sd_overrides=sd_over)
                     if est.converged and np.all(np.isfinite(est.v_mag)):
                         wls_v = est.v_mag
                         wls_loading = est.loading_pct[monitored]
@@ -329,7 +324,6 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
 def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
                   models: dict[str, AnnModel] | None = None,
                   methods=(METHOD_ANN, METHOD_WLS),
-                  wls_cfg: WlsConfig = WlsConfig(),
                   meas_seed: int = 0, fault_seed: int = 0,
                   criteria: dict[str, Criterion] | None = None,
                   truth_cache: TruthCache | None = None,
@@ -355,12 +349,11 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
     indices = [(c, s) for c in range(len(configs)) for s in range(len(scenarios))]
     if jobs > 1:
         records = _parallel_evaluate(tc, grid, spec, scenarios, configs, methods,
-                                     meas_seed, fault_seed, wls_cfg, monitored,
-                                     indices, jobs)
+                                     meas_seed, fault_seed, monitored, indices, jobs)
     else:
         records = _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
-                                      meas_seed, fault_seed, wls_cfg, monitored,
-                                      truth_cache, indices)
+                                      meas_seed, fault_seed, monitored, truth_cache,
+                                      indices)
 
     def stack(rows, width):  # a missing row reads NaN
         return np.array([np.full(width, np.nan) if r is None else r for r in rows])
@@ -386,12 +379,12 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
 
 
 def _parallel_evaluate(tc, grid, spec, scenarios, configs, methods,
-                       meas_seed, fault_seed, wls_cfg, monitored, indices, jobs):
+                       meas_seed, fault_seed, monitored, indices, jobs):
     from multiprocessing import get_context
 
     chunks = [indices[i::jobs] for i in range(jobs)]
     args = [(tc, grid, spec, scenarios, configs, methods, meas_seed,
-             fault_seed, wls_cfg, monitored, None, chunk) for chunk in chunks]
+             fault_seed, monitored, None, chunk) for chunk in chunks]
     with get_context("spawn").Pool(jobs) as pool:
         chunk_records = pool.starmap(_evaluate_scenarios, args)
     # indices were dealt round-robin; reassemble in original order
@@ -411,8 +404,7 @@ def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged,
     l_err_abs[failed] = np.inf
     v_max = v_err_abs.max(axis=1)
     l_max = l_err_abs.max(axis=1)
-    crit = {name: (v_max < c.v_err_limit_pct) & (l_max < c.loading_err_limit_pct)
-            for name, c in criteria.items()}
+    crit = {name: c.passes(v_max, l_max) for name, c in criteria.items()}
     ok = ~failed
     if ok.any():
         bus_mean, bus_sd = v_err_abs[ok].mean(axis=0), v_err_abs[ok].std(axis=0)
@@ -434,28 +426,27 @@ def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged,
 
 
 def error_stats(results: dict[str, EvalResult], grid: GridModel):
-    """Per-bus and per-line error tables, sorted by the WLS maximum ascending."""
+    """Per-bus and per-line error tables, sorted by the WLS maximum ascending.
+
+    A statistic no pair produced (a method that failed on every pair) is
+    None, since strict JSON has no NaN.
+    """
     ref = results.get(METHOD_WLS) or next(iter(results.values()))
-    bus_order = np.argsort(ref.bus_err_max, kind="stable")
-    line_order = np.argsort(ref.line_err_max, kind="stable")
-    monitored = [ln.id for ln in grid.monitored_lines]
-    bus_rows = []
-    for b in bus_order:
-        row = {"bus": int(b)}
-        for method, res in results.items():
-            row[f"{method}_mean"] = float(res.bus_err_mean[b])
-            row[f"{method}_sd"] = float(res.bus_err_sd[b])
-            row[f"{method}_max"] = float(res.bus_err_max[b])
-        bus_rows.append(row)
-    line_rows = []
-    for pos in line_order:
-        row = {"line": grid.lines[monitored[pos]].name}
-        for method, res in results.items():
-            row[f"{method}_mean"] = float(res.line_err_mean[pos])
-            row[f"{method}_sd"] = float(res.line_err_sd[pos])
-            row[f"{method}_max"] = float(res.line_err_max[pos])
-        line_rows.append(row)
-    return {"buses": bus_rows, "lines": line_rows}
+    line_names = [ln.name for ln in grid.monitored_lines]
+
+    def table(key, names, part):
+        rows = []
+        for i in np.argsort(getattr(ref, f"{part}_err_max"), kind="stable"):
+            row = {key: names[i]}
+            for method, res in results.items():
+                for stat in ("mean", "sd", "max"):
+                    value = getattr(res, f"{part}_err_{stat}")[i]
+                    row[f"{method}_{stat}"] = float(value) if np.isfinite(value) else None
+            rows.append(row)
+        return rows
+
+    return {"buses": table("bus", range(grid.n_bus), "bus"),
+            "lines": table("line", line_names, "line")}
 
 
 @dataclass
@@ -482,7 +473,6 @@ def search_measurement_config(grid: GridModel, scenarios, configs, *,
                               target_sr: float = 1.0,
                               criterion_name: str = "C1",
                               pool=None, train_fn=None,
-                              wls_cfg: WlsConfig = WlsConfig(),
                               meas_seed: int = 0):
     """Greedy consecutive addition of measurements until the target SR is met.
 
@@ -515,11 +505,10 @@ def search_measurement_config(grid: GridModel, scenarios, configs, *,
         models = train_fn(tc.spec(grid)) if method == METHOD_ANN else None
         try:
             result = run_test_case(tc, grid, scenarios, configs, models=models,
-                                   methods=(method,), wls_cfg=wls_cfg,
-                                   meas_seed=meas_seed, criteria=criteria,
-                                   truth_cache=truth_cache)[method]
+                                   methods=(method,), meas_seed=meas_seed,
+                                   criteria=criteria, truth_cache=truth_cache)[method]
             sr = result.sr_c1 if criterion_name == "C1" else result.sr_c2
-        except (ObservabilityError, EvaluationError):
+        except EvaluationError:
             sr = 0.0
         steps.append(SearchStep(added=added,
                                 spec_size=len(tc.spec(grid).entries), sr=sr))

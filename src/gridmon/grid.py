@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 LOAD_KIND_PREFIX = "load"
-GENERATOR_KINDS = ("pv", "wec", "battery")
 
 
 class GridError(Exception):
@@ -130,6 +129,38 @@ class GridModel:
         x = line.x_ohm / z_base
         b = line.b_us * 1e-6 * z_base
         return r, x, b
+
+    @cached_property
+    def unit_table(self) -> UnitTable:
+        """The per-unit facts as arrays, built on first use and kept."""
+        return _build_unit_table(self.units)
+
+
+@dataclass(frozen=True)
+class UnitTable:
+    """Read-only arrays aligned with ``grid.units``, one entry per unit."""
+
+    bus: np.ndarray  # bus index
+    sign: np.ndarray  # -1.0 for consumers, +1.0 for injecting units
+    kind: np.ndarray  # index into ``kinds``
+    kinds: tuple[str, ...]  # the distinct unit kinds, sorted
+    p_nom_kw: np.ndarray
+    tan_phi: np.ndarray  # q / p at the unit's power factor
+
+
+def _build_unit_table(units: tuple[Unit, ...]) -> UnitTable:
+    kinds, kind = np.unique([u.kind for u in units], return_inverse=True)
+    table = UnitTable(
+        bus=np.array([u.bus for u in units], dtype=int),
+        sign=np.array([-1.0 if u.is_consumer else 1.0 for u in units]),
+        kind=kind,
+        kinds=tuple(str(k) for k in kinds),
+        p_nom_kw=np.array([u.p_nom_kw for u in units], dtype=float),
+        tan_phi=np.array([math.tan(math.acos(u.cos_phi)) for u in units]),
+    )
+    for a in (table.bus, table.sign, table.kind, table.p_nom_kw, table.tan_phi):
+        a.setflags(write=False)
+    return table
 
 
 def _require(condition: bool, message: str) -> None:
@@ -350,10 +381,10 @@ def apply_switch_config(grid: GridModel, config) -> GridView:
     for sw, closed in zip(grid.switches, config):
         in_service[sw.line_id] = closed
     reachable = _reachable_buses(grid, in_service)
-    dead = [u.bus for u in grid.units if u.bus not in reachable]
+    dead = sorted(set(grid.unit_table.bus.tolist()) - reachable)
     if dead:
         raise IsolationError(
-            f"switch config {config} disconnects supplied buses {sorted(set(dead))}")
+            f"switch config {config} disconnects supplied buses {dead}")
     return GridView(grid=grid, config=config, line_in_service=in_service,
                     dead_buses=frozenset(b.id for b in grid.buses
                                          if b.id not in reachable))

@@ -285,8 +285,9 @@ def assumed_sd_overrides(faults, spec: MeasurementSpec) -> dict[int, float]:
 def scale_unit_powers(scenario, grid: GridModel, buses, factor: float):
     """Scenario with every unit at the given buses scaled by ``factor``
     (power_deviation faults perturb reality this way before the power flow)."""
-    bus_set = set(buses)
-    mask = np.array([u.bus in bus_set for u in grid.units])
+    at_bus = np.zeros(grid.n_bus, dtype=bool)
+    at_bus[list(buses)] = True
+    mask = at_bus[grid.unit_table.bus]
     p = np.where(mask, scenario.p_kw * factor, scenario.p_kw)
     q = np.where(mask, scenario.q_kvar * factor, scenario.q_kvar)
     return replace(scenario, p_kw=p, q_kvar=q)

@@ -3,7 +3,8 @@
 Scenarios are built from axis tuples: each axis covers one unit kind with an
 inclusive percentage grid, the Cartesian product of all axis grids gives the
 tuple set, and expansion applies per-unit multiplicative Gaussian noise on
-top of the tuple's scaling values.
+top of the tuple's scaling values. Expansion and the net bus injections are
+array operations on the grid's unit table (``GridModel.unit_table``).
 """
 
 from __future__ import annotations
@@ -92,17 +93,6 @@ def enumerate_tuples(axes) -> list[tuple[float, ...]]:
     return [tuple(combo) for combo in product(*(ax.grid_values() for ax in axes))]
 
 
-def _axis_by_kind(axes) -> dict[str, ScenarioAxis]:
-    return {ax.unit_kind: ax for ax in axes}
-
-
-def _check_axes_cover_grid(grid: GridModel, axes) -> None:
-    known = {ax.unit_kind for ax in axes}
-    missing = sorted({u.kind for u in grid.units} - known)
-    if missing:
-        raise ScenarioError(f"no scenario axis for unit kinds {missing}")
-
-
 def expand(tuple_values, axes, grid: GridModel, seed: int | None,
            repetition: int = 0, tuple_index: int = 0) -> Scenario:
     """Turn one scaling tuple into per-unit powers.
@@ -111,18 +101,18 @@ def expand(tuple_values, axes, grid: GridModel, seed: int | None,
     generators from flipping sign through noise. q follows each unit's
     cos phi with the same sign as p.
     """
-    _check_axes_cover_grid(grid, axes)
-    axis_map = _axis_by_kind(axes)
-    scale = dict(zip((ax.unit_kind for ax in axes), tuple_values))
+    units = grid.unit_table
+    by_kind = {ax.unit_kind: (ax.noise_sd_pct, value) for ax, value in zip(axes, tuple_values)}
+    missing = sorted(set(units.kinds) - set(by_kind))
+    if missing:
+        raise ScenarioError(f"no scenario axis for unit kinds {missing}")
+    noise_sd = np.array([by_kind[k][0] for k in units.kinds], dtype=float)[units.kind]
+    scale = np.array([by_kind[k][1] for k in units.kinds], dtype=float)[units.kind]
     gen = rng(0 if seed is None else seed, STREAM_SCENARIO, repetition, tuple_index)
-    eps = gen.standard_normal(len(grid.units))
-    p = np.empty(len(grid.units))
-    q = np.empty(len(grid.units))
-    for idx, unit in enumerate(grid.units):
-        ax = axis_map[unit.kind]
-        factor = max(0.0, 1.0 + ax.noise_sd_pct / 100.0 * eps[idx])
-        p[idx] = unit.p_nom_kw * scale[unit.kind] * factor
-        q[idx] = p[idx] * math.tan(math.acos(unit.cos_phi))
+    eps = gen.standard_normal(len(units.bus))
+    factor = np.maximum(0.0, 1.0 + noise_sd / 100.0 * eps)
+    p = units.p_nom_kw * scale * factor
+    q = p * units.tan_phi
     return Scenario(p_kw=p, q_kvar=q, tuple_values=tuple(tuple_values),
                     repetition=repetition, tuple_index=tuple_index, seed=seed)
 
@@ -141,14 +131,14 @@ def generate_set(axes, grid: GridModel, repetitions: int, seed: int) -> list[Sce
 
 def injections(grid: GridModel, scenario: Scenario) -> InjectionSet:
     """Net per-bus injections in per-unit, generation positive."""
+    units = grid.unit_table
     s_base_kw = grid.s_base_mva * 1e3
-    p = np.zeros(grid.n_bus)
-    q = np.zeros(grid.n_bus)
-    for idx, unit in enumerate(grid.units):
-        sign = -1.0 if unit.is_consumer else 1.0
-        p[unit.bus] += sign * scenario.p_kw[idx] / s_base_kw
-        q[unit.bus] += sign * scenario.q_kvar[idx] / s_base_kw
-    return InjectionSet(p_pu=p, q_pu=q)
+
+    def per_bus(values):  # accumulates in unit order, bus by bus
+        return np.bincount(units.bus, weights=units.sign * values / s_base_kw,
+                           minlength=grid.n_bus)
+
+    return InjectionSet(p_pu=per_bus(scenario.p_kw), q_pu=per_bus(scenario.q_kvar))
 
 
 def export_scenarios(path: str | Path, scenarios, grid: GridModel) -> None:

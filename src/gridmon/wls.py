@@ -5,7 +5,12 @@ Buses without real injection measurements receive substitute values: DG
 output is transferred from measured units of the same kind by relative
 power, and the remaining balance (slack import minus measured injections
 minus DG estimate) is split over unmeasured load buses proportionally to
-installed power. Substitutes carry a 30 % standard deviation.
+installed power. Substitutes carry a 30 % standard deviation. They are
+built as array operations on the grid's unit table (one bus, sign, kind,
+rating and tan phi per unit), one measurement vector at a time.
+
+Gauss-Newton runs at most ``MAX_ITERATIONS`` steps and converges when no
+state update exceeds ``STATE_UPDATE_TOLERANCE``.
 
 The measurement functions h(x) and their Jacobian H(x) are row selections of
 the stacked bus and line quantities and their voltage derivatives, all
@@ -14,7 +19,6 @@ derived from the view's branch admittance model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,8 @@ from .grid import GridModel, GridView, dsbus_dv, dsf_dv
 from .measurements import MeasurementSet, MeasurementSpec, stacked_positions
 from .powerflow import line_flows
 
+MAX_ITERATIONS = 10
+STATE_UPDATE_TOLERANCE = 1e-6
 PSEUDO_SD_FRACTION = 0.30
 PSEUDO_SD_FLOOR_PU = 1e-3  # 1 kW on the 1 MVA base
 SD_FLOOR_PU = 1e-6
@@ -30,13 +36,6 @@ SD_FLOOR_PU = 1e-6
 
 class ObservabilityError(Exception):
     """Gain matrix singular: the measurement set does not determine the state."""
-
-
-@dataclass(frozen=True)
-class WlsConfig:
-    max_iterations: int = 10
-    state_update_tolerance: float = 1e-6
-    pseudo_sd_fraction: float = PSEUDO_SD_FRACTION
 
 
 @dataclass(frozen=True)
@@ -59,111 +58,78 @@ class EstimatedState:
     objective_history: tuple[float, ...] = ()
 
 
-def _measured_buses(spec: MeasurementSpec) -> set[int]:
-    return {e.location for e in spec.entries if e.kind == "p_bus"}
-
-
-def _slack_injection_estimate(grid: GridModel, ms: MeasurementSet,
-                              spec: MeasurementSpec) -> tuple[float, float] | None:
-    """Slack P, Q in per-unit: direct bus measurement if present, otherwise
-    the sum of measured feeder line flows (oriented out of the from end)."""
-    slack = grid.slack_bus
-    measured = _measured_buses(spec)
-    if slack in measured:
-        p = ms.values[spec.index_of("p_bus", slack)]
-        q = ms.values[spec.index_of("q_bus", slack)]
-        return float(p), float(q)
-    p_idx = spec.indices("p_line")
-    q_idx = spec.indices("q_line")
-    if p_idx:
-        p = float(sum(ms.values[i] for i in p_idx))
-        q = float(sum(ms.values[i] for i in q_idx))
-        return p, q
-    return None
-
-
-def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec,
-                 cfg: WlsConfig = WlsConfig()) -> list[PseudoMeasurement]:
+def build_pseudo(grid: GridModel, ms: MeasurementSet,
+                 spec: MeasurementSpec) -> list[PseudoMeasurement]:
     """Substitute P/Q injections for every bus without a real injection measurement."""
     if spec.spec_hash != ms.spec_hash:
         raise ValueError("measurement set does not belong to this spec")
-    s_base_kw = grid.s_base_mva * 1e3
-    measured = _measured_buses(spec)
-    slack = grid.slack_bus
-
-    # nominal per-bus unit power, split by consumer/producer role
-    dg_units = [u for u in grid.units if not u.is_consumer]
-    load_units = [u for u in grid.units if u.is_consumer]
+    units = grid.unit_table
+    n, slack, s_base_kw = grid.n_bus, grid.slack_bus, grid.s_base_mva * 1e3
+    p_meas = np.zeros(n)
+    measured = np.zeros(n, dtype=bool)
+    for i in reversed(spec.indices("p_bus")):  # the first reading at a bus counts
+        p_meas[spec.entries[i].location] = ms.values[i]
+        measured[spec.entries[i].location] = True
+    feeder = np.arange(n) != slack
+    feeder_measured = feeder & measured
+    unmeasured = feeder & ~measured
+    dg = units.sign > 0
 
     # relative output of measured DG per kind, read from the net injection
     # at the measured bus (collocated loads bias this low; the 30 % pseudo
-    # SD is meant to absorb exactly this kind of imprecision)
-    rel_by_kind: dict[str, float] = {}
-    fallback_kinds: set[str] = set()
-    for kind in sorted({u.kind for u in dg_units}):
-        units = [u for u in dg_units if u.kind == kind]
-        meas_units = [u for u in units if u.bus in measured and u.bus != slack]
-        if not meas_units:
-            rel_by_kind[kind] = 0.5
-            fallback_kinds.add(kind)
-            continue
-        inj_sum = sum(float(ms.values[spec.index_of("p_bus", u.bus)])
-                      for u in meas_units)
-        nom_sum = sum(u.p_nom_kw / s_base_kw for u in meas_units)
-        rel_by_kind[kind] = min(max(inj_sum / nom_sum, 0.0), 1.0)
+    # SD is meant to absorb exactly this kind of imprecision); a kind with
+    # no measured unit falls back to half its nominal output
+    seen = dg & feeder_measured[units.bus]
+    n_kind = len(units.kinds)
+    fallback_kind = np.bincount(units.kind[seen], minlength=n_kind) == 0
+    inj_sum = np.bincount(units.kind[seen], weights=p_meas[units.bus[seen]],
+                          minlength=n_kind)
+    nom_sum = np.bincount(units.kind[seen], weights=units.p_nom_kw[seen] / s_base_kw,
+                          minlength=n_kind)
+    rel = np.clip(np.divide(inj_sum, nom_sum, out=np.full(n_kind, 0.5),
+                            where=~fallback_kind), 0.0, 1.0)
 
-    def dg_estimate(bus: int) -> float:
-        return sum(rel_by_kind[u.kind] * u.p_nom_kw / s_base_kw
-                   for u in dg_units if u.bus == bus)
+    # per-bus sums accumulate in unit order, the scalar totals in bus order
+    dg_part = np.where(dg, rel[units.kind] * units.p_nom_kw / s_base_kw, 0.0)
+    p_dg = np.bincount(units.bus, weights=dg_part, minlength=n)
+    q_dg = np.bincount(units.bus, weights=dg_part * units.tan_phi, minlength=n)
+    load_nom = np.bincount(units.bus, weights=np.where(dg, 0.0, units.p_nom_kw),
+                           minlength=n) / s_base_kw
+    has_load = load_nom > 0
+    # the bus's reactive load follows the power factor of its first load unit
+    loads = np.flatnonzero(~dg)
+    load_buses, first_load = np.unique(units.bus[loads], return_index=True)
+    load_tan = np.zeros(n)
+    load_tan[load_buses] = units.tan_phi[loads[first_load]]
 
-    slack_est = _slack_injection_estimate(grid, ms, spec)
-    unmeasured = [b.id for b in grid.buses if b.id not in measured and b.id != slack]
-    load_nom = {bus: sum(u.p_nom_kw for u in load_units if u.bus == bus) / s_base_kw
-                for bus in unmeasured}
-    total_load_nom = sum(load_nom.values())
-    # DG at measured buses is already inside their net injection readings;
-    # only the unmeasured DG estimate enters the load balance
-    p_dg_unmeasured = sum(dg_estimate(bus) for bus in unmeasured)
-
-    pseudos: list[PseudoMeasurement] = []
-    if slack_est is not None and total_load_nom > 0:
-        p_slack = slack_est[0]
-        p_measured = sum(float(ms.values[spec.index_of("p_bus", b)])
-                         for b in measured if b != slack)
-        remainder = -p_slack - p_measured - p_dg_unmeasured
+    # slack P: its own reading, else the sum of the measured feeder line
+    # flows (oriented out of the from end), else unknown
+    line_idx = spec.indices("p_line")
+    if measured[slack]:
+        p_slack = p_meas[slack]
+    elif line_idx:
+        p_slack = sum(ms.values[line_idx])
+    else:
+        p_slack = None
+    total_load_nom = sum(load_nom[unmeasured])
+    if p_slack is not None and total_load_nom > 0:
+        # DG at measured buses is already inside their net injection readings;
+        # only the unmeasured DG estimate enters the load balance
+        remainder = -p_slack - sum(p_meas[feeder_measured]) - sum(p_dg[unmeasured])
+        p_load = np.where(has_load, remainder * load_nom / total_load_nom, 0.0)
     else:
         # no balance information: every unmeasured load at half nominal
-        remainder = None
-
-    tan_phi = {u.id: math.tan(math.acos(u.cos_phi)) for u in grid.units}
-    for bus in unmeasured:
-        p_load = 0.0
-        fallback = slack_est is None and load_nom[bus] > 0
-        if load_nom[bus] > 0:
-            if remainder is not None:
-                p_load = remainder * load_nom[bus] / total_load_nom
-            else:
-                p_load = -0.5 * load_nom[bus]
-        p_dg = dg_estimate(bus)
-        fallback = fallback or any(
-            u.kind in fallback_kinds for u in dg_units if u.bus == bus)
-        p_value = p_load + p_dg
-        # reactive follows the units' power factors, consistent in sign
-        q_value = 0.0
-        bus_units = [u for u in grid.units if u.bus == bus]
-        if bus_units:
-            load_share = p_load
-            dg_parts = [(u, rel_by_kind[u.kind] * u.p_nom_kw / s_base_kw)
-                        for u in dg_units if u.bus == bus]
-            q_value = sum(part * tan_phi[u.id] for u, part in dg_parts)
-            load_tan = [tan_phi[u.id] for u in bus_units if u.is_consumer]
-            if load_tan:
-                q_value += load_share * load_tan[0]
-        sd = max(cfg.pseudo_sd_fraction * abs(p_value), PSEUDO_SD_FLOOR_PU)
-        pseudos.append(PseudoMeasurement("p_bus", bus, p_value, sd, fallback))
-        sd_q = max(cfg.pseudo_sd_fraction * abs(q_value), PSEUDO_SD_FLOOR_PU)
-        pseudos.append(PseudoMeasurement("q_bus", bus, q_value, sd_q, fallback))
-    return pseudos
+        p_load = np.where(has_load, -0.5 * load_nom, 0.0)
+    p_value = p_load + p_dg
+    q_value = q_dg + p_load * load_tan
+    fallback = (p_slack is None) & has_load
+    fallback |= np.bincount(units.bus, weights=dg & fallback_kind[units.kind],
+                            minlength=n) > 0
+    sd_p = np.maximum(PSEUDO_SD_FRACTION * np.abs(p_value), PSEUDO_SD_FLOOR_PU)
+    sd_q = np.maximum(PSEUDO_SD_FRACTION * np.abs(q_value), PSEUDO_SD_FLOOR_PU)
+    return [PseudoMeasurement(kind, bus, float(value[bus]), float(sd[bus]), bool(fallback[bus]))
+            for bus in np.flatnonzero(unmeasured).tolist()
+            for kind, value, sd in (("p_bus", p_value, sd_p), ("q_bus", q_value, sd_q))]
 
 
 def _measurement_rows(grid: GridModel, view: GridView, spec: MeasurementSpec,
@@ -237,7 +203,6 @@ def measurement_model(view: GridView, rows, v: np.ndarray, th: np.ndarray,
 
 def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
              pseudos: list[PseudoMeasurement] | None = None,
-             cfg: WlsConfig = WlsConfig(),
              sd_overrides: dict[int, float] | None = None) -> EstimatedState:
     """Gauss-Newton WLS estimate of the full voltage state.
 
@@ -246,7 +211,7 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     """
     grid = view.grid
     if pseudos is None:
-        pseudos = build_pseudo(grid, ms, spec, cfg)
+        pseudos = build_pseudo(grid, ms, spec)
     rows = _measurement_rows(grid, view, spec, ms, pseudos, sd_overrides)
     # injection info at buses cut off the slack constrains nothing
     rows = [r for r in rows
@@ -264,7 +229,7 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     converged = False
     iterations = 0
     objective_history = []
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         iterations = iteration
         h, jac = measurement_model(view, rows, v, th, index)
         residual = z - h
@@ -280,7 +245,7 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
             raise ObservabilityError("non-finite state update")
         th[non_slack] += step[:len(non_slack)]
         v[mag_buses] += step[len(non_slack):]
-        if np.max(np.abs(step)) < cfg.state_update_tolerance:
+        if np.max(np.abs(step)) < STATE_UPDATE_TOLERANCE:
             converged = True
             break
 

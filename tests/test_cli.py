@@ -139,6 +139,25 @@ def test_evaluate_diverged_power_flow_is_numerical_failure(tmp_path, monkeypatch
     assert (out / "summary.csv").exists()
 
 
+def test_stats_json_is_strict_when_every_pair_fails(tmp_path, monkeypatch):
+    from gridmon.powerflow import PowerFlowError
+
+    def diverge(view, injections):
+        raise PowerFlowError("no convergence after 30 iterations", 1.0)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr("gridmon.powerflow.solve_pf", diverge)
+    out = tmp_path / "failed"
+    code = run("evaluate", "--cases", "M0", "--methods", "wls",
+               "--repetitions", "1", "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    stats = json.loads((out / "M0_stats.json").read_text(), parse_constant=reject)
+    assert len(stats["buses"]) == 15
+    assert all(row["wls_max"] is None for row in stats["buses"] + stats["lines"])
+
+
 def _csv_rows(path):
     return [line for line in path.read_text().splitlines()
             if line and not line.startswith("#")]

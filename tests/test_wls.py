@@ -5,7 +5,7 @@ from gridmon.grid import apply_switch_config
 from gridmon.measurements import MeasurementSet, MeasurementSpec, make_spec, simulate
 from gridmon.powerflow import solve_pf
 from gridmon.scenarios import injections
-from gridmon.wls import (ObservabilityError, WlsConfig, build_pseudo, estimate)
+from gridmon.wls import ObservabilityError, build_pseudo, estimate
 
 from conftest import flat_scenario
 
@@ -149,12 +149,13 @@ def test_unobservable_raises(two_bus):
         estimate(view, ms, spec, pseudos=[])
 
 
-def test_nonconvergence_is_flagged_not_raised(cigre, cigre_case):
+def test_nonconvergence_is_flagged_not_raised(cigre, cigre_case, monkeypatch):
     view, _, sol = cigre_case
     spec = make_spec(cigre, v_buses=[0, 6, 8, 10], s_buses=[4, 7],
                      s_lines=["1-2", "12-13"])
     ms = simulate(sol, view, spec, seed=3)
-    est = estimate(view, ms, spec, cfg=WlsConfig(max_iterations=1))
+    monkeypatch.setattr("gridmon.wls.MAX_ITERATIONS", 1)
+    est = estimate(view, ms, spec)
     assert not est.converged
     assert est.iterations == 1
 
