@@ -15,10 +15,10 @@ from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
                            accuracy_to_sd, inject_fault, make_spec, simulate)
 from .ann import (AnnArchitecture, AnnModel, TrainConfig, hidden_size, init_model,
                   train)
-from .wls import PseudoMeasurement, build_pseudo, estimate
+from .wls import PseudoSet, build_pseudo, estimate
 from .correction import CorrectionReport, correct_voltages
-from .evaluation import (C1, C2, Criterion, EvalResult, TestCase, is_successful,
-                         load_catalog, run_test_case, search_measurement_config)
+from .evaluation import (C1, C2, Criterion, EvalResult, TestCase, load_catalog,
+                         run_test_case, search_measurement_config)
 from .tuning import tune_architecture
 
 __version__ = "0.1.0"

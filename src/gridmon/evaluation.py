@@ -59,14 +59,6 @@ C1 = Criterion(1.0, 10.0)
 C2 = Criterion(0.5, 5.0)
 
 
-def is_successful(v_est, v_true, loading_est, loading_true,
-                  criterion: Criterion) -> bool:
-    """One scenario scored on its largest voltage and loading errors."""
-    v_err = np.max(np.abs(np.asarray(v_est) - np.asarray(v_true))) * 100.0
-    l_err = np.max(np.abs(np.asarray(loading_est) - np.asarray(loading_true)))
-    return bool(criterion.passes(v_err, l_err))
-
-
 @dataclass(frozen=True)
 class TestCase:
     id: str

@@ -2,7 +2,10 @@
 
 A MeasurementSpec fixes the layout of the measurement vector (kinds,
 locations, standard deviations). The layout is versioned through a content
-hash; estimators refuse vectors whose hash does not match their own.
+hash; estimators refuse vectors whose hash does not match their own. The
+spec keeps its hash, kind codes and locations once computed, and
+``stacked_positions`` maps them onto the stacked bus and line quantities
+that the simulator and WLS read.
 
 Value conventions: v_bus in pu, p/q in pu (MW on a 1 MVA base), i_line as
 per-unit current at the from end. Noise is relative to the reading.
@@ -11,9 +14,8 @@ per-unit current at the from end. Noise is relative to the reading.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .seeding import STREAM_MEASUREMENT, rng
 BUS_KINDS = ("v_bus", "p_bus", "q_bus")
 LINE_KINDS = ("p_line", "q_line", "i_line")
 ALL_KINDS = BUS_KINDS + LINE_KINDS
+KIND_CODE = {kind: code for code, kind in enumerate(ALL_KINDS)}
 
 # IEC-style accuracy classes: the class is the 3-sigma maximum relative
 # error in percent, so SD = class / 3. Power readings combine voltage and
@@ -71,10 +74,27 @@ class MeasurementEntry:
 class MeasurementSpec:
     entries: tuple[MeasurementEntry, ...]
 
-    @property
+    @cached_property
     def spec_hash(self) -> str:
         payload = "|".join(e.key() for e in self.entries)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+    @cached_property
+    def kind_code(self) -> np.ndarray:
+        """Read-only code of each entry's kind, its index in ``ALL_KINDS``."""
+        try:
+            codes = np.array([KIND_CODE[e.kind] for e in self.entries], dtype=int)
+        except KeyError as exc:
+            raise MeasurementError(f"unknown measurement kind {exc.args[0]!r}") from None
+        codes.setflags(write=False)
+        return codes
+
+    @cached_property
+    def location(self) -> np.ndarray:
+        """Read-only bus or line id of each entry."""
+        locations = np.array([e.location for e in self.entries], dtype=int)
+        locations.setflags(write=False)
+        return locations
 
     def index_of(self, kind: str, location: int) -> int:
         for i, e in enumerate(self.entries):
@@ -83,7 +103,7 @@ class MeasurementSpec:
         raise MeasurementError(f"no entry {kind}@{location} in spec")
 
     def indices(self, kind: str) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if e.kind == kind]
+        return np.flatnonzero(self.kind_code == KIND_CODE[kind]).tolist()
 
     def sd_vector(self) -> np.ndarray:
         return np.array([e.sd_pct for e in self.entries])
@@ -123,27 +143,6 @@ def make_spec(grid: GridModel, v_buses=(), s_buses=(), s_lines=(), i_lines=()) -
     return spec
 
 
-def save_spec(spec: MeasurementSpec, path: str | Path) -> None:
-    doc = {
-        "format": 1,
-        "entries": [
-            {"kind": e.kind, "location": e.location, "sd_pct": e.sd_pct}
-            for e in spec.entries
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-
-
-def load_spec(path: str | Path) -> MeasurementSpec:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != 1:
-        raise MeasurementError(f"{path}: unsupported spec format")
-    return MeasurementSpec(entries=tuple(
-        MeasurementEntry(rec["kind"], int(rec["location"]), float(rec["sd_pct"]))
-        for rec in doc["entries"]
-    ))
-
-
 @dataclass(frozen=True)
 class MeasurementSet:
     values: np.ndarray
@@ -155,18 +154,14 @@ class MeasurementSet:
                               spec_hash=self.spec_hash)
 
 
-def stacked_positions(pairs, n_bus: int, n_line: int) -> np.ndarray:
-    """Positions of ``(kind, location)`` pairs in the stacked vector
-    ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]`` (blocks in ``ALL_KINDS`` order,
-    one row per bus or per line)."""
-    start, offset = {}, 0
-    for kind in ALL_KINDS:
-        start[kind] = offset
-        offset += n_bus if kind in BUS_KINDS else n_line
-    try:
-        return np.array([start[kind] + loc for kind, loc in pairs], dtype=int)
-    except KeyError as exc:
-        raise MeasurementError(f"unknown kind {exc.args[0]!r}") from None
+def stacked_positions(kind_code: np.ndarray, location: np.ndarray,
+                      n_bus: int, n_line: int) -> np.ndarray:
+    """Positions of measurements (kind codes into ``ALL_KINDS`` and their bus
+    or line ids) in the stacked vector ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]``
+    (one row per bus or per line in each block)."""
+    sizes = [n_bus if kind in BUS_KINDS else n_line for kind in ALL_KINDS]
+    start = np.cumsum([0] + sizes[:-1])
+    return start[kind_code] + location
 
 
 def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> np.ndarray:
@@ -177,9 +172,8 @@ def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> 
     flows = line_flows(view, v, th)
     stacked = np.concatenate([v, s_bus.real, s_bus.imag,
                               flows.p_from_pu, flows.q_from_pu, flows.i_from_pu])
-    pos = stacked_positions(((e.kind, e.location) for e in spec.entries),
-                            view.n_bus, len(view.grid.lines))
-    return stacked[pos]
+    return stacked[stacked_positions(spec.kind_code, spec.location,
+                                     view.n_bus, len(view.grid.lines))]
 
 
 def simulate(solution: PfSolution, view: GridView, spec: MeasurementSpec,
@@ -229,18 +223,13 @@ def inject_fault(ms: MeasurementSet, fault: FaultInjection,
         raise MeasurementError("measurement set does not belong to this spec")
     values = ms.values.copy()
     if fault.kind == "zero_value":
-        targets = _value_targets(fault, spec)
-        values[targets] = 0.0
+        values[_value_targets(fault, spec)] = 0.0
     elif fault.kind == "scale_value":
-        targets = _value_targets(fault, spec)
-        values[targets] *= fault.factor
+        values[_value_targets(fault, spec)] *= fault.factor
     elif fault.kind == "constant_substitute":
-        targets = _value_targets(fault, spec)
-        values[targets] = fault.value
+        values[_value_targets(fault, spec)] = fault.value
     elif fault.kind == "power_deviation":
-        for i, e in enumerate(spec.entries):
-            if e.kind in ("p_bus", "q_bus") and e.location in fault.buses:
-                values[i] /= fault.factor
+        values[_targets(fault, spec, ("p_bus", "q_bus"))] /= fault.factor
     elif fault.kind == "wrong_assumed_sd":
         pass
     else:
@@ -248,17 +237,21 @@ def inject_fault(ms: MeasurementSet, fault: FaultInjection,
     return ms.replaced(values)
 
 
-def _value_targets(fault: FaultInjection, spec: MeasurementSpec) -> list[int]:
-    targets = []
-    for i, e in enumerate(spec.entries):
-        kinds = (fault.target_kind,) if fault.target_kind else ALL_KINDS
-        if e.kind not in kinds:
-            continue
-        if e.kind in BUS_KINDS and e.location in fault.buses:
-            targets.append(i)
-        elif e.kind in LINE_KINDS and e.location in fault.lines:
-            targets.append(i)
-    if not targets:
+def _targets(fault: FaultInjection, spec: MeasurementSpec, kinds=None) -> np.ndarray:
+    """Indices, in entry order, of the entries of ``kinds`` (default: the
+    fault's target kind, else every kind) at the fault's buses for bus kinds
+    and at its lines for line kinds."""
+    kinds = kinds or ((fault.target_kind,) if fault.target_kind else ALL_KINDS)
+    codes = spec.kind_code
+    at = np.where(codes < len(BUS_KINDS), np.isin(spec.location, fault.buses),
+                  np.isin(spec.location, fault.lines))
+    of_kind = np.isin(codes, [KIND_CODE[k] for k in kinds if k in KIND_CODE])
+    return np.flatnonzero(of_kind & at)
+
+
+def _value_targets(fault: FaultInjection, spec: MeasurementSpec) -> np.ndarray:
+    targets = _targets(fault, spec)
+    if not len(targets):
         raise MeasurementError(
             f"fault {fault.kind} targets nothing in this spec "
             f"(buses={fault.buses}, lines={fault.lines})")
@@ -268,18 +261,9 @@ def _value_targets(fault: FaultInjection, spec: MeasurementSpec) -> list[int]:
 def assumed_sd_overrides(faults, spec: MeasurementSpec) -> dict[int, float]:
     """Entry-index -> SD (percent) the estimator should assume, for
     wrong_assumed_sd faults."""
-    overrides: dict[int, float] = {}
-    for fault in faults:
-        if fault.kind != "wrong_assumed_sd":
-            continue
-        for i, e in enumerate(spec.entries):
-            if fault.target_kind and e.kind != fault.target_kind:
-                continue
-            targeted = (e.kind in BUS_KINDS and e.location in fault.buses) or \
-                       (e.kind in LINE_KINDS and e.location in fault.lines)
-            if targeted:
-                overrides[i] = float(fault.assumed_sd_pct)
-    return overrides
+    return {i: float(fault.assumed_sd_pct)
+            for fault in faults if fault.kind == "wrong_assumed_sd"
+            for i in _targets(fault, spec).tolist()}
 
 
 def scale_unit_powers(scenario, grid: GridModel, buses, factor: float):

@@ -7,10 +7,13 @@ power, and the remaining balance (slack import minus measured injections
 minus DG estimate) is split over unmeasured load buses proportionally to
 installed power. Substitutes carry a 30 % standard deviation. They are
 built as array operations on the grid's unit table (one bus, sign, kind,
-rating and tan phi per unit), one measurement vector at a time.
+rating and tan phi per unit), one measurement vector at a time, and come
+back as a ``PseudoSet`` of arrays.
 
-Gauss-Newton runs at most ``MAX_ITERATIONS`` steps and converges when no
-state update exceeds ``STATE_UPDATE_TOLERANCE``.
+Each estimate lays out its rows once: the spec's entries, then the
+substitutes, as stacked positions, values z and weights W, less the rows at
+buses cut off the slack. Gauss-Newton runs at most ``MAX_ITERATIONS`` steps
+and converges when no state update exceeds ``STATE_UPDATE_TOLERANCE``.
 
 The measurement functions h(x) and their Jacobian H(x) are row selections of
 the stacked bus and line quantities and their voltage derivatives, all
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridModel, GridView, dsbus_dv, dsf_dv
-from .measurements import MeasurementSet, MeasurementSpec, stacked_positions
+from .measurements import (BUS_KINDS, KIND_CODE, MeasurementSet, MeasurementSpec,
+                           stacked_positions)
 from .powerflow import line_flows
 
 MAX_ITERATIONS = 10
@@ -39,12 +43,15 @@ class ObservabilityError(Exception):
 
 
 @dataclass(frozen=True)
-class PseudoMeasurement:
-    kind: str  # "p_bus" or "q_bus"
-    bus: int
-    value: float  # per-unit injection, generation positive
-    sd_abs: float
-    fallback: bool = False  # True when no measured DG of the kind existed
+class PseudoSet:
+    """Substitute injections, one row each: unmeasured feeder buses in
+    ascending order, P then Q at each."""
+
+    kind: np.ndarray  # kind code into ``ALL_KINDS`` (p_bus or q_bus)
+    bus: np.ndarray
+    value: np.ndarray  # per-unit injection, generation positive
+    sd: np.ndarray  # absolute SD, per unit
+    fallback: np.ndarray  # True when part of the value is a half-nominal guess
 
 
 @dataclass(frozen=True)
@@ -58,18 +65,19 @@ class EstimatedState:
     objective_history: tuple[float, ...] = ()
 
 
-def build_pseudo(grid: GridModel, ms: MeasurementSet,
-                 spec: MeasurementSpec) -> list[PseudoMeasurement]:
+def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec) -> PseudoSet:
     """Substitute P/Q injections for every bus without a real injection measurement."""
     if spec.spec_hash != ms.spec_hash:
         raise ValueError("measurement set does not belong to this spec")
     units = grid.unit_table
     n, slack, s_base_kw = grid.n_bus, grid.slack_bus, grid.s_base_mva * 1e3
+    p_idx = spec.indices("p_bus")
+    # the first reading at a bus counts
+    read_buses, first = np.unique(spec.location[p_idx], return_index=True)
     p_meas = np.zeros(n)
+    p_meas[read_buses] = ms.values[p_idx][first]
     measured = np.zeros(n, dtype=bool)
-    for i in reversed(spec.indices("p_bus")):  # the first reading at a bus counts
-        p_meas[spec.entries[i].location] = ms.values[i]
-        measured[spec.entries[i].location] = True
+    measured[read_buses] = True
     feeder = np.arange(n) != slack
     feeder_measured = feeder & measured
     unmeasured = feeder & ~measured
@@ -125,24 +133,12 @@ def build_pseudo(grid: GridModel, ms: MeasurementSet,
     fallback = (p_slack is None) & has_load
     fallback |= np.bincount(units.bus, weights=dg & fallback_kind[units.kind],
                             minlength=n) > 0
-    sd_p = np.maximum(PSEUDO_SD_FRACTION * np.abs(p_value), PSEUDO_SD_FLOOR_PU)
-    sd_q = np.maximum(PSEUDO_SD_FRACTION * np.abs(q_value), PSEUDO_SD_FLOOR_PU)
-    return [PseudoMeasurement(kind, bus, float(value[bus]), float(sd[bus]), bool(fallback[bus]))
-            for bus in np.flatnonzero(unmeasured).tolist()
-            for kind, value, sd in (("p_bus", p_value, sd_p), ("q_bus", q_value, sd_q))]
-
-
-def _measurement_rows(grid: GridModel, view: GridView, spec: MeasurementSpec,
-                      ms: MeasurementSet, pseudos, sd_overrides):
-    """Flatten real + pseudo measurements into (kind, location, value, sd_abs)."""
-    rows = []
-    for i, e in enumerate(spec.entries):
-        sd_pct = sd_overrides.get(i, e.sd_pct) if sd_overrides else e.sd_pct
-        sd_abs = max(sd_pct / 100.0 * abs(float(ms.values[i])), SD_FLOOR_PU)
-        rows.append((e.kind, e.location, float(ms.values[i]), sd_abs))
-    for p in pseudos:
-        rows.append((p.kind, p.bus, p.value, max(p.sd_abs, SD_FLOOR_PU)))
-    return rows
+    buses = np.flatnonzero(unmeasured)
+    value = np.column_stack([p_value[buses], q_value[buses]]).ravel()
+    return PseudoSet(kind=np.tile([KIND_CODE["p_bus"], KIND_CODE["q_bus"]], len(buses)),
+                     bus=np.repeat(buses, 2), value=value,
+                     sd=np.maximum(PSEUDO_SD_FRACTION * np.abs(value), PSEUDO_SD_FLOOR_PU),
+                     fallback=np.repeat(fallback[buses], 2))
 
 
 @dataclass(frozen=True)
@@ -168,12 +164,12 @@ class StateIndex:
         return len(self.non_slack) + len(self.mag_buses)
 
 
-def measurement_model(view: GridView, rows, v: np.ndarray, th: np.ndarray,
+def measurement_model(view: GridView, pos: np.ndarray, v: np.ndarray, th: np.ndarray,
                       index: StateIndex):
     """Measurement functions h(x) and their Jacobian at the given state.
 
-    ``rows`` are (kind, location, value, sd) tuples; h and H are their rows
-    of the stacked quantities ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]``, and the
+    ``pos`` are the rows' positions in the stacked quantities
+    ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]`` (see ``stacked_positions``); the
     Jacobian columns follow ``index``. Out-of-service line flows are
     identically zero.
     """
@@ -195,14 +191,12 @@ def measurement_model(view: GridView, rows, v: np.ndarray, th: np.ndarray,
                       dsf_th.real, dsf_th.imag, di_dth])
     d_v = np.vstack([np.eye(n), dsbus_v.real, dsbus_v.imag,
                      dsf_v.real, dsf_v.imag, di_dv])
-    pos = stacked_positions(((r[0], r[1]) for r in rows), n, len(net.f_bus))
     jac = np.hstack([d_th[np.ix_(pos, index.non_slack)],
                      d_v[np.ix_(pos, index.mag_buses)]])
     return h[pos], jac
 
 
 def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
-             pseudos: list[PseudoMeasurement] | None = None,
              sd_overrides: dict[int, float] | None = None) -> EstimatedState:
     """Gauss-Newton WLS estimate of the full voltage state.
 
@@ -210,16 +204,21 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     ObservabilityError when the gain matrix is singular.
     """
     grid = view.grid
-    if pseudos is None:
-        pseudos = build_pseudo(grid, ms, spec)
-    rows = _measurement_rows(grid, view, spec, ms, pseudos, sd_overrides)
+    pseudo = build_pseudo(grid, ms, spec)
+    sd_pct = spec.sd_vector()
+    for i, sd in (sd_overrides or {}).items():
+        sd_pct[i] = sd
+    kind = np.concatenate([spec.kind_code, pseudo.kind])
+    location = np.concatenate([spec.location, pseudo.bus])
+    z = np.concatenate([ms.values, pseudo.value])
+    sd_abs = np.maximum(np.concatenate([sd_pct / 100.0 * np.abs(ms.values), pseudo.sd]),
+                        SD_FLOOR_PU)
     # injection info at buses cut off the slack constrains nothing
-    rows = [r for r in rows
-            if not (r[0] in ("p_bus", "q_bus", "v_bus") and r[1] in view.dead_buses)]
+    keep = ~((kind < len(BUS_KINDS)) & np.isin(location, list(view.dead_buses)))
+    pos = stacked_positions(kind[keep], location[keep], grid.n_bus, len(grid.lines))
+    z = z[keep]
+    weights = 1.0 / sd_abs[keep] ** 2
     index = StateIndex.for_view(view)
-
-    z = np.array([r[2] for r in rows])
-    weights = 1.0 / np.array([r[3] for r in rows]) ** 2
     non_slack = list(index.non_slack)
     mag_buses = list(index.mag_buses)
 
@@ -231,7 +230,7 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     objective_history = []
     for iteration in range(1, MAX_ITERATIONS + 1):
         iterations = iteration
-        h, jac = measurement_model(view, rows, v, th, index)
+        h, jac = measurement_model(view, pos, v, th, index)
         residual = z - h
         objective_history.append(float(np.sum(weights * residual**2)))
         wjac = jac * weights[:, None]
@@ -249,7 +248,7 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
             converged = True
             break
 
-    h, _ = measurement_model(view, rows, v, th, index)
+    h, _ = measurement_model(view, pos, v, th, index)
     objective = float(np.sum(weights * (z - h) ** 2))
     objective_history.append(objective)
     return EstimatedState(v_mag=v, v_ang=th,

@@ -260,7 +260,7 @@ def test_criterion_8_wls_sanity(bundle):
     ms = MeasurementSet(values=true_values(sol, view, spec0),
                         switch_states=np.array(CONFIG_0, dtype=float),
                         spec_hash=spec0.spec_hash)
-    est = estimate(view, ms, spec0, pseudos=[])
+    est = estimate(view, ms, spec0)
     recovery = float(np.max(np.abs(est.v_mag - sol.v_mag_pu)))
 
     m8 = run_test_case(catalog.case("M8"), grid, bundle["test_scenarios"],

@@ -4,9 +4,9 @@ import pytest
 from gridmon.grid import apply_switch_config
 from gridmon.measurements import (FaultInjection, MeasurementError,
                                   MeasurementSpec, accuracy_to_sd,
-                                  assumed_sd_overrides, inject_fault, load_spec,
-                                  make_spec, save_spec, scale_unit_powers,
-                                  simulate, true_values)
+                                  assumed_sd_overrides, inject_fault,
+                                  make_spec, scale_unit_powers, simulate,
+                                  true_values)
 from gridmon.powerflow import solve_pf
 from gridmon.scenarios import injections
 
@@ -61,15 +61,17 @@ def test_spec_hash_ignores_sd(cigre):
     assert resd.spec_hash == spec.spec_hash
 
 
-def test_spec_file_round_trip(tmp_path, cigre):
-    spec = m4_spec(cigre)
-    save_spec(spec, tmp_path / "m4.spec.json")
-    assert load_spec(tmp_path / "m4.spec.json") == spec
-
-
 def test_spec_rejects_unknown_locations(cigre):
     with pytest.raises(MeasurementError):
         make_spec(cigre, v_buses=[99])
+
+
+def test_unknown_kind_is_measurement_error(cigre, cigre_solution):
+    view, sol = cigre_solution
+    spec = m4_spec(cigre)
+    odd = MeasurementSpec(entries=spec.entries + (type(spec.entries[0])("f_bus", 0, 1.0),))
+    with pytest.raises(MeasurementError, match="f_bus"):
+        true_values(sol, view, odd)
 
 
 def test_zero_sd_reproduces_truth(cigre, cigre_solution):

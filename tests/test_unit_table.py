@@ -13,11 +13,11 @@ import pytest
 
 from gridmon.evaluation import load_catalog
 from gridmon.grid import apply_switch_config, load_bundled
-from gridmon.measurements import simulate
+from gridmon.measurements import KIND_CODE, simulate
 from gridmon.powerflow import solve_pf
 from gridmon.scenarios import DEFAULT_AXES, expand, generate_set, injections
 from gridmon.seeding import STREAM_SCENARIO, rng
-from gridmon.wls import PseudoMeasurement, build_pseudo
+from gridmon.wls import build_pseudo
 
 
 def reference_expand(tuple_values, axes, grid, seed, repetition, tuple_index):
@@ -41,7 +41,8 @@ def reference_injections(grid, scenario):
 
 
 def reference_pseudo(grid, ms, spec):
-    """Pseudo-measurements as the per-unit loops build them (1 MVA base)."""
+    """Pseudo-measurement rows (kind, bus, value, sd, fallback) as the per-unit
+    loops build them (1 MVA base)."""
     slack = grid.slack_bus
     reading = {}
     for i in spec.indices("p_bus"):
@@ -71,7 +72,7 @@ def reference_pseudo(grid, ms, spec):
     if balance:
         remainder = (-p_slack - sum(reading[b] for b in sorted(reading) if b != slack)
                      - sum(sum(part for _, part in parts(b)) for b in unmeasured))
-    pseudos = []
+    rows = []
     for b in unmeasured:
         p_load = 0.0
         if load_nom[b] > 0:
@@ -82,9 +83,9 @@ def reference_pseudo(grid, ms, spec):
             q += p_load * math.tan(math.acos(loads[b][0].cos_phi))
         fallback = (p_slack is None and load_nom[b] > 0) or any(
             u.kind not in rel for u, _ in parts(b))
-        pseudos += [PseudoMeasurement(kind, b, value, max(0.3 * abs(value), 1e-3), fallback)
-                    for kind, value in (("p_bus", p), ("q_bus", q))]
-    return pseudos
+        rows += [(KIND_CODE[kind], b, value, max(0.3 * abs(value), 1e-3), fallback)
+                 for kind, value in (("p_bus", p), ("q_bus", q))]
+    return rows
 
 
 @pytest.fixture(scope="module", params=["cigre_mv_mod", "cigre_mv_base"])
@@ -122,6 +123,10 @@ def test_build_pseudo_matches_per_unit_loop(grid_and_scenarios, case_id):
         for sc_idx in range(0, len(scenarios), 137):
             sol = solve_pf(view, injections(grid, scenarios[sc_idx]))
             ms = simulate(sol, view, spec, 3, noise_key=(cfg_idx, sc_idx))
-            pseudos = build_pseudo(grid, ms, spec)
-            assert pseudos == reference_pseudo(grid, ms, spec)
-            assert all(type(p.value) is float and type(p.bus) is int for p in pseudos)
+            pseudo = build_pseudo(grid, ms, spec)
+            kind, bus, value, sd, fallback = zip(*reference_pseudo(grid, ms, spec))
+            assert pseudo.kind.tolist() == list(kind)
+            assert pseudo.bus.tolist() == list(bus)
+            assert pseudo.value.tobytes() == np.array(value).tobytes()
+            assert pseudo.sd.tobytes() == np.array(sd).tobytes()
+            assert pseudo.fallback.tolist() == list(fallback)
