@@ -10,7 +10,7 @@ from .grid import (Bus, GridModel, GridView, IsolationError, Line, Switch, Unit,
                    apply_switch_config, build_admittance, load_bundled, load_grid)
 from .powerflow import InjectionSet, PfSolution, PowerFlowError, solve_pf
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, Scenario, ScenarioAxis,
-                        enumerate_tuples, expand, generate_set, import_scenarios)
+                        enumerate_tuples, expand, generate_set)
 from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
                            accuracy_to_sd, inject_fault, make_spec, simulate)
 from .ann import (AnnArchitecture, AnnModel, TrainConfig, hidden_size, init_model,
@@ -18,7 +18,7 @@ from .ann import (AnnArchitecture, AnnModel, TrainConfig, hidden_size, init_mode
 from .wls import PseudoSet, build_pseudo, estimate
 from .correction import CorrectionReport, correct_voltages
 from .evaluation import (C1, C2, Criterion, EvalResult, TestCase, load_catalog,
-                         run_test_case, search_measurement_config)
+                         run_test_case)
 from .tuning import tune_architecture
 
 __version__ = "0.1.0"

@@ -80,6 +80,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.validation_fraction < 1.0:
             raise AnnError("validation_fraction must be in (0, 1)")
+        if self.max_epochs < 1 or self.batch_size < 1 or self.patience < 0:
+            raise AnnError("need max_epochs >= 1, batch_size >= 1 and patience >= 0")
 
 
 @dataclass

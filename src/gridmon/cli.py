@@ -34,8 +34,8 @@ from .evaluation import (METHOD_ANN, METHOD_WLS, EvaluationError, TruthCache,
 from .grid import GridError, apply_switch_config, load_bundled, load_grid
 from .measurements import MeasurementError
 from .powerflow import PowerFlowError, solve_truths
-from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError,
-                        export_scenarios, generate_set, injections)
+from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError, generate_set,
+                        injections)
 from .seeding import seed_sequence
 from .tuning import tune_architecture
 
@@ -131,11 +131,10 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scen_seed = derive_seed(cfg["seed"], SEED_TEST_SCENARIOS)
     scenarios = generate_set(axes, grid, cfg["repetitions"], scen_seed)
-    export_scenarios(out / "scenarios.csv", scenarios, grid)
-    # prepend provenance header
-    body = (out / "scenarios.csv").read_text(encoding="utf-8")
-    (out / "scenarios.csv").write_text(
-        "\n".join(_header_lines(cfg)) + "\n" + body, encoding="utf-8")
+    _write_csv(out / "scenarios.csv", _header_lines(cfg),
+               [f"unit_{u.id}_{col}" for u in grid.units for col in ("p_kw", "q_kvar")],
+               (np.column_stack((sc.p_kw, sc.q_kvar)).ravel().tolist()
+                for sc in scenarios))
 
     views = [apply_switch_config(grid, config)
              for config in load_catalog(grid).switch_configs]
@@ -169,6 +168,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     case_ids = cfg["cases"].split(",") if cfg["cases"] else list(catalog.default_case_ids)
+    cases = [catalog.case(case_id) for case_id in case_ids]
     scen_seed = derive_seed(cfg["seed"], SEED_TRAIN_SCENARIOS)
     noise_seed = derive_seed(cfg["seed"], SEED_TRAIN_NOISE)
     ann_seed = derive_seed(cfg["seed"], SEED_ANN)
@@ -180,8 +180,7 @@ def cmd_train(args) -> int:
     history_rows = []
     total_skipped = 0
     total_rows = 0
-    for case_id in case_ids:
-        tc = catalog.case(case_id)
+    for tc in cases:
         spec = tc.spec(grid)
         if spec.spec_hash in trained:
             continue
@@ -227,26 +226,31 @@ def cmd_evaluate(args) -> int:
     fault_seed = derive_seed(cfg["seed"], SEED_FAULTS)
     scenarios = generate_set(axes, grid, cfg["repetitions"], scen_seed)
 
+    cases = [catalog.case(case_id) for case_id in case_ids]
+    if cfg["v_correction"] == "on":
+        cases = [tc.with_correction(True) for tc in cases]
+    # load every model pair up front, so a missing one fails before any scoring
+    models_by_layout: dict[str, dict] = {}
+    for tc in cases if METHOD_ANN in methods else ():
+        spec_hash = tc.spec(grid).spec_hash
+        if spec_hash in models_by_layout:
+            continue
+        paths = _model_paths(models_dir, spec_hash)
+        missing = [str(p) for p in paths.values() if not p.exists()]
+        if missing:
+            raise EvaluationError(
+                f"case {tc.label}: no trained model for layout {spec_hash}; "
+                f"run `gridmon train` first (missing {missing[0]})")
+        models_by_layout[spec_hash] = {kind: load_model(path, expect_spec_hash=spec_hash)
+                                       for kind, path in paths.items()}
+
     cache = TruthCache()
     summary_rows = []
     header = _header_lines(cfg)
     diverged = 0
     total = 0
-    for case_id in case_ids:
-        tc = catalog.case(case_id)
-        if cfg["v_correction"] == "on":
-            tc = tc.with_correction(True)
-        models = None
-        if METHOD_ANN in methods:
-            spec_hash = tc.spec(grid).spec_hash
-            paths = _model_paths(models_dir, spec_hash)
-            missing = [str(p) for p in paths.values() if not p.exists()]
-            if missing:
-                raise EvaluationError(
-                    f"case {tc.label}: no trained model for layout {spec_hash}; "
-                    f"run `gridmon train` first (missing {missing[0]})")
-            models = {kind: load_model(path, expect_spec_hash=spec_hash)
-                      for kind, path in paths.items()}
+    for tc in cases:
+        models = models_by_layout.get(tc.spec(grid).spec_hash)
         t0 = time.perf_counter()
         results = run_test_case(
             tc, grid, scenarios, catalog.switch_configs, models=models,
@@ -291,6 +295,15 @@ def cmd_evaluate(args) -> int:
     return _check_pf_budget(diverged, total)
 
 
+def _int_list(cfg: dict, key: str) -> list[int]:
+    """The comma-separated integers of setting ``key``."""
+    try:
+        return [int(x) for x in str(cfg[key]).split(",")]
+    except ValueError:
+        raise EvaluationError(f"{key} must be comma-separated integers, "
+                              f"got {cfg[key]!r}") from None
+
+
 def cmd_tune(args) -> int:
     keys = ("grid", "axes", "cases", "layers", "multipliers", "data_repetitions",
             "repetitions", "seed", "out")
@@ -306,9 +319,9 @@ def cmd_tune(args) -> int:
                                   derive_seed(cfg["seed"], SEED_TEST_SCENARIOS))
     rows = tune_architecture(
         grid, axes, cases, test_scenarios, catalog.switch_configs,
-        layer_counts=[int(x) for x in cfg["layers"].split(",")],
-        multipliers=[int(x) for x in cfg["multipliers"].split(",")],
-        repetition_counts=[int(x) for x in cfg["data_repetitions"].split(",")],
+        layer_counts=_int_list(cfg, "layers"),
+        multipliers=_int_list(cfg, "multipliers"),
+        repetition_counts=_int_list(cfg, "data_repetitions"),
         train_cfg=TrainConfig(seed=derive_seed(cfg["seed"], SEED_ANN)),
         train_seed=derive_seed(cfg["seed"], SEED_TRAIN_SCENARIOS),
         meas_seed=derive_seed(cfg["seed"], SEED_TEST_NOISE))

@@ -8,9 +8,10 @@ values. Power and current entries pass through untouched.
 
 Removal candidates are additionally gated by a plausibility band: healthy
 feeders legitimately spread several percent below the slack voltage, which
-also halves the SD when removed, so only readings outside the band (default
-0.8 to 1.2 pu) qualify as outliers. Gross errors like dropouts to zero or
-150 % readings fall outside the band; clean profiles are never touched.
+also halves the SD when removed, so only readings outside the fixed band
+``PLAUSIBLE_V_MIN`` to ``PLAUSIBLE_V_MAX`` (0.8 to 1.2 pu) qualify as
+outliers. Gross errors like dropouts to zero or 150 % readings fall outside
+the band; clean profiles are never touched.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ class CorrectionReport:
         return sum(1 for f in self.flags if f == REPLACED)
 
 
-def _population_sd(values: np.ndarray) -> float:
-    return float(np.std(values))
-
-
-def correct_voltages(ms: MeasurementSet, spec: MeasurementSpec,
-                     v_min: float = PLAUSIBLE_V_MIN,
-                     v_max: float = PLAUSIBLE_V_MAX) -> CorrectionReport:
+def correct_voltages(ms: MeasurementSet, spec: MeasurementSpec) -> CorrectionReport:
     """Detect and replace voltage outliers; other entries are bit-identical."""
     if spec.spec_hash != ms.spec_hash:
         raise ValueError("measurement set does not belong to this spec")
@@ -64,9 +59,7 @@ def correct_voltages(ms: MeasurementSet, spec: MeasurementSpec,
     # substitutes which still look like outliers get cleaned up as well;
     # this makes the screen idempotent even for multi-fault inputs
     for _ in range(16 * len(v_idx)):
-        replaced_this_pass = _screen_pass(values, v_idx, flags, substitutes,
-                                          v_min, v_max)
-        if not replaced_this_pass:
+        if not _screen_pass(values, v_idx, flags, substitutes):
             break
 
     return CorrectionReport(
@@ -77,19 +70,19 @@ def correct_voltages(ms: MeasurementSet, spec: MeasurementSpec,
     )
 
 
-def _screen_pass(values, v_idx, flags, substitutes, v_min, v_max) -> int:
+def _screen_pass(values, v_idx, flags, substitutes) -> int:
     active = list(v_idx)
     replaced = 0
     while len(active) > MIN_VOLTAGE_ENTRIES - 1:
         work = np.array([values[i] for i in active])
-        sd_now = _population_sd(work)
+        sd_now = float(np.std(work))  # population SD
         order = np.argsort(work, kind="stable")
         candidates = []
         for pos in (order[0], order[-1]):  # tentative min then max removal
-            if v_min <= work[pos] <= v_max:
+            if PLAUSIBLE_V_MIN <= work[pos] <= PLAUSIBLE_V_MAX:
                 continue
             remaining = np.delete(work, pos)
-            sd_removed = _population_sd(remaining)
+            sd_removed = float(np.std(remaining))
             if sd_removed < SD_DROP_THRESHOLD * sd_now:
                 candidates.append((sd_removed, pos, float(np.mean(remaining))))
         if not candidates:

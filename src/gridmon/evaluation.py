@@ -2,20 +2,22 @@
 
 Each test case pairs a measurement configuration with optional bad-data
 faults and topology errors, and is evaluated over every scenario and
-switching configuration. Both estimators consume identical measurement
-vectors; errors are scored against the noise-free power flow truth. A pair
-whose truth power flow diverges is scored as failed for every method.
+switching configuration. The measurement configurations are the catalog's
+fixed layouts (M0-M9, A0-A3); none is searched for at run time. Both
+estimators consume identical measurement vectors; errors are scored against
+the noise-free power flow truth. A pair whose truth power flow diverges is
+scored as failed for every method.
 
 Error conventions: voltage error in percent of nominal (pu * 100), loading
 error in percentage points, both as the maximum over buses / monitored
-lines. A scenario passes a criterion only if both maxima are strictly below
-the criterion limits.
+lines. A scenario passes a criterion, the fixed C1 or C2, only if both maxima
+are strictly below its limits.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -83,7 +85,6 @@ class TestCase:
                          s_lines=self.s_lines, i_lines=self.i_lines)
 
     def with_correction(self, on: bool) -> TestCase:
-        from dataclasses import replace
         return replace(self, correction=on)
 
 
@@ -107,7 +108,6 @@ def _parse_fault(rec: dict, grid: GridModel | None) -> FaultInjection:
 class Catalog:
     cases: dict[str, TestCase]
     switch_configs: tuple[tuple[bool, ...], ...]
-    criteria: dict[str, Criterion]
     default_case_ids: tuple[str, ...]
 
     def case(self, case_id: str) -> TestCase:
@@ -145,7 +145,6 @@ def load_catalog(grid: GridModel | None = None) -> Catalog:
         cases=cases,
         switch_configs=tuple(tuple(bool(x) for x in cfg)
                              for cfg in doc["switch_configs"]),
-        criteria={name: Criterion(*vals) for name, vals in doc["criteria"].items()},
         default_case_ids=tuple(doc["default_cases"]),
     )
 
@@ -317,7 +316,6 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
                   models: dict[str, AnnModel] | None = None,
                   methods=(METHOD_ANN, METHOD_WLS),
                   meas_seed: int = 0, fault_seed: int = 0,
-                  criteria: dict[str, Criterion] | None = None,
                   truth_cache: TruthCache | None = None,
                   jobs: int = 1) -> dict[str, EvalResult]:
     """Evaluate one test case for the selected methods.
@@ -325,7 +323,6 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
     Every scenario is run under every switching configuration; estimators see
     the same (possibly faulted, possibly corrected) measurement vectors.
     """
-    criteria = criteria or {"C1": C1, "C2": C2}
     spec = tc.spec(grid)
     monitored = [ln.id for ln in grid.monitored_lines]
     if METHOD_ANN in methods:
@@ -360,13 +357,13 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
         v_est = predict_batch(models["voltage"], x)
         l_est = predict_batch(models["loading"], x) * 100.0
         results[METHOD_ANN] = _score(METHOD_ANN, tc.label, v_est, l_est,
-                                     v_true, l_true, diverged, diverged, criteria)
+                                     v_true, l_true, diverged, diverged)
     if METHOD_WLS in methods:
         failed = np.array([r.wls_failed for r in records])
         v_est = stack([r.wls_v for r in records], grid.n_bus)
         l_est = stack([r.wls_loading for r in records], len(monitored))
         results[METHOD_WLS] = _score(METHOD_WLS, tc.label, v_est, l_est,
-                                     v_true, l_true, failed, diverged, criteria)
+                                     v_true, l_true, failed, diverged)
     return results
 
 
@@ -387,8 +384,7 @@ def _parallel_evaluate(tc, grid, spec, scenarios, configs, methods,
     return records
 
 
-def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged,
-           criteria):
+def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged):
     n = v_true.shape[0]
     v_err_abs = np.abs(v_est - v_true) * 100.0
     l_err_abs = np.abs(l_est - l_true)
@@ -396,7 +392,6 @@ def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged,
     l_err_abs[failed] = np.inf
     v_max = v_err_abs.max(axis=1)
     l_max = l_err_abs.max(axis=1)
-    crit = {name: c.passes(v_max, l_max) for name, c in criteria.items()}
     ok = ~failed
     if ok.any():
         bus_mean, bus_sd = v_err_abs[ok].mean(axis=0), v_err_abs[ok].std(axis=0)
@@ -409,8 +404,8 @@ def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged,
     return EvalResult(
         method=method, case_label=label, n_scenarios=n,
         v_err_max_pct=v_max, loading_err_max_pp=l_max,
-        success_c1=crit.get("C1", np.zeros(n, dtype=bool)),
-        success_c2=crit.get("C2", np.zeros(n, dtype=bool)),
+        success_c1=C1.passes(v_max, l_max),
+        success_c2=C2.passes(v_max, l_max),
         failed_structurally=failed, pf_diverged=diverged,
         bus_err_mean=bus_mean, bus_err_sd=bus_sd, bus_err_max=bus_max,
         line_err_mean=line_mean, line_err_sd=line_sd, line_err_max=line_max,
@@ -439,75 +434,6 @@ def error_stats(results: dict[str, EvalResult], grid: GridModel):
 
     return {"buses": table("bus", range(grid.n_bus), "bus"),
             "lines": table("line", line_names, "line")}
-
-
-@dataclass
-class SearchStep:
-    added: str
-    spec_size: int
-    sr: float
-
-
-def default_candidate_pool(grid: GridModel) -> list[tuple[str, object]]:
-    """Bus upgrades (P, Q, V per bus) first, then line P/Q pairs; line order
-    starts with the evenly spaced set used by the full-observability case."""
-    pool: list[tuple[str, object]] = [("bus", b.id) for b in grid.buses]
-    preferred = ["1-2", "4-5", "8-9", "3-8", "6-7"]
-    names = [ln.name for ln in grid.monitored_lines]
-    ordered = [n for n in preferred if n in names]
-    ordered += [n for n in names if n not in ordered]
-    pool += [("line", n) for n in ordered]
-    return pool
-
-
-def search_measurement_config(grid: GridModel, scenarios, configs, *,
-                              method: str = METHOD_WLS,
-                              target_sr: float = 1.0,
-                              criterion_name: str = "C1",
-                              pool=None, train_fn=None,
-                              meas_seed: int = 0):
-    """Greedy consecutive addition of measurements until the target SR is met.
-
-    ``train_fn(spec) -> models`` supplies ANN models when method == "ann".
-    Returns (steps, final TestCase, reached: bool).
-    """
-    pool = list(pool) if pool is not None else default_candidate_pool(grid)
-    v_buses: list[int] = []
-    s_buses: list[int] = []
-    s_lines: list[str] = []
-    steps: list[SearchStep] = []
-    criteria = {"C1": C1, "C2": C2}
-    tc = None
-    reached = False
-    if target_sr <= 0.0:
-        return steps, tc, True
-    # the search case perturbs nothing, so truths hold across steps
-    truth_cache = TruthCache()
-    for kind, ref in pool:
-        if kind == "bus":
-            v_buses.append(int(ref))
-            s_buses.append(int(ref))
-            added = f"bus {ref} (V,P,Q)"
-        else:
-            s_lines.append(str(ref))
-            added = f"line {ref} (P,Q)"
-        tc = TestCase(id="SEARCH", group="search",
-                      v_buses=tuple(v_buses), s_buses=tuple(s_buses),
-                      s_lines=tuple(s_lines), i_lines=())
-        models = train_fn(tc.spec(grid)) if method == METHOD_ANN else None
-        try:
-            result = run_test_case(tc, grid, scenarios, configs, models=models,
-                                   methods=(method,), meas_seed=meas_seed,
-                                   criteria=criteria, truth_cache=truth_cache)[method]
-            sr = result.sr_c1 if criterion_name == "C1" else result.sr_c2
-        except EvaluationError:
-            sr = 0.0
-        steps.append(SearchStep(added=added,
-                                spec_size=len(tc.spec(grid).entries), sr=sr))
-        if sr >= target_sr:
-            reached = True
-            break
-    return steps, tc, reached
 
 
 @dataclass

@@ -40,17 +40,12 @@ class MeasurementError(Exception):
     pass
 
 
-def accuracy_to_sd(kind: str, acc_class: float | None = None) -> float:
+def accuracy_to_sd(kind: str) -> float:
     """Relative standard deviation (percent) for a measurement kind.
 
-    Defaults follow the configured instrument classes: ACC 0.5 for voltage,
-    ACC 1 (max error 1.5 %) for current, and 2/3 % for power measurements.
-    An explicit ``acc_class`` (3-sigma max error, percent) overrides.
+    The instrument classes are fixed: ACC 0.5 for voltage, ACC 1 (max error
+    1.5 %) for current, and 2/3 % for power measurements.
     """
-    if acc_class is not None:
-        if acc_class <= 0:
-            raise MeasurementError(f"invalid accuracy class {acc_class}")
-        return acc_class / 3.0
     if kind == "v_bus":
         return VOLTAGE_ACC_CLASS / 3.0
     if kind == "i_line":

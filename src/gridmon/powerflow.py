@@ -49,12 +49,12 @@ class PfSolution:
     max_mismatch: float
 
 
-def solve_pf(view: GridView, injections: InjectionSet,
-             tol: float = MISMATCH_TOL, max_iter: int = MAX_ITERATIONS) -> PfSolution:
+def solve_pf(view: GridView, injections: InjectionSet) -> PfSolution:
     """Solve the AC power flow from a flat start.
 
     The slack bus is held at 1.0 pu, 0 rad. Convergence requires the active
-    and reactive power mismatch at every PQ bus to drop below ``tol``.
+    and reactive power mismatch at every PQ bus to drop below ``MISMATCH_TOL``
+    within ``MAX_ITERATIONS`` Newton steps.
     """
     grid = view.grid
     n = grid.n_bus
@@ -80,12 +80,12 @@ def solve_pf(view: GridView, injections: InjectionSet,
     q_sched = np.asarray(injections.q_pu, dtype=float)
 
     mismatch_norm = float("inf")
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         s_calc, ds_dth, ds_dv = dsbus_dv(y, v, th)
         dp = p_sched[pq] - s_calc.real[pq]
         dq = q_sched[pq] - s_calc.imag[pq]
         mismatch_norm = max(np.max(np.abs(dp)), np.max(np.abs(dq)))
-        if mismatch_norm < tol:
+        if mismatch_norm < MISMATCH_TOL:
             return _finalize(view, v, th, s_calc[slack], iteration - 1, mismatch_norm)
 
         # rows: P then Q mismatch; columns: angle then magnitude, PQ buses only
@@ -102,7 +102,7 @@ def solve_pf(view: GridView, injections: InjectionSet,
         v[pq] += step[m:]
 
     raise PowerFlowError(
-        f"no convergence after {max_iter} iterations (mismatch {mismatch_norm:.3e})",
+        f"no convergence after {MAX_ITERATIONS} iterations (mismatch {mismatch_norm:.3e})",
         mismatch_norm)
 
 

@@ -5,15 +5,15 @@ inclusive percentage grid, the Cartesian product of all axis grids gives the
 tuple set, and expansion applies per-unit multiplicative Gaussian noise on
 top of the tuple's scaling values. Expansion and the net bus injections are
 array operations on the grid's unit table (``GridModel.unit_table``).
+Scenarios are always regenerated from a seed; ``gridmon generate`` writes a
+set to ``scenarios.csv`` as a record, and nothing reads it back.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -139,42 +139,3 @@ def injections(grid: GridModel, scenario: Scenario) -> InjectionSet:
                            minlength=grid.n_bus)
 
     return InjectionSet(p_pu=per_bus(scenario.p_kw), q_pu=per_bus(scenario.q_kvar))
-
-
-def export_scenarios(path: str | Path, scenarios, grid: GridModel) -> None:
-    header: list[str] = []
-    for u in grid.units:
-        header += [f"unit_{u.id}_p_kw", f"unit_{u.id}_q_kvar"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for sc in scenarios:
-            row: list[str] = []
-            for idx in range(len(grid.units)):
-                row += [repr(float(sc.p_kw[idx])), repr(float(sc.q_kvar[idx]))]
-            writer.writerow(row)
-
-
-def import_scenarios(path: str | Path, grid: GridModel) -> list[Scenario]:
-    """Replay externally supplied scenarios (e.g. time series); no noise is added."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ScenarioError(f"{path}: empty scenario file")
-        expected: list[str] = []
-        for u in grid.units:
-            expected += [f"unit_{u.id}_p_kw", f"unit_{u.id}_q_kvar"]
-        if header != expected:
-            raise ScenarioError(
-                f"{path}: header does not match grid units "
-                f"(expected {len(expected)} columns, got {len(header)})")
-        scenarios = []
-        for row_idx, row in enumerate(reader):
-            if len(row) != len(expected):
-                raise ScenarioError(f"{path}: row {row_idx + 2} has {len(row)} fields")
-            values = np.array([float(x) for x in row])
-            scenarios.append(Scenario(
-                p_kw=values[0::2].copy(), q_kvar=values[1::2].copy(),
-                tuple_values=(), repetition=0, tuple_index=row_idx, seed=None))
-    return scenarios

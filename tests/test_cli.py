@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from gridmon.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from gridmon.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                         SEED_TEST_SCENARIOS, derive_seed, main)
+from gridmon.grid import load_bundled
+from gridmon.scenarios import DEFAULT_AXES, generate_set
 
 
 def run(*argv):
@@ -28,10 +32,19 @@ def test_generate_writes_scenarios_and_truths(tmp_path):
     out = tmp_path / "gen"
     code = run("generate", "--repetitions", "1", "--seed", "3", "--out", str(out))
     assert code == EXIT_OK
-    text = (out / "scenarios.csv").read_text()
+    raw = (out / "scenarios.csv").read_bytes()
+    assert b"\r" not in raw
+    text = raw.decode()
     assert text.startswith("# config_hash=")
-    assert "unit_0_p_kw" in text
     assert text.count("\n") == 1100 + 4  # header comments + column row
+    lines = text.splitlines()
+    grid = load_bundled("cigre_mv_mod")
+    assert lines[3].split(",") == [f"unit_{u.id}_{col}" for u in grid.units
+                                   for col in ("p_kw", "q_kvar")]
+    first = generate_set(DEFAULT_AXES, grid, 1, derive_seed(3, SEED_TEST_SCENARIOS))[0]
+    values = np.array([float(x) for x in lines[4].split(",")])
+    assert np.array_equal(values[0::2], first.p_kw)
+    assert np.array_equal(values[1::2], first.q_kvar)
     assert (out / "truth_cache.npz").exists()
 
 
@@ -94,6 +107,31 @@ def test_evaluate_without_models_fails_closed(tmp_path):
     code = run("evaluate", "--cases", "M4", "--methods", "ann",
                "--repetitions", "1", "--models", str(tmp_path), "--out", str(out))
     assert code == EXIT_VALIDATION
+
+
+def test_evaluate_checks_every_model_before_scoring(tmp_path, trained_dir, capsys):
+    out = tmp_path / "m8missing"
+    code = run("evaluate", "--cases", "M4,M8", "--methods", "ann",
+               "--repetitions", "1", "--seed", "5",
+               "--models", str(trained_dir), "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: case M8: no trained model")
+    assert not (out / "M4_ann.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--epochs", "0"),
+    ("train", "--batch-size", "0"),
+    ("train", "--cases", "M4,XX"),
+    ("tune", "--layers", ","),
+    ("tune", "--multipliers", "x"),
+])
+def test_bad_input_fails_before_any_output(tmp_path, capsys, argv):
+    code = run(argv[0], "--cases", "M4", "--repetitions", "1", "--out", str(tmp_path),
+               *argv[1:])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_grid_is_validation_error(tmp_path):

@@ -3,10 +3,8 @@ import pytest
 
 from gridmon.ann import TrainConfig, build_training_set, train_monitor_pair
 from gridmon.evaluation import (C1, C2, METHOD_ANN, METHOD_WLS, Criterion,
-                                EvaluationError, TruthCache,
-                                default_candidate_pool, error_stats,
-                                load_catalog, run_test_case,
-                                search_measurement_config, sota_extreme_tuples)
+                                EvaluationError, TruthCache, error_stats,
+                                load_catalog, run_test_case, sota_extreme_tuples)
 from gridmon.scenarios import DEFAULT_AXES, generate_set
 
 CONFIG_0 = (False, False, False, True, True, True)
@@ -221,39 +219,6 @@ def test_error_stats_sorted_by_wls_max(setup):
     assert len(stats["buses"]) == 15
     assert len(stats["lines"]) == 15
     assert all("ann_mean" in row for row in stats["buses"])
-
-
-def test_search_trivial_targets(setup):
-    grid, catalog, scenarios, _ = setup
-    steps, tc, reached = search_measurement_config(
-        grid, scenarios[:4], catalog.switch_configs[:1], target_sr=0.0)
-    assert steps == [] and reached
-
-    pool = [("bus", 0)]
-    steps, tc, reached = search_measurement_config(
-        grid, scenarios[:4], catalog.switch_configs[:1],
-        target_sr=1.01, pool=pool)
-    assert len(steps) == 1
-    assert not reached
-
-
-def test_search_pool_ordering(cigre_module):
-    pool = default_candidate_pool(cigre_module)
-    kinds = [k for k, _ in pool]
-    assert kinds[:15] == ["bus"] * 15
-    assert kinds[15:] == ["line"] * 15
-    assert pool[15][1] == "1-2"  # the always-measured feeder head comes first
-
-
-def test_search_wls_progresses(setup):
-    grid, catalog, scenarios, _ = setup
-    steps, tc, reached = search_measurement_config(
-        grid, scenarios[:8], catalog.switch_configs[:1],
-        target_sr=0.5, criterion_name="C1")
-    assert steps, "search must evaluate at least one candidate"
-    assert steps[-1].sr >= 0.5 or not reached
-    if reached:
-        assert tc.v_buses  # something was added
 
 
 def test_sota_extreme_tuples_shape():

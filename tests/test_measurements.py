@@ -35,10 +35,6 @@ def test_accuracy_classes():
 
 
 def test_accuracy_explicit_class_override():
-    assert accuracy_to_sd("v_bus", acc_class=0.5) == pytest.approx(0.5 / 3)
-    assert accuracy_to_sd("v_bus", acc_class=1.0) == pytest.approx(1.0 / 3)
-    with pytest.raises(MeasurementError):
-        accuracy_to_sd("v_bus", acc_class=-1.0)
     with pytest.raises(MeasurementError):
         accuracy_to_sd("frequency")
 

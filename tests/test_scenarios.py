@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from gridmon.scenarios import (DEFAULT_AXES, FIVE_AXES, Scenario, ScenarioAxis,
                                ScenarioError, enumerate_tuples, expand,
-                               export_scenarios, generate_set, import_scenarios,
-                               injections)
+                               generate_set, injections)
 
 
 def test_default_axes_yield_1100_tuples():
@@ -113,24 +112,6 @@ def test_clamp_frequency_matches_gaussian_tail(cigre):
         clamped += int((sc.p_kw[dg] == 0.0).sum())
     # expectation ~ 3000 * 9 * 3.17e-5 ~ 0.86; allow a generous Poisson band
     assert clamped <= 8
-
-
-def test_csv_round_trip(tmp_path, cigre):
-    scenarios = generate_set(DEFAULT_AXES, cigre, 1, seed=21)[:7]
-    path = tmp_path / "scenarios.csv"
-    export_scenarios(path, scenarios, cigre)
-    back = import_scenarios(path, cigre)
-    assert len(back) == 7
-    for orig, loaded in zip(scenarios, back):
-        assert np.array_equal(orig.p_kw, loaded.p_kw)
-        assert np.array_equal(orig.q_kvar, loaded.q_kvar)
-
-
-def test_import_rejects_wrong_unit_count(tmp_path, cigre, three_bus):
-    path = tmp_path / "scenarios.csv"
-    export_scenarios(path, generate_set(DEFAULT_AXES, cigre, 1, seed=2)[:2], cigre)
-    with pytest.raises(ScenarioError, match="header"):
-        import_scenarios(path, three_bus)
 
 
 def test_injections_are_net_per_bus(three_bus):

@@ -1,7 +1,7 @@
 import pytest
 
 from gridmon.ann import TrainConfig
-from gridmon.evaluation import METHOD_ANN, load_catalog, search_measurement_config
+from gridmon.evaluation import load_catalog
 from gridmon.scenarios import DEFAULT_AXES, generate_set
 from gridmon.tuning import tune_architecture
 
@@ -53,25 +53,3 @@ def test_default_combination_flagged(small_setup):
     defaults = [r for r in rows if r.is_default]
     assert len(defaults) == 1
     assert defaults[0].repetitions == 3
-
-
-def test_search_with_ann_method(small_setup):
-    grid, catalog, test_scenarios = small_setup
-    train_scenarios = generate_set(DEFAULT_AXES, grid, 1, seed=43)[::10]
-
-    def train_fn(spec):
-        from gridmon.ann import build_training_set, train_monitor_pair
-
-        data = build_training_set(grid, train_scenarios, spec,
-                                  catalog.switch_configs[:1], 43)
-        models, _ = train_monitor_pair(grid, data, TrainConfig(max_epochs=8, seed=3))
-        return models
-
-    steps, tc, reached = search_measurement_config(
-        grid, test_scenarios[:6], catalog.switch_configs[:1],
-        method=METHOD_ANN, target_sr=1.01,
-        pool=[("bus", 0), ("bus", 7)], train_fn=train_fn)
-    assert len(steps) == 2
-    assert not reached
-    assert all(0.0 <= s.sr <= 1.0 for s in steps)
-    assert tc.s_buses == (0, 7)
