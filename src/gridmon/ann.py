@@ -6,6 +6,11 @@ to the loading fraction of every monitored line. Implemented directly on
 numpy: ReLU hidden layers sized by the two-thirds rule, uniform init within
 the Bottou bounds, Adam on the mean squared error, early stopping on a
 validation split.
+
+Training keeps every weight and bias as a view of one flat float64 vector,
+with a matching flat gradient buffer that ``loss_and_grads`` fills. Adam
+updates the whole vector in place, in the same operation order as a
+per-array update, so the weights are bitwise equal to that form.
 """
 
 from __future__ import annotations
@@ -164,8 +169,12 @@ def forward(model: AnnModel, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def loss_and_grads(model: AnnModel, x: np.ndarray, y: np.ndarray):
-    """MSE over all samples and outputs, with gradients for every parameter."""
+def loss_and_grads(model: AnnModel, x: np.ndarray, y: np.ndarray, out=None):
+    """MSE over all samples and outputs, with gradients for every parameter.
+
+    ``out`` is an optional ``(grad_w, grad_b)`` pair of arrays shaped like the
+    weights and biases; the gradients are written into them and returned.
+    """
     acts = [x]
     a = x
     last = len(model.weights) - 1
@@ -177,12 +186,14 @@ def loss_and_grads(model: AnnModel, x: np.ndarray, y: np.ndarray):
     n = y.shape[0] * y.shape[1]
     loss = float(np.sum(diff * diff)) / n
 
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
+    if out is None:
+        out = ([np.empty_like(w) for w in model.weights],
+               [np.empty_like(b) for b in model.biases])
+    grad_w, grad_b = out
     delta = 2.0 * diff / n
     for k in range(last, -1, -1):
-        grad_w[k] = acts[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=grad_w[k])
+        np.sum(delta, axis=0, out=grad_b[k])
         if k > 0:
             delta = (delta @ model.weights[k].T) * _activate_grad(
                 acts[k], model.arch.hidden_activation)
@@ -198,23 +209,20 @@ class TrainHistory:
     wall_seconds: float = 0.0
 
 
-class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def step(self, params, grads):
-        self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape."""
+    views = []
+    lo = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[lo:lo + size].reshape(shape))
+        lo += size
+    return views
 
 
 def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
@@ -259,25 +267,58 @@ def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     xn = model.normalize(x)
     yz = (y - model.out_mean) / model.out_sd
     xt, yt = xn[train_idx], yz[train_idx]
+    yt_raw = y[train_idx]
     xv = xn[val_idx]
     yv_raw = y[val_idx]
 
-    params = model.weights + model.biases
-    adam = _Adam(params, cfg.learning_rate)
+    # every weight and bias is a view of one vector, every gradient a view
+    # of a matching buffer, so Adam updates the whole net in a few calls
+    n_w = len(model.weights)
+    shapes = [p.shape for p in model.weights + model.biases]
+    flat = np.concatenate([p.ravel() for p in model.weights + model.biases])
+    params = _views(flat, shapes)
+    model.weights, model.biases = params[:n_w], params[n_w:]
+    grads = np.empty_like(flat)
+    grad_views = _views(grads, shapes)
+    grad_out = (grad_views[:n_w], grad_views[n_w:])
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    step = np.empty_like(flat)
+    denom = np.empty_like(flat)
+
     history = TrainHistory()
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best = flat.copy()
     epochs_since_best = 0
+    t = 0
 
     for epoch in range(cfg.max_epochs):
         perm = gen.permutation(len(xt))
+        xe, ye = xt[perm], yt[perm]  # contiguous batches are slices
         for lo in range(0, len(xt), cfg.batch_size):
-            batch = perm[lo:lo + cfg.batch_size]
-            _, gw, gb = loss_and_grads(model, xt[batch], yt[batch])
-            adam.step(params, gw + gb)
+            loss_and_grads(model, xe[lo:lo + cfg.batch_size],
+                           ye[lo:lo + cfg.batch_size], grad_out)
+            # Adam (Kingma & Ba, 2015), in place over the whole vector
+            t += 1
+            b1t = 1.0 - ADAM_BETA1**t
+            b2t = 1.0 - ADAM_BETA2**t
+            m *= ADAM_BETA1
+            np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
+            m += step
+            v *= ADAM_BETA2
+            np.multiply(grads, 1.0 - ADAM_BETA2, out=step)
+            step *= grads
+            v += step
+            np.divide(m, b1t, out=step)
+            step *= cfg.learning_rate
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            flat -= step
 
         # losses reported in original target units
-        train_diff = model.denormalize_output(forward(model, xt)) - y[train_idx]
+        train_diff = model.denormalize_output(forward(model, xt)) - yt_raw
         train_loss = float(np.mean(train_diff * train_diff))
         val_diff = model.denormalize_output(forward(model, xv)) - yv_raw
         val_loss = float(np.mean(val_diff * val_diff))
@@ -288,7 +329,7 @@ def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            np.copyto(best, flat)
             history.best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -297,9 +338,10 @@ def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                 break
 
     history.stopped_epoch = len(history.train_loss) - 1
-    n_w = len(model.weights)
-    model.weights = best_params[:n_w]
-    model.biases = best_params[n_w:]
+    # the returned model owns one array per parameter, independent of the
+    # training buffers
+    best_params = [p.copy() for p in _views(best, shapes)]
+    model.weights, model.biases = best_params[:n_w], best_params[n_w:]
     history.wall_seconds = time.perf_counter() - start
     return model, history
 

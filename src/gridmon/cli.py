@@ -276,7 +276,13 @@ def cmd_evaluate(args) -> int:
             summary_rows.append((tc.label, method, res.n_scenarios,
                                  float(res.sr_c1), float(res.sr_c2)))
             print(f"{tc.label:5s} {method:4s} SR_C1 {100 * res.sr_c1:6.2f} %  "
-                  f"SR_C2 {100 * res.sr_c2:6.2f} %  ({wall:.1f} s)")
+                  f"SR_C2 {100 * res.sr_c2:6.2f} %")
+        if METHOD_ANN in results:
+            unseen = int(results[METHOD_ANN].unseen_topology.sum())
+            if unseen:
+                print(f"{tc.label:5s} ann  {unseen} of {first.n_scenarios} evaluated "
+                      f"pairs had switch bits unseen in training")
+        print(f"{tc.label:5s} case time {wall:.1f} s")
         stats = error_stats(results, grid)
         (out / f"{tc.label.replace('*', 'star')}_stats.json").write_text(
             json.dumps({"config_hash": _config_hash(cfg), **stats}, indent=1,

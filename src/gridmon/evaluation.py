@@ -166,6 +166,8 @@ class EvalResult:
     line_err_mean: np.ndarray
     line_err_sd: np.ndarray
     line_err_max: np.ndarray
+    # ANN only: the switch bits the model got were absent from its training set
+    unseen_topology: np.ndarray | None = None
 
     @property
     def sr_c1(self) -> float:
@@ -358,6 +360,12 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
         l_est = predict_batch(models["loading"], x) * 100.0
         results[METHOD_ANN] = _score(METHOD_ANN, tc.label, v_est, l_est,
                                      v_true, l_true, diverged, diverged)
+        unseen = np.zeros(len(records), dtype=bool)
+        if grid.switches:
+            unseen_cfg = [not models["voltage"].topology_seen(_assumed_bits(tc, config))
+                          for config in configs]
+            unseen = np.array([unseen_cfg[c] for c, _ in indices]) & ~diverged
+        results[METHOD_ANN].unseen_topology = unseen
     if METHOD_WLS in methods:
         failed = np.array([r.wls_failed for r in records])
         v_est = stack([r.wls_v for r in records], grid.n_bus)

@@ -143,6 +143,120 @@ def test_training_bitwise_deterministic():
         assert np.array_equal(wa, wb)
 
 
+def reference_train(model, x, y, cfg, standardize_targets=True):
+    """Plain minibatch Adam with one moment pair per weight/bias array.
+
+    Same RNG streams, validation split, loss reports and early stopping as
+    ``train``; returns (weights, biases, out_mean, out_sd, train_loss,
+    val_loss, best_epoch, stopped_epoch).
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    gen = seeded_rng(cfg.seed, STREAM_ANN, 1)
+    order = gen.permutation(len(x))
+    n_val = max(1, int(round(cfg.validation_fraction * len(x))))
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    mean, sd = x[train_idx].mean(axis=0), x[train_idx].std(axis=0)
+    model.norm_mean = np.where(model.norm_mask, mean, 0.0)
+    model.norm_sd = np.where(model.norm_mask & ~(sd < 1e-12), sd, 1.0)
+    model.out_mean = y[train_idx].mean(axis=0)
+    out_sd = y[train_idx].std(axis=0) if standardize_targets else np.ones(y.shape[1])
+    model.out_sd = np.where(out_sd < 1e-12, 1.0, out_sd)
+    xt = model.normalize(x)[train_idx]
+    yt = ((y - model.out_mean) / model.out_sd)[train_idx]
+
+    params = model.weights + model.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    train_loss, val_loss = [], []
+    best_val, best, best_epoch, since = np.inf, None, -1, 0
+    for epoch in range(cfg.max_epochs):
+        perm = gen.permutation(len(xt))
+        for lo in range(0, len(xt), cfg.batch_size):
+            batch = perm[lo:lo + cfg.batch_size]
+            _, gw, gb = loss_and_grads(model, xt[batch], yt[batch])
+            t += 1
+            for p, g, mk, vk in zip(params, gw + gb, m, v):
+                mk *= beta1
+                mk += (1.0 - beta1) * g
+                vk *= beta2
+                vk += (1.0 - beta2) * g * g
+                p -= cfg.learning_rate * (mk / (1.0 - beta1**t)) / (
+                    np.sqrt(vk / (1.0 - beta2**t)) + eps)
+        for rows, losses in ((train_idx, train_loss), (val_idx, val_loss)):
+            diff = predict_batch(model, x[rows]) - y[rows]
+            losses.append(float(np.mean(diff * diff)))
+        if val_loss[-1] < best_val:
+            best_val, best, best_epoch, since = val_loss[-1], [p.copy() for p in params], epoch, 0
+        else:
+            since += 1
+            if since > cfg.patience:
+                break
+    n_w = len(model.weights)
+    return (best[:n_w], best[n_w:], model.out_mean, model.out_sd, train_loss, val_loss,
+            best_epoch, len(train_loss) - 1)
+
+
+REFERENCE_RUNS = {
+    # name: (arch keywords, rows, TrainConfig, standardize_targets)
+    "relu_3_hidden": (dict(n_hidden_layers=3), 172, TrainConfig(max_epochs=12, seed=1), True),
+    "no_hidden": (dict(n_hidden_layers=0), 172, TrainConfig(max_epochs=12, seed=2), True),
+    "tanh": (dict(n_hidden_layers=2, hidden_activation="tanh"), 172,
+             TrainConfig(max_epochs=12, seed=3), True),
+    "sigmoid": (dict(n_hidden_layers=1, hidden_activation="sigmoid",
+                     hidden_size_override=2), 172, TrainConfig(max_epochs=12, seed=4), True),
+    "unstandardized": (dict(n_hidden_layers=1), 172, TrainConfig(max_epochs=12, seed=5),
+                       False),
+    # 130 training rows in batches of 32: the last batch holds 2 rows
+    "ragged_batches": (dict(n_hidden_layers=2), 173, TrainConfig(max_epochs=12, seed=6),
+                       True),
+    "patience_stop": (dict(n_hidden_layers=1), 64,
+                      TrainConfig(max_epochs=200, patience=0, learning_rate=0.1, seed=7),
+                      True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+def test_train_matches_reference_bitwise(name):
+    arch_kw, rows, cfg, standardize = REFERENCE_RUNS[name]
+    gen = np.random.default_rng(cfg.seed)
+    x = gen.normal(size=(rows, 4))
+    y = np.column_stack([np.tanh(x[:, 0] - x[:, 1]), 3.0 + 0.2 * x[:, 2]]) \
+        + 0.1 * gen.normal(size=(rows, 2))
+    arch = AnnArchitecture(n_in=4, n_out=2, **arch_kw)
+    model, history = train(init_model(arch, cfg.seed), x, y, cfg,
+                           standardize_targets=standardize)
+    weights, biases, out_mean, out_sd, train_loss, val_loss, best_epoch, stopped = \
+        reference_train(init_model(arch, cfg.seed), x, y, cfg, standardize)
+
+    for got, want in zip(model.weights + model.biases + [model.out_mean, model.out_sd],
+                         weights + biases + [out_mean, out_sd]):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert history.train_loss == train_loss
+    assert history.val_loss == val_loss
+    assert (history.best_epoch, history.stopped_epoch) == (best_epoch, stopped)
+    if name == "patience_stop":
+        assert stopped < cfg.max_epochs - 1
+
+
+def test_best_epoch_weights_are_returned():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(128, 3))
+    y = rng.normal(size=(128, 2))
+    arch = AnnArchitecture(n_in=3, n_out=2, n_hidden_layers=1)
+    cfg = TrainConfig(max_epochs=120, patience=5, learning_rate=0.01, seed=5)
+    model, history = train(init_model(arch, seed=5), x, y, cfg)
+    assert history.stopped_epoch > history.best_epoch
+    # the validation rows, split off as train() does
+    order = seeded_rng(cfg.seed, STREAM_ANN, 1).permutation(len(x))
+    val_rows = order[:int(round(cfg.validation_fraction * len(x)))]
+    diff = predict_batch(model, x[val_rows]) - y[val_rows]
+    assert float(np.mean(diff * diff)) == history.val_loss[history.best_epoch]
+    # every returned parameter owns its memory
+    assert all(p.base is None for p in model.weights + model.biases)
+
+
 def test_unstandardized_targets_train_in_target_units():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(64, 2))
@@ -241,6 +355,15 @@ def test_train_monitor_pair_independent_weights(m4_training):
                               models["loading"].weights[0])
     for kind in ("voltage", "loading"):
         assert len(histories[kind].train_loss) == len(histories[kind].val_loss)
+
+
+def test_monitor_pair_shares_no_memory(m4_training):
+    grid, spec, data = m4_training
+    models, _ = train_monitor_pair(grid, data, TrainConfig(max_epochs=3, seed=3))
+    voltage, loading = models["voltage"], models["loading"]
+    for a in voltage.weights + voltage.biases:
+        for b in loading.weights + loading.biases:
+            assert not np.shares_memory(a, b)
 
 
 def test_switch_bits_bypass_normalization(m4_training):

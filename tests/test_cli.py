@@ -233,3 +233,20 @@ def test_evaluate_scores_diverged_pair_as_failed(tmp_path, trained_dir, monkeypa
         assert row[5:] == ["0", "0", "1"]
         assert diverged[:target + 1] == clean[:target + 1]
         assert diverged[target + 2:] == clean[target + 2:]
+
+
+def test_evaluate_reports_unseen_switch_patterns(tmp_path, trained_dir, capsys):
+    code = run("evaluate", "--cases", "M4,T2", "--methods", "ann",
+               "--repetitions", "1", "--seed", "5",
+               "--models", str(trained_dir), "--out", str(tmp_path / "eval"))
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    # T2 flips the assumed state of switch 2, which turns each of the four
+    # training configs into a pattern the model never saw
+    unseen = [line for line in out if "unseen in training" in line]
+    assert unseen == ["T2    ann  4400 of 4400 evaluated pairs had switch bits "
+                      "unseen in training"]
+    # one timing line per case; the method lines carry no time
+    assert [line.split()[:3] for line in out if "case time" in line] == \
+        [["M4", "case", "time"], ["T2", "case", "time"]]
+    assert all(not line.endswith(" s)") for line in out if "SR_C1" in line)
