@@ -442,7 +442,7 @@ def build_admittance(view: GridView) -> np.ndarray:
     return view.branches.ybus
 
 
-def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray):
+def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, buses=None):
     """Bus injections ``S = V conj(Ybus V)`` and their derivatives.
 
     Polar form of MATPOWER's ``dSbus_dV``: returns ``(s_bus, ds_dth,
@@ -450,12 +450,31 @@ def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray):
     with respect to the voltage angle / magnitude of bus k. The magnitude is
     the state variable ``v`` itself, so ``dV/dv = exp(j th)`` holds also at
     an iterate with ``v < 0`` (MATPOWER's ``V / |V|`` would flip its sign).
+
+    ``v`` and ``th`` are one state ``(n,)`` or a stack ``(B, n)``, with
+    ``ybus`` shared ``(n, n)`` or stacked ``(B, n, n)``. With ``buses`` the
+    derivatives keep only those rows and columns. Every entry is an
+    elementwise product or a per-state matrix-vector product, so a state's
+    values do not depend on the stack it is in.
     """
     unit = np.exp(1j * th)
     vc = v * unit
-    i_bus = ybus @ vc
-    ds_dth = 1j * vc[:, None] * np.conj(np.diag(i_bus) - ybus * vc)
-    ds_dv = vc[:, None] * np.conj(ybus * unit) + np.diag(np.conj(i_bus) * unit)
+    i_bus = (ybus @ vc[..., None])[..., 0]
+    y, vb, ub, ib = ybus, vc, unit, i_bus
+    if buses is not None:
+        y = ybus[..., buses[:, None], buses]
+        vb, ub, ib = vc[..., buses], unit[..., buses], i_bus[..., buses]
+    diag = np.arange(vb.shape[-1])
+    # j V conj(diag(I) - Y diag(V)) and V conj(Y diag(unit)) + diag(conj(I) unit),
+    # each built in one array
+    ds_dth = y * vb[..., None, :]
+    at_diag = ib - ds_dth[..., diag, diag]
+    np.subtract(0j, ds_dth, out=ds_dth)
+    ds_dth[..., diag, diag] = at_diag
+    np.multiply((1j * vb)[..., None], np.conj(ds_dth, out=ds_dth), out=ds_dth)
+    ds_dv = y * ub[..., None, :]
+    np.multiply(vb[..., None], np.conj(ds_dv, out=ds_dv), out=ds_dv)
+    ds_dv[..., diag, diag] += np.conj(ib) * ub
     return vc * np.conj(i_bus), ds_dth, ds_dv
 
 

@@ -35,6 +35,12 @@ MAX_ITERATIONS = 10
 STATE_UPDATE_TOLERANCE = 1e-6
 PSEUDO_SD_FRACTION = 0.30
 PSEUDO_SD_FLOOR_PU = 1e-3  # 1 kW on the 1 MVA base
+# The assumed SD is relative to the reading, taken of at least this magnitude
+# per measurement kind (``ALL_KINDS`` order), per unit. A voltage counts as at
+# least 0.5 pu, far below any fault-free reading, so a zeroed voltage does not
+# enter as an exact constraint. Power and current readings are fault-free
+# zeros where no unit or an open line is metered, so theirs stay as read.
+READING_FLOOR_PU = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
 SD_FLOOR_PU = 1e-6
 
 
@@ -211,8 +217,8 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     kind = np.concatenate([spec.kind_code, pseudo.kind])
     location = np.concatenate([spec.location, pseudo.bus])
     z = np.concatenate([ms.values, pseudo.value])
-    sd_abs = np.maximum(np.concatenate([sd_pct / 100.0 * np.abs(ms.values), pseudo.sd]),
-                        SD_FLOOR_PU)
+    reading = np.maximum(np.abs(ms.values), READING_FLOOR_PU[spec.kind_code])
+    sd_abs = np.maximum(np.concatenate([sd_pct / 100.0 * reading, pseudo.sd]), SD_FLOOR_PU)
     # injection info at buses cut off the slack constrains nothing
     keep = ~((kind < len(BUS_KINDS)) & np.isin(location, list(view.dead_buses)))
     pos = stacked_positions(kind[keep], location[keep], grid.n_bus, len(grid.lines))

@@ -325,16 +325,18 @@ def test_build_training_set_skips_diverged_pair(m4_training, monkeypatch):
 
     grid, spec, data = m4_training
     scenarios = generate_set(DEFAULT_AXES, grid, 1, seed=501)[:3]
-    real = powerflow.solve_pf
+    real = powerflow.solve_pf_batch
     calls = []
 
-    def diverge_fourth(view, injections):
-        calls.append(None)
-        if len(calls) == 4:  # config 1, scenario 0
-            raise PowerFlowError("no convergence after 30 iterations", 1.0)
-        return real(view, injections)
+    def diverge_fourth(views, injections):
+        solved = real(views, injections)
+        for i in range(len(solved)):
+            calls.append(None)
+            if len(calls) == 4:  # config 1, scenario 0
+                solved[i] = PowerFlowError("no convergence after 30 iterations", 1.0)
+        return solved
 
-    monkeypatch.setattr(powerflow, "solve_pf", diverge_fourth)
+    monkeypatch.setattr(powerflow, "solve_pf_batch", diverge_fourth)
     small = build_training_set(grid, scenarios, spec,
                                [CONFIG_0, (True, False, True, False, True, False)],
                                seed=501)

@@ -164,10 +164,11 @@ def test_wls_only_needs_no_models(tmp_path):
 def test_evaluate_diverged_power_flow_is_numerical_failure(tmp_path, monkeypatch, capsys):
     from gridmon.powerflow import PowerFlowError
 
-    def diverge(view, injections):
-        raise PowerFlowError("no convergence after 30 iterations", 1.0)
+    def diverge(views, injections):
+        return [PowerFlowError("no convergence after 30 iterations", 1.0)
+                for _ in injections]
 
-    monkeypatch.setattr("gridmon.powerflow.solve_pf", diverge)
+    monkeypatch.setattr("gridmon.powerflow.solve_pf_batch", diverge)
     out = tmp_path / "diverged"
     code = run("evaluate", "--cases", "M0", "--methods", "wls",
                "--repetitions", "1", "--out", str(out))
@@ -180,13 +181,14 @@ def test_evaluate_diverged_power_flow_is_numerical_failure(tmp_path, monkeypatch
 def test_stats_json_is_strict_when_every_pair_fails(tmp_path, monkeypatch):
     from gridmon.powerflow import PowerFlowError
 
-    def diverge(view, injections):
-        raise PowerFlowError("no convergence after 30 iterations", 1.0)
+    def diverge(views, injections):
+        return [PowerFlowError("no convergence after 30 iterations", 1.0)
+                for _ in injections]
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    monkeypatch.setattr("gridmon.powerflow.solve_pf", diverge)
+    monkeypatch.setattr("gridmon.powerflow.solve_pf_batch", diverge)
     out = tmp_path / "failed"
     code = run("evaluate", "--cases", "M0", "--methods", "wls",
                "--repetitions", "1", "--out", str(out))
@@ -212,16 +214,18 @@ def test_evaluate_scores_diverged_pair_as_failed(tmp_path, trained_dir, monkeypa
     assert "diverged" not in capsys.readouterr().out
 
     target = 1102  # pairs run config-major: config 1, scenario 2
-    real = powerflow.solve_pf
+    real = powerflow.solve_pf_batch
     calls = []
 
-    def diverge_once(view, injections):
-        calls.append(None)
-        if len(calls) == target + 1:
-            raise PowerFlowError("no convergence after 30 iterations", 1.0)
-        return real(view, injections)
+    def diverge_once(views, injections):
+        solved = real(views, injections)
+        for i in range(len(solved)):
+            calls.append(None)
+            if len(calls) == target + 1:
+                solved[i] = PowerFlowError("no convergence after 30 iterations", 1.0)
+        return solved
 
-    monkeypatch.setattr("gridmon.powerflow.solve_pf", diverge_once)
+    monkeypatch.setattr("gridmon.powerflow.solve_pf_batch", diverge_once)
     assert run(*argv, "--out", str(tmp_path / "diverged")) == EXIT_OK
     assert "1 of 4400 evaluated pairs had a diverged power flow" in capsys.readouterr().out
     for name in ("M4_ann.csv", "M4_wls.csv"):

@@ -161,15 +161,15 @@ def truth_inputs(two_bus):
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Counts solve_pf calls made through the truth layer."""
+    """Counts the power flows the truth layer solves, one entry per sample."""
     calls = []
-    real = powerflow.solve_pf
+    real = powerflow.solve_pf_batch
 
-    def counting(view, injections):
-        calls.append(view)
-        return real(view, injections)
+    def counting(views, injections):
+        calls.extend([views] * len(injections))
+        return real(views, injections)
 
-    monkeypatch.setattr(powerflow, "solve_pf", counting)
+    monkeypatch.setattr(powerflow, "solve_pf_batch", counting)
     return calls
 
 
@@ -205,3 +205,92 @@ def test_solve_truths_never_memoises_per_sample_impedances(truth_inputs, solve_c
     assert len(solve_calls) == 6
     assert len(cache) == 0
     assert truths[2][2].grid.lines[0].x_ohm == pytest.approx(1.2 * 40.0)
+
+
+def _same_bits(a, b):
+    """Every PfSolution field of ``a`` and ``b`` is bitwise equal."""
+    return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
+               for f in ("v_mag_pu", "v_ang_rad", "i_line_amps", "loading_pct",
+                         "p_slack_kw", "q_slack_kvar", "iterations", "max_mismatch"))
+
+
+@pytest.fixture(scope="module")
+def cigre_batch(cigre):
+    """All 1,100 default-axes scenarios on config 0: 16,500 complex bus
+    voltages, past the 16,384 elements where numpy reuses a temporary in
+    place and its complex product rounds differently."""
+    view = apply_switch_config(cigre, CONFIG_0)
+    inj = [injections(cigre, sc) for sc in generate_set(DEFAULT_AXES, cigre, 1, 5)]
+    assert len(inj) * cigre.n_bus > powerflow.ELISION_ELEMENTS
+    return view, inj
+
+
+def test_batched_truths_bitwise_equal_per_pair_solves(cigre_batch):
+    view, inj = cigre_batch
+    single = [solve_pf(view, i) for i in inj]
+    batch = powerflow.solve_pf_batch(view, inj)
+    truths = list(solve_truths([view], inj.__getitem__, len(inj)))
+    assert [s for _, s, _, _ in truths] == list(range(len(inj)))
+    assert all(_same_bits(a, b) for a, b in zip(single, batch))
+    assert all(_same_bits(a, t[3]) for a, t in zip(single, truths))
+
+
+def test_batched_per_sample_impedances_bitwise_equal(cigre_batch):
+    view, inj = cigre_batch
+    gen = np.random.default_rng(11)
+    factors = 1.0 / gen.uniform(0.9, 1.1, (len(inj), len(view.grid.lines)))
+    truths = list(solve_truths([view], inj.__getitem__, len(inj),
+                               sample_factors=lambda c, s: factors[s]))
+    for s, (_, sc_idx, pair_view, sol) in enumerate(truths):
+        assert sc_idx == s
+        assert pair_view.grid.lines[3].x_ohm == view.grid.lines[3].x_ohm * factors[s, 3]
+        assert _same_bits(sol, solve_pf(view.with_scaled_impedance(factors[s]), inj[s]))
+
+
+def _cut_view(two_bus):
+    """Two-bus view whose only line is out of service but whose load bus is
+    not marked dead, so every Jacobian is zero."""
+    from gridmon.grid import GridView
+
+    return GridView(grid=two_bus, config=(), line_in_service=np.array([False]))
+
+
+def test_failed_samples_leave_their_neighbours_unchanged(truth_inputs, two_bus):
+    view, loads = truth_inputs
+    batch = powerflow.solve_pf_batch([view, view, _cut_view(two_bus), view],
+                                     [loads[0], loads[1], loads[0], loads[2]])
+    assert str(batch[1]).startswith("no convergence after 30 iterations")
+    assert str(batch[2]) == "singular Jacobian at iteration 1"
+    assert isinstance(batch[1], PowerFlowError) and isinstance(batch[2], PowerFlowError)
+    assert _same_bits(batch[0], solve_pf(view, loads[0]))
+    assert _same_bits(batch[3], solve_pf(view, loads[2]))
+    with pytest.raises(PowerFlowError, match="singular Jacobian at iteration 1"):
+        solve_pf(_cut_view(two_bus), loads[0])
+
+    # the same through the truth layer, both failures in one chunk
+    truths = list(solve_truths([view, _cut_view(two_bus)], loads.__getitem__, 3,
+                               pairs=[(0, 0), (0, 1), (1, 0), (0, 2)]))
+    assert [sol is None for _, _, _, sol in truths] == [False, True, True, False]
+    assert _same_bits(truths[0][3], solve_pf(view, loads[0]))
+    assert _same_bits(truths[3][3], solve_pf(view, loads[2]))
+
+
+def test_mixed_config_pairs_keep_order_and_cache_keys(truth_inputs, solve_calls,
+                                                      monkeypatch):
+    view, loads = truth_inputs
+    views = [view, view.with_scaled_impedance(np.array([1.5]))]
+    pairs = [(1, 2), (0, 0), (1, 0), (0, 2), (0, 1), (1, 1)]
+    monkeypatch.setattr(powerflow, "TRUTH_CHUNK", 4)  # a chunk boundary mid-list
+    cache = TruthCache()
+    truths = list(solve_truths(views, loads.__getitem__, 3, pairs=iter(pairs),
+                               cache=cache, tag="t"))
+    assert [(c, s) for c, s, _, _ in truths] == pairs
+    assert set(cache) == {("t", c, s) for c, s in pairs}
+    assert len(solve_calls) == len(pairs)
+    for c, s, pair_view, sol in truths:
+        assert pair_view is views[c]
+        assert cache["t", c, s] == (sol, pair_view)
+        if s == 1:
+            assert sol is None
+        else:
+            assert _same_bits(sol, solve_pf(views[c], loads[s]))

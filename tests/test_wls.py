@@ -275,3 +275,23 @@ def test_m4_slack_balance_gives_feeder_buses_a_tenth_of_their_load(cigre):
         p3 = pseudo.value[(pseudo.kind == KIND_CODE["p_bus"]) & (pseudo.bus == 3)]
         assert len(p3) == 1
         assert band[0] <= p3[0] / true_p3 <= band[1], (case_id, p3[0] / true_p3)
+
+
+def test_zeroed_voltage_reading_weighs_as_a_half_pu_reading(cigre, cigre_case):
+    from gridmon.measurements import accuracy_to_sd
+
+    view, _, sol = cigre_case
+    spec = make_spec(cigre, v_buses=[0, 6, 8, 10], s_buses=[4, 7],
+                     s_lines=["1-2", "12-13"])
+    ms = simulate(sol, view, spec, seed=3)
+    i = spec.index_of("v_bus", 8)
+    zeroed = ms.values.copy()
+    zeroed[i] = 0.0
+    clean = estimate(view, ms, spec).objective_history[0]
+    faulted = estimate(view, ms.replaced(zeroed), spec).objective_history[0]
+    # at the flat start only bus 8's voltage row differs; the zeroed reading's
+    # SD is the class SD of a 0.5 pu reading, no longer a 1e-6 pu floor
+    sd_clean = accuracy_to_sd("v_bus") / 100.0 * ms.values[i]
+    sd_zeroed = accuracy_to_sd("v_bus") / 100.0 * 0.5
+    expected = 1.0 / sd_zeroed**2 - (ms.values[i] - 1.0) ** 2 / sd_clean**2
+    assert faulted - clean == pytest.approx(expected, rel=1e-9)
