@@ -31,7 +31,7 @@ from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
 from .powerflow import solve_truths
 from .scenarios import injections
 from .seeding import STREAM_FAULT, rng
-from .wls import ObservabilityError, estimate
+from .wls import EstimatedState, estimate_batch
 
 METHOD_ANN = "ann"
 METHOD_WLS = "wls"
@@ -265,6 +265,7 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
     truths = solve_truths(truth_views, actual_injections, len(scenarios),
                           pairs=indices, cache=truth_cache, tag=perturb_tag,
                           sample_factors=sample_factors)
+    wls_pending: dict[int, list] = {}  # assumed config -> [(record, measurements)]
     for cfg_idx, sc_idx, truth_view, sol in truths:
         if sol is None:
             records.append(_ScenarioRecord())
@@ -278,7 +279,7 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
         if tc.correction:
             ms = correct_voltages(ms, spec).measurements
 
-        bits, assumed_view = assumed_views[cfg_idx]
+        bits, _ = assumed_views[cfg_idx]
         ms = MeasurementSet(values=ms.values,
                             switch_states=np.array(bits, dtype=float),
                             spec_hash=ms.spec_hash)
@@ -286,31 +287,28 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
         x_row = None
         if METHOD_ANN in methods:
             x_row = np.concatenate([ms.values, ms.switch_states])
-
-        wls_v = wls_loading = None
-        wls_failed = False
+        record = _ScenarioRecord(x_row=x_row, v_true=sol.v_mag_pu,
+                                 loading_true=sol.loading_pct[monitored] / 100.0,
+                                 wls_failed=METHOD_WLS in methods)
+        records.append(record)
         if METHOD_WLS in methods:
-            if assumed_view is None:
-                wls_failed = True
-            else:
-                try:
-                    est = estimate(assumed_view, ms, spec, sd_overrides=sd_over)
-                    if est.converged and np.all(np.isfinite(est.v_mag)):
-                        wls_v = est.v_mag
-                        wls_loading = est.loading_pct[monitored]
-                    else:
-                        wls_failed = True
-                except (ObservabilityError, np.linalg.LinAlgError):
-                    wls_failed = True
+            wls_pending.setdefault(cfg_idx, []).append((record, ms))
 
-        records.append(_ScenarioRecord(
-            x_row=x_row,
-            v_true=sol.v_mag_pu,
-            loading_true=sol.loading_pct[monitored] / 100.0,
-            wls_v=wls_v,
-            wls_loading=wls_loading,
-            wls_failed=wls_failed,
-        ))
+    # one batched estimate per assumed view; an isolating assumed topology,
+    # an unobservable or diverging sample, a non-converged or a non-finite
+    # state leaves the pair failed
+    for cfg_idx, pending in wls_pending.items():
+        _, assumed_view = assumed_views[cfg_idx]
+        if assumed_view is None:
+            continue
+        estimates = estimate_batch(assumed_view, [ms for _, ms in pending], spec,
+                                   sd_overrides=sd_over)
+        for (record, _), est in zip(pending, estimates):
+            if (isinstance(est, EstimatedState) and est.converged
+                    and np.all(np.isfinite(est.v_mag))):
+                record.wls_v = est.v_mag
+                record.wls_loading = est.loading_pct[monitored]
+                record.wls_failed = False
     return records
 
 

@@ -478,17 +478,23 @@ def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, buses=None):
     return vc * np.conj(i_bus), ds_dth, ds_dv
 
 
-def dsf_dv(branches: BranchModel, v: np.ndarray, th: np.ndarray):
+def dsf_dv(branches: BranchModel, v: np.ndarray, th: np.ndarray, lines=None):
     """From-end line flows ``S_f = V_f conj(Yf V)`` and their derivatives.
 
     Polar form of MATPOWER's ``dSbr_dV`` for the from end, laid out as in
-    :func:`dsbus_dv` with one row per line.
+    :func:`dsbus_dv` with one row per line, for one state ``(n,)`` or a
+    stack ``(B, n)``. With ``lines`` the flows and derivatives keep only
+    those rows.
     """
     unit = np.exp(1j * th)
     vc = v * unit
-    i_f = branches.yf @ vc
-    v_f = vc[branches.f_bus]
-    at_from = np.conj(i_f)[:, None] * branches.cf
-    ds_dth = 1j * (at_from * vc - v_f[:, None] * np.conj(branches.yf * vc))
-    ds_dv = v_f[:, None] * np.conj(branches.yf * unit) + at_from * unit
+    i_f = (branches.yf @ vc[..., None])[..., 0]
+    yf, cf, f_bus = branches.yf, branches.cf, branches.f_bus
+    if lines is not None:
+        yf, cf, f_bus, i_f = yf[lines], cf[lines], f_bus[lines], i_f[..., lines]
+    v_f = vc[..., f_bus]
+    at_from = np.conj(i_f)[..., None] * cf
+    vc, unit = vc[..., None, :], unit[..., None, :]
+    ds_dth = 1j * (at_from * vc - v_f[..., None] * np.conj(yf * vc))
+    ds_dv = v_f[..., None] * np.conj(yf * unit) + at_from * unit
     return v_f * np.conj(i_f), ds_dth, ds_dv

@@ -149,14 +149,19 @@ class MeasurementSet:
                               spec_hash=self.spec_hash)
 
 
+def stacked_starts(n_bus: int, n_line: int) -> np.ndarray:
+    """Where each kind's block (``ALL_KINDS`` order) starts in the stacked
+    vector ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]``, which has one row per bus
+    or per line in each block."""
+    sizes = [n_bus if kind in BUS_KINDS else n_line for kind in ALL_KINDS]
+    return np.cumsum([0] + sizes[:-1])
+
+
 def stacked_positions(kind_code: np.ndarray, location: np.ndarray,
                       n_bus: int, n_line: int) -> np.ndarray:
     """Positions of measurements (kind codes into ``ALL_KINDS`` and their bus
-    or line ids) in the stacked vector ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]``
-    (one row per bus or per line in each block)."""
-    sizes = [n_bus if kind in BUS_KINDS else n_line for kind in ALL_KINDS]
-    start = np.cumsum([0] + sizes[:-1])
-    return start[kind_code] + location
+    or line ids) in the stacked vector (see :func:`stacked_starts`)."""
+    return stacked_starts(n_bus, n_line)[kind_code] + location
 
 
 def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> np.ndarray:

@@ -173,7 +173,7 @@ def _newton(ybus, slack, pq, p, q):
         jac[:, m:, :m] = ds_dth.imag
         jac[:, m:, m:] = ds_dv.imag
         del ds_dth, ds_dv  # not held through the solve: a lower peak memory
-        step, singular = _newton_steps(jac, np.concatenate([dp, dq], axis=1))
+        step, singular = solve_samples(jac, np.concatenate([dp, dq], axis=1))
         if singular.any():
             for b in live[singular]:
                 errors[b] = PowerFlowError(f"singular Jacobian at iteration {iteration}",
@@ -190,20 +190,22 @@ def _newton(ybus, slack, pq, p, q):
     return v, th, s_slack, iterations, mismatch, errors
 
 
-def _newton_steps(jac, rhs):
-    """Each sample's Newton step; a singular Jacobian fails only its sample."""
-    singular = np.zeros(len(jac), dtype=bool)
+def solve_samples(a, rhs):
+    """Solve ``a[b] @ x[b] = rhs[b]`` for each sample b of a ``(B, k, k)``
+    stack, with the result and a per-sample singular mask; a singular matrix
+    fails only its sample. Each solution is bitwise the one-sample solve."""
+    singular = np.zeros(len(a), dtype=bool)
     try:
-        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], singular
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], singular
     except np.linalg.LinAlgError:
         pass
-    step = np.zeros_like(rhs)
-    for b in range(len(jac)):
+    x = np.zeros_like(rhs)
+    for b in range(len(a)):
         try:
-            step[b] = np.linalg.solve(jac[b], rhs[b])
+            x[b] = np.linalg.solve(a[b], rhs[b])
         except np.linalg.LinAlgError:
             singular[b] = True
-    return step, singular
+    return x, singular
 
 
 def _solutions(views, v, th, s_slack, iterations, mismatch, errors):

@@ -10,14 +10,30 @@ built as array operations on the grid's unit table (one bus, sign, kind,
 rating and tan phi per unit), one measurement vector at a time, and come
 back as a ``PseudoSet`` of arrays.
 
-Each estimate lays out its rows once: the spec's entries, then the
-substitutes, as stacked positions, values z and weights W, less the rows at
-buses cut off the slack. Gauss-Newton runs at most ``MAX_ITERATIONS`` steps
-and converges when no state update exceeds ``STATE_UPDATE_TOLERANCE``.
+There is one Gauss-Newton, :func:`estimate_batch`. It estimates B
+measurement sets of one spec on one assumed view at once, on ``(B, n_bus)``
+states. The row layout (the spec's entries, then the substitutes, less the
+rows at buses cut off the slack) depends on the spec and the view alone, so
+it is laid out once per batch; values z and weights W are ``(B, m)``
+arrays. A sample stops iterating when no state update exceeds
+``STATE_UPDATE_TOLERANCE`` (converged) or after ``MAX_ITERATIONS`` steps
+(flagged non-converged), and a singular gain matrix or a non-finite step
+fails that sample alone. :func:`estimate` is its B = 1 call.
 
 The measurement functions h(x) and their Jacobian H(x) are row selections of
 the stacked bus and line quantities and their voltage derivatives, all
-derived from the view's branch admittance model.
+derived from the view's branch admittance model; line quantities are
+evaluated only for the lines that rows read.
+
+Each sample's result is bitwise the same in any batch: every step is
+elementwise per sample or one BLAS/LAPACK call per sample on a C-ordered
+per-sample Jacobian, and each objective is the sum of its own row. A batch
+is estimated in blocks whose arrays stay under 256 KiB
+(``powerflow.ELISION_ELEMENTS`` complex elements): the complex
+``(B, n_line, n_bus)`` and ``(B, n_bus, n_bus)`` derivatives, as in the
+power flow, and the float ``(B, m, n_state)`` Jacobian, which sets the
+working set. On the bundled feeder that is 31 samples for M4's layout, 20
+for M8's, and never more than 64.
 """
 
 from __future__ import annotations
@@ -28,8 +44,8 @@ import numpy as np
 
 from .grid import GridModel, GridView, dsbus_dv, dsf_dv
 from .measurements import (BUS_KINDS, KIND_CODE, MeasurementSet, MeasurementSpec,
-                           stacked_positions)
-from .powerflow import line_flows
+                           stacked_positions, stacked_starts)
+from .powerflow import ELISION_ELEMENTS, line_flows, solve_samples
 
 MAX_ITERATIONS = 10
 STATE_UPDATE_TOLERANCE = 1e-6
@@ -45,7 +61,8 @@ SD_FLOOR_PU = 1e-6
 
 
 class ObservabilityError(Exception):
-    """Gain matrix singular: the measurement set does not determine the state."""
+    """Gain matrix singular or a state update not finite: the measurement
+    set does not determine the state."""
 
 
 @dataclass(frozen=True)
@@ -150,20 +167,20 @@ def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec) -> 
 @dataclass(frozen=True)
 class StateIndex:
     """Column layout of the WLS state vector: angles of reachable non-slack
-    buses first, then magnitudes of all reachable buses."""
+    buses first, then magnitudes of all reachable buses (read-only arrays)."""
 
-    non_slack: tuple[int, ...]
-    mag_buses: tuple[int, ...]
+    non_slack: np.ndarray
+    mag_buses: np.ndarray
 
     @classmethod
     def for_view(cls, view: GridView) -> StateIndex:
-        n = view.grid.n_bus
-        slack = view.grid.slack_bus
-        dead = view.dead_buses
-        return cls(
-            non_slack=tuple(i for i in range(n) if i != slack and i not in dead),
-            mag_buses=tuple(i for i in range(n) if i not in dead),
-        )
+        live = np.ones(view.grid.n_bus, dtype=bool)
+        live[sorted(view.dead_buses)] = False
+        mag_buses = np.flatnonzero(live)
+        non_slack = mag_buses[mag_buses != view.grid.slack_bus]
+        for a in (non_slack, mag_buses):
+            a.setflags(write=False)
+        return cls(non_slack=non_slack, mag_buses=mag_buses)
 
     @property
     def n_state(self) -> int:
@@ -172,34 +189,50 @@ class StateIndex:
 
 def measurement_model(view: GridView, pos: np.ndarray, v: np.ndarray, th: np.ndarray,
                       index: StateIndex):
-    """Measurement functions h(x) and their Jacobian at the given state.
+    """Measurement functions h(x) and their Jacobian at the given states.
 
-    ``pos`` are the rows' positions in the stacked quantities
-    ``[V; P_bus; Q_bus; P_f; Q_f; |I_f|]`` (see ``stacked_positions``); the
-    Jacobian columns follow ``index``. Out-of-service line flows are
-    identically zero.
+    ``v`` and ``th`` are one state ``(n_bus,)`` or a stack ``(B, n_bus)``;
+    ``h`` and the C-contiguous Jacobian take their leading shape. ``pos`` are
+    the rows' positions in the stacked quantities ``[V; P_bus; Q_bus; P_f;
+    Q_f; |I_f|]`` (see ``stacked_positions``); the Jacobian columns follow
+    ``index``. Only the lines that rows read are evaluated. Out-of-service
+    line flows are identically zero.
     """
     n = view.n_bus
     net = view.branches
+    start = stacked_starts(n, len(net.f_bus))
+    kind = np.searchsorted(start, pos, side="right") - 1
+    at = pos - start[kind]  # bus or line id, then index into ``lines``
+    on_line = kind >= len(BUS_KINDS)
+    lines, at[on_line] = np.unique(at[on_line], return_inverse=True)
     s_bus, dsbus_th, dsbus_v = dsbus_dv(net.ybus, v, th)
-    s_f, dsf_th, dsf_v = dsf_dv(net, v, th)
+    s_f, dsf_th, dsf_v = dsf_dv(net, v, th, lines)
     # current magnitude |I_f| = |S_f| / V_f; the floor keeps H finite at zero flow
-    v_f = v[net.f_bus]
+    v_f = v[..., net.f_bus[lines]]
     s_mag = np.abs(s_f)
     i_mag = s_mag / v_f
-    denom = (np.maximum(s_mag, 1e-9) * v_f)[:, None]
-    di_dth = (np.conj(s_f)[:, None] * dsf_th).real / denom
-    di_dv = ((np.conj(s_f)[:, None] * dsf_v).real / denom
-             - (i_mag / v_f)[:, None] * net.cf)
+    denom = (np.maximum(s_mag, 1e-9) * v_f)[..., None]
+    di_dth = (np.conj(s_f)[..., None] * dsf_th).real / denom
+    di_dv = ((np.conj(s_f)[..., None] * dsf_v).real / denom
+             - (i_mag / v_f)[..., None] * net.cf[lines])
 
-    h = np.concatenate([v, s_bus.real, s_bus.imag, s_f.real, s_f.imag, i_mag])
-    d_th = np.vstack([np.zeros((n, n)), dsbus_th.real, dsbus_th.imag,
-                      dsf_th.real, dsf_th.imag, di_dth])
-    d_v = np.vstack([np.eye(n), dsbus_v.real, dsbus_v.imag,
-                     dsf_v.real, dsf_v.imag, di_dv])
-    jac = np.hstack([d_th[np.ix_(pos, index.non_slack)],
-                     d_v[np.ix_(pos, index.mag_buses)]])
-    return h[pos], jac
+    # row by row into a C-ordered Jacobian: the layout a one-sample estimate
+    # has, so BLAS takes the same path through every sample's
+    quantities = ((v, None, np.eye(n)), (s_bus.real, dsbus_th.real, dsbus_v.real),
+                  (s_bus.imag, dsbus_th.imag, dsbus_v.imag),
+                  (s_f.real, dsf_th.real, dsf_v.real), (s_f.imag, dsf_th.imag, dsf_v.imag),
+                  (i_mag, di_dth, di_dv))
+    n_ang = len(index.non_slack)
+    h = np.empty(v.shape[:-1] + (len(pos),))
+    jac = np.zeros(h.shape + (index.n_state,))
+    for code, (value, d_th, d_v) in enumerate(quantities):
+        rows = np.flatnonzero(kind == code)
+        h[..., rows] = value[..., at[rows]]
+        row_at = at[rows][:, None]
+        if d_th is not None:
+            jac[..., rows, :n_ang] = d_th[..., row_at, index.non_slack]
+        jac[..., rows, n_ang:] = d_v[..., row_at, index.mag_buses]
+    return h, jac
 
 
 def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
@@ -207,58 +240,119 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     """Gauss-Newton WLS estimate of the full voltage state.
 
     Returns a flagged (converged=False) state on iteration exhaustion; raises
-    ObservabilityError when the gain matrix is singular.
+    ObservabilityError when the gain matrix is singular or a step is not
+    finite. This is the one-sample call of :func:`estimate_batch`.
+    """
+    result = estimate_batch(view, [ms], spec, sd_overrides)[0]
+    if isinstance(result, ObservabilityError):
+        raise result
+    return result
+
+
+def estimate_batch(view: GridView, measurement_sets, spec: MeasurementSpec,
+                   sd_overrides: dict[int, float] | None = None
+                   ) -> list[EstimatedState | ObservabilityError]:
+    """Gauss-Newton WLS estimates of B measurement sets of one spec on one
+    assumed view.
+
+    Entry b of the result is sample b's state, flagged converged=False when
+    it used up ``MAX_ITERATIONS``, or the ObservabilityError that ended its
+    iteration: a singular gain matrix or a non-finite step fails that sample
+    only. Each sample's result is bitwise the same in any batch.
     """
     grid = view.grid
-    pseudo = build_pseudo(grid, ms, spec)
+    sets = list(measurement_sets)
+    if not sets:
+        return []
+    pseudo = [build_pseudo(grid, ms, spec) for ms in sets]
+    # the row layout depends on the spec and the view alone: the spec's
+    # entries, then the substitutes, less injection rows at buses cut off
+    # the slack, which constrain nothing
+    kind = np.concatenate([spec.kind_code, pseudo[0].kind])
+    location = np.concatenate([spec.location, pseudo[0].bus])
+    keep = ~((kind < len(BUS_KINDS)) & np.isin(location, list(view.dead_buses)))
+    pos = stacked_positions(kind[keep], location[keep], grid.n_bus, len(grid.lines))
     sd_pct = spec.sd_vector()
     for i, sd in (sd_overrides or {}).items():
         sd_pct[i] = sd
-    kind = np.concatenate([spec.kind_code, pseudo.kind])
-    location = np.concatenate([spec.location, pseudo.bus])
-    z = np.concatenate([ms.values, pseudo.value])
-    reading = np.maximum(np.abs(ms.values), READING_FLOOR_PU[spec.kind_code])
-    sd_abs = np.maximum(np.concatenate([sd_pct / 100.0 * reading, pseudo.sd]), SD_FLOOR_PU)
-    # injection info at buses cut off the slack constrains nothing
-    keep = ~((kind < len(BUS_KINDS)) & np.isin(location, list(view.dead_buses)))
-    pos = stacked_positions(kind[keep], location[keep], grid.n_bus, len(grid.lines))
-    z = z[keep]
-    weights = 1.0 / sd_abs[keep] ** 2
+    values = np.array([ms.values for ms in sets])
+    z = np.concatenate([values, [p.value for p in pseudo]], axis=1)
+    reading = np.maximum(np.abs(values), READING_FLOOR_PU[spec.kind_code])
+    sd_abs = np.maximum(np.concatenate([sd_pct / 100.0 * reading, [p.sd for p in pseudo]],
+                                       axis=1), SD_FLOOR_PU)
+    z = z[:, keep]
+    weights = 1.0 / sd_abs[:, keep] ** 2
     index = StateIndex.for_view(view)
-    non_slack = list(index.non_slack)
-    mag_buses = list(index.mag_buses)
+    # a block's arrays stay under 256 KiB (ELISION_ELEMENTS complex
+    # elements): the complex (B, n_bus, n_bus) and (B, n_line, n_bus)
+    # derivatives, so that their products round as in a one-sample estimate,
+    # and the float (B, m, n_state) Jacobian, which sets the working set
+    per_sample = max(max(len(grid.lines), grid.n_bus) * grid.n_bus,
+                     len(pos) * index.n_state // 2)
+    block = max(1, (ELISION_ELEMENTS - 1) // per_sample)
+    results = []
+    for start in range(0, len(sets), block):
+        rows = slice(start, start + block)
+        results += _gauss_newton(view, pos, index, z[rows], weights[rows])
+    return results
 
-    v = np.ones(grid.n_bus)
-    th = np.zeros(grid.n_bus)
 
-    converged = False
-    iterations = 0
-    objective_history = []
+def _gauss_newton(view, pos, index, z, weights):
+    """Gauss-Newton from a flat start on the rows of ``z``/``weights``.
+
+    A sample leaves the live set at the iteration where its step falls below
+    ``STATE_UPDATE_TOLERANCE`` or where it fails, so its state stays as it
+    was then. Each objective is the 1-D sum of its own row, as a one-sample
+    estimate sums it.
+    """
+    n_samples, n = len(z), view.n_bus
+    n_ang = len(index.non_slack)
+    v = np.ones((n_samples, n))
+    th = np.zeros((n_samples, n))
+    converged = np.zeros(n_samples, dtype=bool)
+    iterations = np.zeros(n_samples, dtype=int)
+    history: list[list[float]] = [[] for _ in range(n_samples)]
+    results: list[EstimatedState | ObservabilityError | None] = [None] * n_samples
+    live = np.arange(n_samples)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        iterations = iteration
-        h, jac = measurement_model(view, pos, v, th, index)
-        residual = z - h
-        objective_history.append(float(np.sum(weights * residual**2)))
-        wjac = jac * weights[:, None]
-        gain = jac.T @ wjac
-        rhs = wjac.T @ residual
-        try:
-            step = np.linalg.solve(gain, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ObservabilityError("singular gain matrix") from exc
-        if not np.all(np.isfinite(step)):
-            raise ObservabilityError("non-finite state update")
-        th[non_slack] += step[:len(non_slack)]
-        v[mag_buses] += step[len(non_slack):]
-        if np.max(np.abs(step)) < STATE_UPDATE_TOLERANCE:
-            converged = True
+        iterations[live] = iteration
+        h, jac = measurement_model(view, pos, v[live], th[live], index)
+        residual = z[live] - h
+        for b, terms in zip(live, weights[live] * residual**2):
+            history[b].append(float(np.sum(terms)))
+        wjac = jac * weights[live][..., None]
+        gain = np.swapaxes(jac, 1, 2) @ wjac
+        rhs = (np.swapaxes(wjac, 1, 2) @ residual[..., None])[..., 0]
+        # not held through the solve and the next model call: a lower peak memory
+        del jac, wjac
+        step, singular = solve_samples(gain, rhs)
+        del gain
+        non_finite = ~singular & ~np.all(np.isfinite(step), axis=1)
+        for b in live[singular]:
+            results[b] = ObservabilityError("singular gain matrix")
+        for b in live[non_finite]:
+            results[b] = ObservabilityError("non-finite state update")
+        ok = ~(singular | non_finite)
+        live, step = live[ok], step[ok]
+        th[live[:, None], index.non_slack] += step[:, :n_ang]
+        v[live[:, None], index.mag_buses] += step[:, n_ang:]
+        done = np.abs(step).max(axis=1) < STATE_UPDATE_TOLERANCE
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
             break
 
-    h, _ = measurement_model(view, pos, v, th, index)
-    objective = float(np.sum(weights * (z - h) ** 2))
-    objective_history.append(objective)
-    return EstimatedState(v_mag=v, v_ang=th,
-                          loading_pct=line_flows(view, v, th).loading_pct,
-                          converged=converged, iterations=iterations,
-                          objective=objective,
-                          objective_history=tuple(objective_history))
+    ok = [b for b, res in enumerate(results) if res is None]
+    if not ok:
+        return results
+    h, _ = measurement_model(view, pos, v[ok], th[ok], index)
+    terms = weights[ok] * (z[ok] - h) ** 2
+    loading_pct = line_flows(view, v[ok], th[ok]).loading_pct
+    for row, b in enumerate(ok):
+        objective = float(np.sum(terms[row]))
+        results[b] = EstimatedState(v_mag=v[b].copy(), v_ang=th[b].copy(),
+                                    loading_pct=loading_pct[row],
+                                    converged=bool(converged[b]),
+                                    iterations=int(iterations[b]), objective=objective,
+                                    objective_history=tuple(history[b] + [objective]))
+    return results

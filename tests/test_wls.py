@@ -6,9 +6,10 @@ from gridmon.grid import Bus, GridModel, Line, Switch, Unit, apply_switch_config
 from gridmon.measurements import (BUS_KINDS, KIND_CODE, MeasurementSet,
                                   MeasurementSpec, make_spec, simulate,
                                   stacked_positions)
-from gridmon.powerflow import solve_pf
+from gridmon.powerflow import ELISION_ELEMENTS, solve_pf
 from gridmon.scenarios import injections
-from gridmon.wls import ObservabilityError, build_pseudo, estimate
+from gridmon.wls import (MAX_ITERATIONS, ObservabilityError, build_pseudo, estimate,
+                         estimate_batch)
 
 from conftest import flat_scenario
 
@@ -164,6 +165,40 @@ def test_nonconvergence_is_flagged_not_raised(cigre, cigre_case, monkeypatch):
     est = estimate(view, ms, spec)
     assert not est.converged
     assert est.iterations == 1
+
+
+def test_batch_is_bitwise_per_sample_estimates(cigre, cigre_case):
+    """One batch of 70 M4 samples, more than one block (at most 64 samples
+    each), equals one estimate per sample in every field. Zeroing bus 8's
+    voltage reading keeps samples 5 and 66 iterating to the limit; a NaN
+    reading fails sample 6 alone."""
+    view, _, sol = cigre_case
+    spec = load_catalog(cigre).case("M4").spec(cigre)
+    assert 70 > (ELISION_ELEMENTS - 1) // (len(cigre.lines) * cigre.n_bus)
+    sets = [simulate(sol, view, spec, seed=seed) for seed in range(70)]
+    v8 = spec.index_of("v_bus", 8)
+    for b, reading in ((5, 0.0), (6, np.nan), (66, 0.0)):
+        values = sets[b].values.copy()
+        values[v8] = reading
+        sets[b] = sets[b].replaced(values)
+
+    batch = estimate_batch(view, sets, spec)
+    assert len(batch) == len(sets)
+    assert isinstance(batch[6], ObservabilityError)
+    with pytest.raises(ObservabilityError):
+        estimate(view, sets[6], spec)
+    for b, (ms, est) in enumerate(zip(sets, batch)):
+        if b == 6:
+            continue
+        single = estimate(view, ms, spec)
+        for field in ("v_mag", "v_ang", "loading_pct"):
+            got, want = getattr(est, field), getattr(single, field)
+            assert got.tobytes() == want.tobytes(), (b, field)
+        assert (est.converged, est.iterations, est.objective, est.objective_history) == (
+            single.converged, single.iterations, single.objective,
+            single.objective_history), b
+        assert est.converged == (b not in (5, 66)), b
+    assert batch[5].iterations == batch[66].iterations == MAX_ITERATIONS
 
 
 # the second layout adds flows on 6-7 and a current on 11-4, both open in CONFIG_0
