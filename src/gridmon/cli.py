@@ -98,13 +98,24 @@ def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
 
 
 def _resolved_config(args, keys) -> dict:
+    """The settings ``keys`` from the flags, overridden by the config file,
+    whose values must pass their flag's type (a string is converted) and choices."""
     resolved = {k: getattr(args, k) for k in keys}
     if args.config:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
         unknown = set(overrides) - set(keys)
         if unknown:
             raise EvaluationError(f"config file sets unknown keys {sorted(unknown)}")
-        resolved.update(overrides)
+        flags = {action.dest: action for action in args.parser._actions}
+        for key, value in overrides.items():
+            kind = flags[key].type or type(value)
+            try:
+                value = kind(value) if isinstance(value, str) else value
+            except ValueError:
+                pass
+            if type(value) is not kind or value not in (flags[key].choices or (value,)):
+                raise EvaluationError(f"config file sets {key} to invalid value {value!r}")
+            resolved[key] = value
     return resolved
 
 
@@ -209,6 +220,8 @@ def cmd_evaluate(args) -> int:
     keys = ("grid", "axes", "cases", "methods", "v_correction", "repetitions",
             "seed", "models", "jobs", "out")
     cfg = _resolved_config(args, keys)
+    if cfg["jobs"] < 1:
+        raise EvaluationError(f"jobs must be at least 1, got {cfg['jobs']}")
     grid = _load_any_grid(cfg["grid"])
     axes = _axes(cfg["axes"])
     catalog = load_catalog(grid)
@@ -359,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--config", default=None,
                        help="JSON config file; its values override flags")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("generate", help="write scenario CSV and PF truth cache")
     common(p)

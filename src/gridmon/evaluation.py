@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -183,8 +184,8 @@ class TruthCache(dict):
     config, scenario); filled and read by :func:`powerflow.solve_truths`."""
 
 
-def _truth_rx_factors(tc: TestCase, grid: GridModel, n_lines: int,
-                      fault_seed: int, cfg_idx: int, sc_idx: int):
+def _truth_rx_factors(tc: TestCase, grid: GridModel, fault_seed: int,
+                      cfg_idx: int, sc_idx: int):
     """Per-line multipliers applied to the real grid's impedances.
 
     The catalog factor describes the estimator model as a fraction of the
@@ -192,14 +193,14 @@ def _truth_rx_factors(tc: TestCase, grid: GridModel, n_lines: int,
     """
     if tc.rx_model_factor is None and tc.rx_uniform is None:
         return None
-    factors = np.ones(n_lines)
+    factors = np.ones(len(grid.lines))
     if tc.rx_model_factor is not None:
         for name in tc.rx_lines:
             factors[grid.line_by_name(name).id] = 1.0 / tc.rx_model_factor
     if tc.rx_uniform is not None:
         lo, hi = tc.rx_uniform
         gen = rng(fault_seed, STREAM_FAULT, cfg_idx, sc_idx)
-        factors *= 1.0 / gen.uniform(lo, hi, size=n_lines)
+        factors *= 1.0 / gen.uniform(lo, hi, size=len(grid.lines))
     return factors
 
 
@@ -230,9 +231,9 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
                     if f.kind in ("zero_value", "scale_value", "constant_substitute")]
     deviations = [f for f in tc.faults if f.kind == "power_deviation"]
     sd_over = assumed_sd_overrides(tc.faults, spec) or None
+    # each deviation keyed by its own buses and factor, in the order applied
     perturb_tag = (tc.rx_model_factor, tc.rx_lines,
-                   tuple(sorted(f.buses for f in deviations)),
-                   tuple(f.factor for f in deviations)) \
+                   tuple((f.buses, f.factor) for f in deviations)) \
         if (tc.rx_model_factor or deviations) else ()
 
     assumed_views = {}
@@ -248,13 +249,11 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
     if tc.rx_uniform is None:
         # a fixed impedance perturbation is the same for every sample, so the
         # perturbed views (and their admittance models) are built once
-        factors = _truth_rx_factors(tc, grid, len(grid.lines), fault_seed, 0, 0)
+        factors = _truth_rx_factors(tc, grid, fault_seed, 0, 0)
         if factors is not None:
             truth_views = [view.with_scaled_impedance(factors) for view in truth_views]
     else:
-        def sample_factors(cfg_idx, sc_idx):
-            return _truth_rx_factors(tc, grid, len(grid.lines), fault_seed,
-                                     cfg_idx, sc_idx)
+        sample_factors = partial(_truth_rx_factors, tc, grid, fault_seed)
 
     def actual_injections(sc_idx):
         actual = scenarios[sc_idx]

@@ -2,9 +2,10 @@
 
 All electrical computations downstream (power flow, measurement simulation,
 WLS estimation) work on a :class:`GridView`, i.e. a grid plus one concrete
-switch configuration. Each view builds its branch admittance model once
-(:class:`BranchModel`: the from/to branch matrices ``Yf``/``Yt`` and the
-bus matrix ``Ybus``, as in MATPOWER's ``makeYbus``) and keeps it; bus
+switch configuration and an optional line impedance scale. Each view
+builds its branch admittance model once (:class:`BranchModel`: the from/to
+branch matrices ``Yf``/``Yt`` and the bus matrix ``Ybus``, as in MATPOWER's
+``makeYbus``, stacked per sample under a per-sample scale) and keeps it; bus
 injections, line flows and their voltage derivatives all derive from it.
 Per-unit convention: ``s_base_mva`` from the grid file (bundled grids use
 1 MVA), voltage base is each bus's ``base_kv``.
@@ -115,20 +116,9 @@ class GridModel:
                 return ln
         raise GridValidationError(f"no line between buses {a} and {b}")
 
-    def z_base_ohm(self, bus: int) -> float:
-        return self.buses[bus].base_kv ** 2 / self.s_base_mva
-
     def i_base_amps(self, bus: int) -> float:
         """Current base: s_base / (sqrt(3) * v_base), in amperes."""
         return self.s_base_mva * 1e6 / (math.sqrt(3.0) * self.buses[bus].base_kv * 1e3)
-
-    def line_pu(self, line: Line) -> tuple[float, float, float]:
-        """Per-unit (r, x, b_shunt_total) of a line, on the from-bus base."""
-        z_base = self.z_base_ohm(line.from_bus)
-        r = line.r_ohm / z_base
-        x = line.x_ohm / z_base
-        b = line.b_us * 1e-6 * z_base
-        return r, x, b
 
     @cached_property
     def unit_table(self) -> UnitTable:
@@ -340,12 +330,15 @@ class GridView:
     lines are excluded from the admittance matrices and carry zero current.
     Buses cut off the slack (only ever unit-less ones) are listed in
     ``dead_buses`` and held at 1.0 pu by the power flow.
+    ``impedance_scale`` multiplies the grid's line r and x: None, one factor
+    per line, or a ``(B, n_line)`` row per sample that stacks the matrices.
     """
 
     grid: GridModel
     config: tuple[bool, ...]
     line_in_service: np.ndarray = field(repr=False)
     dead_buses: frozenset[int] = frozenset()
+    impedance_scale: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_bus(self) -> int:
@@ -356,15 +349,22 @@ class GridView:
         """The view's branch admittance model, built on first use and kept."""
         return _build_branches(self)
 
-    def with_scaled_impedance(self, factors: np.ndarray) -> GridView:
-        """View over a copy of the grid with per-line r and x multiplied by factors."""
-        lines = tuple(
-            replace(ln, r_ohm=ln.r_ohm * factors[ln.id], x_ohm=ln.x_ohm * factors[ln.id])
-            for ln in self.grid.lines
-        )
-        return GridView(grid=replace(self.grid, lines=lines), config=self.config,
-                        line_in_service=self.line_in_service,
-                        dead_buses=self.dead_buses)
+    def with_scaled_impedance(self, factors) -> GridView:
+        """This view with the grid's line r and x multiplied by ``factors``,
+        ``(n_line,)`` or ``(B, n_line)``; the grid itself is shared."""
+        return replace(self, impedance_scale=np.asarray(factors, dtype=float))
+
+    def take(self, rows) -> GridView:
+        """The view of the per-sample scale's ``rows``, with those rows of this
+        view's matrices; any other view serves every sample and returns itself."""
+        if self.impedance_scale is None or self.impedance_scale.ndim < 2:
+            return self
+        view = replace(self, impedance_scale=self.impedance_scale[rows])
+        net = self.branches
+        # fills the cached property, as its first use would
+        view.__dict__["branches"] = replace(net, ybus=net.ybus[rows], yf=net.yf[rows],
+                                            yt=net.yt[rows])
+        return view
 
 
 def apply_switch_config(grid: GridModel, config) -> GridView:
@@ -396,12 +396,13 @@ class BranchModel:
 
     Line ``l`` draws the current ``yf[l] @ V`` out of its from bus and
     ``yt[l] @ V`` out of its to bus; rows of out-of-service lines are zero.
-    ``cf`` is the from-end incidence matrix. The matrices are read-only.
+    ``cf`` is the from-end incidence matrix. A per-sample impedance scale
+    gives ``ybus``, ``yf`` and ``yt`` a leading sample axis. All are read-only.
     """
 
-    ybus: np.ndarray  # (n_bus, n_bus) complex
-    yf: np.ndarray  # (n_line, n_bus) complex
-    yt: np.ndarray  # (n_line, n_bus) complex
+    ybus: np.ndarray  # ([B,] n_bus, n_bus) complex
+    yf: np.ndarray  # ([B,] n_line, n_bus) complex
+    yt: np.ndarray  # ([B,] n_line, n_bus) complex
     cf: np.ndarray  # (n_line, n_bus), 1 at the from bus
     f_bus: np.ndarray  # (n_line,) from-bus index
     t_bus: np.ndarray  # (n_line,) to-bus index
@@ -412,26 +413,26 @@ class BranchModel:
 
 def _build_branches(view: GridView) -> BranchModel:
     grid = view.grid
-    lines = grid.lines
-    f_bus = np.array([ln.from_bus for ln in lines], dtype=int)
-    t_bus = np.array([ln.to_bus for ln in lines], dtype=int)
-    pu = [grid.line_pu(ln) for ln in lines]
+    r_ohm, x_ohm, b_us, rating, f_bus, t_bus = np.array(
+        [(ln.r_ohm, ln.x_ohm, ln.b_us, ln.rating_amps, ln.from_bus, ln.to_bus)
+         for ln in grid.lines]).T
+    f_bus, t_bus = f_bus.astype(int), t_bus.astype(int)
+    scale = 1.0 if view.impedance_scale is None else view.impedance_scale
+    z_base = np.array([grid.buses[b].base_kv ** 2 / grid.s_base_mva for b in f_bus])
     on = view.line_in_service
-    y_series = np.where(on, [1.0 / complex(r, x) for r, x, _ in pu], 0.0)
-    y_end = y_series + np.where(on, [0.5j * b for _, _, b in pu], 0.0)
-    cf = np.eye(grid.n_bus)[f_bus]
-    ct = np.eye(grid.n_bus)[t_bus]
-    yf = y_end[:, None] * cf - y_series[:, None] * ct
-    yt = y_end[:, None] * ct - y_series[:, None] * cf
+    y_series = np.where(on, np.reciprocal(r_ohm * scale / z_base
+                                          + 1j * (x_ohm * scale / z_base)), 0.0)
+    y_end = y_series + np.where(on, 0.5j * (b_us * 1e-6 * z_base), 0.0)
+    cf, ct = np.eye(grid.n_bus)[f_bus], np.eye(grid.n_bus)[t_bus]
+    yf = y_end[..., None] * cf - y_series[..., None] * ct
+    yt = y_end[..., None] * ct - y_series[..., None] * cf
     ybus = cf.T @ yf + ct.T @ yt
     for a in (ybus, yf, yt, cf):
         a.setflags(write=False)
-    return BranchModel(
-        ybus=ybus, yf=yf, yt=yt, cf=cf, f_bus=f_bus, t_bus=t_bus,
-        i_base_from=np.array([grid.i_base_amps(b) for b in f_bus]),
-        i_base_to=np.array([grid.i_base_amps(b) for b in t_bus]),
-        rating_amps=np.array([ln.rating_amps for ln in lines]),
-    )
+    i_base = np.array([grid.i_base_amps(b.id) for b in grid.buses])
+    return BranchModel(ybus=ybus, yf=yf, yt=yt, cf=cf, f_bus=f_bus, t_bus=t_bus,
+                       i_base_from=i_base[f_bus], i_base_to=i_base[t_bus],
+                       rating_amps=rating)
 
 
 def build_admittance(view: GridView) -> np.ndarray:

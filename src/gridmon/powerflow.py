@@ -7,8 +7,8 @@ line flows derive from the view's branch admittance model
 (:attr:`GridView.branches`).
 
 There is one Newton-Raphson, :func:`solve_pf_batch`. It solves B power
-flows of one switch topology at once on ``(B, n_bus)`` states, with one
-shared ``Ybus`` or, for per-sample line impedances, a stacked ``(B, n_bus,
+flows of one view at once on ``(B, n_bus)`` states, with the view's one
+``Ybus`` or, under a per-sample impedance scale, its stacked ``(B, n_bus,
 n_bus)`` one. A sample leaves the iteration when it converges, and a
 diverged or singular sample fails alone. :func:`solve_pf` is its B = 1 call.
 :func:`solve_truths` solves the (switch config, scenario) pairs of every
@@ -85,31 +85,27 @@ def solve_pf(view: GridView, injections: InjectionSet) -> PfSolution:
     return solution
 
 
-def solve_pf_batch(views, injections) -> list[PfSolution | PowerFlowError]:
-    """Solve B power flows of one switch topology in one Newton-Raphson.
+def solve_pf_batch(view: GridView, injections) -> list[PfSolution | PowerFlowError]:
+    """Solve B power flows of one view in one Newton-Raphson.
 
-    ``views`` is one GridView for every sample, or a sequence of B views of
-    one switch configuration whose line impedances differ per sample (their
-    ``Ybus`` are stacked). ``injections`` holds the B InjectionSets. Entry b
+    ``injections`` holds the B InjectionSets. Under a per-sample impedance
+    scale ``(B, n_line)`` row b of the scale is sample b's network. Entry b
     of the result is sample b's solution, or the PowerFlowError that ended
     its iteration: a singular Jacobian or no convergence fails that sample
     only. Each sample's result is bitwise the same in any batch.
     """
     injections = list(injections)
-    shared = isinstance(views, GridView)
-    view = views if shared else views[0]
     p, q = _schedule(view, injections)
     n, slack = view.grid.n_bus, view.grid.slack_bus
     pq = np.array([i for i in range(n) if i != slack and i not in view.dead_buses],
                   dtype=int)
-    ybus = view.branches.ybus if shared else np.stack([v.branches.ybus for v in views])
     block = max(1, (ELISION_ELEMENTS - 1) // (n * n))
     results = []
     for start in range(0, len(injections), block):
         rows = slice(start, start + block)
-        block_views = views if shared else views[rows]
-        block_ybus = ybus if shared else ybus[rows]
-        results += _solutions(block_views, *_newton(block_ybus, slack, pq, p[rows], q[rows]))
+        block_view = view.take(rows)
+        results += _solutions(block_view, *_newton(block_view.branches.ybus, slack, pq,
+                                                   p[rows], q[rows]))
     return results
 
 
@@ -208,14 +204,12 @@ def solve_samples(a, rhs):
     return x, singular
 
 
-def _solutions(views, v, th, s_slack, iterations, mismatch, errors):
+def _solutions(view, v, th, s_slack, iterations, mismatch, errors):
     """One PfSolution per converged sample, its error otherwise."""
     ok = [b for b, err in enumerate(errors) if err is None]
     if not ok:
         return list(errors)
-    view = views if isinstance(views, GridView) else views[0]
-    flow_views = views if isinstance(views, GridView) else [views[b] for b in ok]
-    flows = line_flows(flow_views, v[ok], th[ok])
+    flows = line_flows(view.take(ok), v[ok], th[ok])
     i_line = flows.i_from_pu * view.branches.i_base_from
     s_base_kw = view.grid.s_base_mva * 1e3
     results: list[PfSolution | PowerFlowError] = list(errors)
@@ -250,24 +244,17 @@ class LineFlows:
         return self.p_from_pu + self.p_to_pu
 
 
-def line_flows(view, v: np.ndarray, th: np.ndarray) -> LineFlows:
+def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
     """Per-line flows at both ends for the voltage state ``v``, ``th``.
 
     ``v`` and ``th`` are one state ``(n_bus,)`` or a stack ``(B, n_bus)``;
-    ``view`` is one GridView for every state, or B views of one switch
-    configuration whose line impedances differ per state. The flows take
-    the states' leading shape.
+    under a per-sample impedance scale row b of the scale is state b's
+    network. The flows take the states' leading shape.
     """
-    if isinstance(view, GridView):
-        net = view.branches
-        yf, yt = net.yf, net.yt
-    else:
-        net = view[0].branches
-        yf = np.stack([vw.branches.yf for vw in view])
-        yt = np.stack([vw.branches.yt for vw in view])
+    net = view.branches
     vc = v * np.exp(1j * th)
-    i_f = (yf @ vc[..., None])[..., 0]
-    i_t = (yt @ vc[..., None])[..., 0]
+    i_f = (net.yf @ vc[..., None])[..., 0]
+    i_t = (net.yt @ vc[..., None])[..., 0]
     s_f = vc[..., net.f_bus] * np.conj(i_f)
     s_t = vc[..., net.t_bus] * np.conj(i_t)
     i_f, i_t = np.abs(i_f), np.abs(i_t)
@@ -286,10 +273,10 @@ def solve_truths(views, injections, n_scenarios: int, *, pairs=None, cache=None,
     ``pairs`` in their order; ``solution`` is None where Newton-Raphson
     diverges. ``views[c]`` is the network of config ``c``, ``injections(s)``
     the bus injections of scenario ``s``. ``sample_factors(c, s)`` scales each
-    pair's line impedances, and such truths are never memoised; otherwise a
-    ``cache`` (a dict such as ``evaluation.TruthCache``) keeps
-    ``(solution, view)``, divergences too, under ``(tag, c, s)``, with ``tag``
-    naming a fixed perturbation.
+    pair's line impedances (the pair's view is its own row of the batch's
+    scale), and such truths are never memoised; otherwise a ``cache`` (a dict
+    such as ``evaluation.TruthCache``) keeps ``(solution, view)``, divergences
+    too, under ``(tag, c, s)``, with ``tag`` naming a fixed perturbation.
 
     Pairs are taken ``TRUTH_CHUNK`` at a time, and the cache misses of each
     config in a chunk are solved in one :func:`solve_pf_batch` call.
@@ -308,16 +295,13 @@ def solve_truths(views, injections, n_scenarios: int, *, pairs=None, cache=None,
             else:
                 truths[cfg_idx, sc_idx] = truth
         for cfg_idx, scs in misses.items():
-            if sample_factors is None:
-                batch = views[cfg_idx]
-                pair_views = [batch] * len(scs)
-            else:
-                batch = pair_views = [
-                    views[cfg_idx].with_scaled_impedance(sample_factors(cfg_idx, sc_idx))
-                    for sc_idx in scs]
-            solved = solve_pf_batch(batch, [injections(sc_idx) for sc_idx in scs])
-            for sc_idx, view, sol in zip(scs, pair_views, solved):
-                truth = (None if isinstance(sol, PowerFlowError) else sol, view)
+            view = views[cfg_idx]
+            if sample_factors is not None:
+                view = view.with_scaled_impedance(
+                    [sample_factors(cfg_idx, sc_idx) for sc_idx in scs])
+            solved = solve_pf_batch(view, [injections(sc_idx) for sc_idx in scs])
+            for row, (sc_idx, sol) in enumerate(zip(scs, solved)):
+                truth = (None if isinstance(sol, PowerFlowError) else sol, view.take(row))
                 truths[cfg_idx, sc_idx] = truth
                 if memo is not None:
                     memo[tag, cfg_idx, sc_idx] = truth

@@ -125,6 +125,8 @@ def test_evaluate_checks_every_model_before_scoring(tmp_path, trained_dir, capsy
     ("train", "--cases", "M4,XX"),
     ("tune", "--layers", ","),
     ("tune", "--multipliers", "x"),
+    ("evaluate", "--methods", "wls", "--jobs", "0"),
+    ("evaluate", "--methods", "wls", "--jobs", "-1"),
 ])
 def test_bad_input_fails_before_any_output(tmp_path, capsys, argv):
     code = run(argv[0], "--cases", "M4", "--repetitions", "1", "--out", str(tmp_path),
@@ -151,6 +153,36 @@ def test_config_file_overrides_flags(tmp_path, trained_dir):
     summary = (out / "summary.csv").read_text()
     assert "M4,wls" in summary
     assert "F1" not in summary and "ann" not in summary.split("\n", 5)[-1]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("generate", {"repetitions": "x"}),
+    ("generate", {"repetitions": 1.5}),
+    ("generate", {"seed": True}),
+    ("evaluate", {"jobs": "two"}),
+    ("evaluate", {"jobs": "0"}),
+    ("evaluate", {"v_correction": "maybe"}),
+])
+def test_bad_config_value_fails_before_any_output(tmp_path, capsys, command, overrides):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    wls_only = ("--methods", "wls") if command == "evaluate" else ()
+    code = run(command, *wls_only, "--config", str(cfg), "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_config_strings_go_through_flag_types(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"repetitions": "1", "seed": "3"}))
+    assert run("generate", "--config", str(cfg), "--out", str(tmp_path / "cfg")) == EXIT_OK
+    assert run("generate", "--repetitions", "1", "--seed", "3",
+               "--out", str(tmp_path / "flags")) == EXIT_OK
+    for name in ("scenarios.csv", "truth_cache.npz"):
+        assert ((tmp_path / "cfg" / name).read_bytes()
+                == (tmp_path / "flags" / name).read_bytes())
 
 
 def test_wls_only_needs_no_models(tmp_path):

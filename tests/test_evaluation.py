@@ -209,6 +209,27 @@ def test_truth_cache_shared_across_cases(setup):
                           res_b[METHOD_WLS].v_err_max_pct)
 
 
+def test_truth_cache_keys_each_deviation_by_its_own_factor(setup):
+    from dataclasses import replace
+
+    grid, catalog, scenarios, _ = setup
+    case_a = catalog.case("P3")  # bus 4 at 0.7, buses 5, 9, 10 at 1.3
+    first, second = case_a.faults
+    # the same bus sets and factors, each factor on the other bus set
+    case_b = replace(case_a, id="P3b", faults=(replace(second, factor=first.factor),
+                                               replace(first, factor=second.factor)))
+    cache = TruthCache()
+    kwargs = dict(methods=(METHOD_WLS,), meas_seed=3)
+    run_test_case(case_a, grid, scenarios[:4], catalog.switch_configs,
+                  truth_cache=cache, **kwargs)
+    after_a = run_test_case(case_b, grid, scenarios[:4], catalog.switch_configs,
+                            truth_cache=cache, **kwargs)[METHOD_WLS]
+    alone = run_test_case(case_b, grid, scenarios[:4], catalog.switch_configs,
+                          **kwargs)[METHOD_WLS]
+    assert len(cache) == 2 * 4 * len(catalog.switch_configs)
+    assert np.array_equal(after_a.v_err_max_pct, alone.v_err_max_pct)
+
+
 def test_error_stats_sorted_by_wls_max(setup):
     grid, catalog, scenarios, models = setup
     res = run_test_case(catalog.case("M4"), grid, scenarios,

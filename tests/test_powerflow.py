@@ -165,9 +165,9 @@ def solve_calls(monkeypatch):
     calls = []
     real = powerflow.solve_pf_batch
 
-    def counting(views, injections):
-        calls.extend([views] * len(injections))
-        return real(views, injections)
+    def counting(view, injections):
+        calls.extend([view] * len(injections))
+        return real(view, injections)
 
     monkeypatch.setattr(powerflow, "solve_pf_batch", counting)
     return calls
@@ -204,7 +204,21 @@ def test_solve_truths_never_memoises_per_sample_impedances(truth_inputs, solve_c
                                    sample_factors=lambda c, s: np.array([1.0 + 0.1 * s])))
     assert len(solve_calls) == 6
     assert len(cache) == 0
-    assert truths[2][2].grid.lines[0].x_ohm == pytest.approx(1.2 * 40.0)
+    pair_view = truths[2][2]
+    assert pair_view.grid is view.grid
+    assert np.array_equal(pair_view.branches.ybus,
+                          _reference_view(view, [1.0 + 0.1 * 2]).branches.ybus)
+
+
+def _reference_view(view, factors):
+    """``view``'s switch configuration on a copy of its grid whose line r and
+    x were multiplied by ``factors`` one ``Line`` at a time."""
+    from dataclasses import replace
+
+    grid = view.grid
+    lines = tuple(replace(ln, r_ohm=ln.r_ohm * factors[ln.id], x_ohm=ln.x_ohm * factors[ln.id])
+                  for ln in grid.lines)
+    return apply_switch_config(replace(grid, lines=lines), view.config)
 
 
 def _same_bits(a, b):
@@ -241,10 +255,16 @@ def test_batched_per_sample_impedances_bitwise_equal(cigre_batch):
     factors = 1.0 / gen.uniform(0.9, 1.1, (len(inj), len(view.grid.lines)))
     truths = list(solve_truths([view], inj.__getitem__, len(inj),
                                sample_factors=lambda c, s: factors[s]))
+    stacked = view.with_scaled_impedance(factors[:16]).branches
     for s, (_, sc_idx, pair_view, sol) in enumerate(truths):
         assert sc_idx == s
-        assert pair_view.grid.lines[3].x_ohm == view.grid.lines[3].x_ohm * factors[s, 3]
-        assert _same_bits(sol, solve_pf(view.with_scaled_impedance(factors[s]), inj[s]))
+        reference = _reference_view(view, factors[s])
+        for name in ("ybus", "yf", "yt"):
+            expected = getattr(reference.branches, name).tobytes()
+            assert getattr(pair_view.branches, name).tobytes() == expected
+            if s < 16:
+                assert getattr(stacked, name)[s].tobytes() == expected
+        assert _same_bits(sol, solve_pf(reference, inj[s]))
 
 
 def _cut_view(two_bus):
@@ -257,8 +277,11 @@ def _cut_view(two_bus):
 
 def test_failed_samples_leave_their_neighbours_unchanged(truth_inputs, two_bus):
     view, loads = truth_inputs
-    batch = powerflow.solve_pf_batch([view, view, _cut_view(two_bus), view],
-                                     [loads[0], loads[1], loads[0], loads[2]])
+    # one Newton-Raphson over a stacked Ybus whose third sample has its line cut
+    ybus = np.stack([view.branches.ybus] * 2 + [_cut_view(two_bus).branches.ybus]
+                    + [view.branches.ybus])
+    p, q = powerflow._schedule(view, [loads[0], loads[1], loads[0], loads[2]])
+    batch = powerflow._solutions(view, *powerflow._newton(ybus, 0, np.array([1]), p, q))
     assert str(batch[1]).startswith("no convergence after 30 iterations")
     assert str(batch[2]) == "singular Jacobian at iteration 1"
     assert isinstance(batch[1], PowerFlowError) and isinstance(batch[2], PowerFlowError)
