@@ -7,10 +7,16 @@ numpy: ReLU hidden layers sized by the two-thirds rule, uniform init within
 the Bottou bounds, Adam on the mean squared error, early stopping on a
 validation split.
 
-Training keeps every weight and bias as a view of one flat float64 vector,
-with a matching flat gradient buffer that ``loss_and_grads`` fills. Adam
-updates the whole vector in place, in the same operation order as a
-per-array update, so the weights are bitwise equal to that form.
+The two nets start from one seed and draw the same validation split and
+batch order; only their targets differ. Nets of one shape therefore train as
+one stack: weights are ``(K, fan_in, fan_out)`` and biases ``(K, fan_out)``,
+and one forward and backward pass per batch runs with ``np.matmul`` on the
+stacks. Every weight and bias is a view of one ``(K, n_params)`` array, with
+a matching gradient buffer, and Adam updates the whole array in place in
+the same operation order as a per-array update. Early stopping is per net:
+a net that stops keeps its best weights and leaves the stack, and the
+others carry on. A single net (``train``) is a stack of one, so the weights
+of a pair are bitwise equal to training each net alone.
 """
 
 from __future__ import annotations
@@ -159,14 +165,50 @@ def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
+def _layer_outputs(weights, biases, kind: str, x: np.ndarray):
+    """Yield each layer's output for a stack of K nets of one shape.
+
+    ``weights[l]`` is ``(K, fan_in, fan_out)`` and ``biases[l]`` is
+    ``(K, fan_out)``. The inputs ``x`` are ``(B, n_in)`` and shared by the
+    stack; every output is ``(K, B, fan_out)``.
+    """
+    a = x
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w)
+        z += b[:, None, :]
+        a = z if k == last else _activate(z, kind)
+        yield a
+
+
 def forward(model: AnnModel, x: np.ndarray) -> np.ndarray:
     """Batch forward pass on already-normalized inputs."""
-    a = x
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = z if k == last else _activate(z, model.arch.hidden_activation)
-    return a
+    for a in _layer_outputs([w[None] for w in model.weights],
+                            [b[None] for b in model.biases],
+                            model.arch.hidden_activation, x):
+        pass
+    return a[0]
+
+
+def _backprop(weights, biases, kind: str, x: np.ndarray, y: np.ndarray,
+              grad_w, grad_b) -> np.ndarray:
+    """Gradients of each net's MSE on one batch, for a stack of K nets.
+
+    Shapes are as in ``_layer_outputs``, with targets ``y`` of
+    ``(K, B, n_out)``. The gradients are written into ``grad_w`` and
+    ``grad_b``, shaped like ``weights`` and ``biases``. Returns the output
+    errors ``(K, B, n_out)``; the loss itself is left to the caller.
+    """
+    acts = [x, *_layer_outputs(weights, biases, kind, x)]
+    diff = acts[-1] - y
+    delta = 2.0 * diff / (y.shape[1] * y.shape[2])
+    for k in range(len(weights) - 1, -1, -1):
+        np.matmul(np.swapaxes(acts[k], -1, -2), delta, out=grad_w[k])
+        np.sum(delta, axis=1, out=grad_b[k])
+        if k > 0:
+            delta = np.matmul(delta, np.swapaxes(weights[k], -1, -2)) * _activate_grad(
+                acts[k], kind)
+    return diff
 
 
 def loss_and_grads(model: AnnModel, x: np.ndarray, y: np.ndarray, out=None):
@@ -175,28 +217,14 @@ def loss_and_grads(model: AnnModel, x: np.ndarray, y: np.ndarray, out=None):
     ``out`` is an optional ``(grad_w, grad_b)`` pair of arrays shaped like the
     weights and biases; the gradients are written into them and returned.
     """
-    acts = [x]
-    a = x
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = z if k == last else _activate(z, model.arch.hidden_activation)
-        acts.append(a)
-    diff = acts[-1] - y
-    n = y.shape[0] * y.shape[1]
-    loss = float(np.sum(diff * diff)) / n
-
     if out is None:
         out = ([np.empty_like(w) for w in model.weights],
                [np.empty_like(b) for b in model.biases])
     grad_w, grad_b = out
-    delta = 2.0 * diff / n
-    for k in range(last, -1, -1):
-        np.matmul(acts[k].T, delta, out=grad_w[k])
-        np.sum(delta, axis=0, out=grad_b[k])
-        if k > 0:
-            delta = (delta @ model.weights[k].T) * _activate_grad(
-                acts[k], model.arch.hidden_activation)
+    diff = _backprop([w[None] for w in model.weights], [b[None] for b in model.biases],
+                     model.arch.hidden_activation, x, y[None],
+                     [g[None] for g in grad_w], [g[None] for g in grad_b])
+    loss = float(np.sum(diff * diff)) / (y.shape[0] * y.shape[1])
     return loss, grad_w, grad_b
 
 
@@ -214,34 +242,42 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``flat``, one per shape."""
-    views = []
-    lo = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        views.append(flat[lo:lo + size].reshape(shape))
-        lo += size
-    return views
+def _param_views(flat: np.ndarray, sizes: list[int]):
+    """Weight and bias views of the last axis of ``flat``, for ``sizes``.
 
-
-def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-          *, standardize_targets: bool = True) -> tuple[AnnModel, TrainHistory]:
-    """Train in place on (x, y); returns the weights of the best validation epoch.
-
-    By default the network regresses per-column z-scores of y, so every
-    output weighs equally in the loss whatever its spread. With
-    standardize_targets=False the targets are only mean-centred (out_sd stays
-    at ones) and the loss is the MSE in target units, so equal errors in
-    target units weigh equally across columns.
-
-    The validation split and all batch shuffles are derived from cfg.seed, so
-    identical calls reproduce identical weights.
+    The parameters lie as all weight matrices, then all bias vectors. A
+    ``(K, n_params)`` array gives ``(K, fan_in, fan_out)`` and
+    ``(K, fan_out)`` stacks; a vector gives one net's arrays.
     """
-    if x.shape[0] != y.shape[0]:
+    lead = flat.shape[:-1]
+    weights, biases = [], []
+    lo = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[..., lo:lo + fan_in * fan_out].reshape(
+            lead + (fan_in, fan_out)))
+        lo += fan_in * fan_out
+    for fan_out in sizes[1:]:
+        biases.append(flat[..., lo:lo + fan_out])
+        lo += fan_out
+    return weights, biases
+
+
+def _train_stack(models: list[AnnModel], x: np.ndarray, ys: list[np.ndarray],
+                 cfg: TrainConfig, standardize_targets: bool = True) -> list[TrainHistory]:
+    """Train K nets of one architecture and ``norm_mask`` in place, net j on
+    (x, ys[j]); each ends with the weights of its best validation epoch.
+
+    The nets share the validation split, the batch order and one forward and
+    backward pass per batch. Net j's parameters are row j of a ``(K, n_params)``
+    array that Adam updates in place. A net that stops early keeps its best
+    weights and leaves the stack; the others carry on as a smaller stack.
+    Every history's ``wall_seconds`` is the stack's training time.
+    """
+    arch, mask = models[0].arch, models[0].norm_mask
+    if any(x.shape[0] != y.shape[0] for y in ys):
         raise AnnError("x and y row counts differ")
-    if x.shape[1] != model.arch.n_in:
-        raise AnnError(f"expected {model.arch.n_in} features, got {x.shape[1]}")
+    if x.shape[1] != arch.n_in:
+        raise AnnError(f"expected {arch.n_in} features, got {x.shape[1]}")
 
     start = time.perf_counter()
     gen = rng(cfg.seed, STREAM_ANN, 1)
@@ -251,54 +287,58 @@ def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     if len(train_idx) == 0:
         raise AnnError("validation split leaves no training data")
 
-    # normalization statistics from the training rows only
-    mean = x[train_idx].mean(axis=0)
-    sd = x[train_idx].std(axis=0)
-    constant = sd < 1e-12
-    model.norm_mean = np.where(model.norm_mask, mean, 0.0)
-    model.norm_sd = np.where(model.norm_mask & ~constant, sd, 1.0)
-    model.out_mean = y[train_idx].mean(axis=0)
-    if standardize_targets:
-        out_sd = y[train_idx].std(axis=0)
-        model.out_sd = np.where(out_sd < 1e-12, 1.0, out_sd)
-    else:
-        model.out_sd = np.ones(y.shape[1])
+    # normalization statistics from the training rows only; the nets read
+    # the same inputs, so they share them
+    x_train = x[train_idx]
+    sd = x_train.std(axis=0)
+    norm_mean = np.where(mask, x_train.mean(axis=0), 0.0)
+    norm_sd = np.where(mask & ~(sd < 1e-12), sd, 1.0)
+    yt_raw = [y[train_idx] for y in ys]
+    yv_raw = [y[val_idx] for y in ys]
+    for model, y_train in zip(models, yt_raw):
+        model.norm_mean, model.norm_sd = norm_mean.copy(), norm_sd.copy()
+        model.out_mean = y_train.mean(axis=0)
+        if standardize_targets:
+            out_sd = y_train.std(axis=0)
+            model.out_sd = np.where(out_sd < 1e-12, 1.0, out_sd)
+        else:
+            model.out_sd = np.ones(y_train.shape[1])
+    xt = models[0].normalize(x_train)
+    xv = models[0].normalize(x[val_idx])
+    yt = np.stack([(y_train - model.out_mean) / model.out_sd
+                   for model, y_train in zip(models, yt_raw)])
 
-    xn = model.normalize(x)
-    yz = (y - model.out_mean) / model.out_sd
-    xt, yt = xn[train_idx], yz[train_idx]
-    yt_raw = y[train_idx]
-    xv = xn[val_idx]
-    yv_raw = y[val_idx]
-
-    # every weight and bias is a view of one vector, every gradient a view
-    # of a matching buffer, so Adam updates the whole net in a few calls
-    n_w = len(model.weights)
-    shapes = [p.shape for p in model.weights + model.biases]
-    flat = np.concatenate([p.ravel() for p in model.weights + model.biases])
-    params = _views(flat, shapes)
-    model.weights, model.biases = params[:n_w], params[n_w:]
-    grads = np.empty_like(flat)
-    grad_views = _views(grads, shapes)
-    grad_out = (grad_views[:n_w], grad_views[n_w:])
+    sizes = arch.layer_sizes()
+    kind = arch.hidden_activation
+    flat = np.stack([np.concatenate([p.ravel() for p in model.weights + model.biases])
+                     for model in models])
+    best = flat.copy()  # row j: net j's parameters at its best epoch
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
-    step = np.empty_like(flat)
-    denom = np.empty_like(flat)
-
-    history = TrainHistory()
-    best_val = np.inf
-    best = flat.copy()
-    epochs_since_best = 0
+    histories = [TrainHistory() for _ in models]
+    live = list(range(len(models)))  # the net of each row of flat
+    weights = None
     t = 0
 
     for epoch in range(cfg.max_epochs):
+        if weights is None:  # the first epoch, or a net left the stack
+            # each live net's arrays are views of its row of flat, and every
+            # gradient a view of a matching buffer
+            weights, biases = _param_views(flat, sizes)
+            for i, j in enumerate(live):
+                models[j].weights = [w[i] for w in weights]
+                models[j].biases = [b[i] for b in biases]
+            grads = np.empty_like(flat)
+            grad_w, grad_b = _param_views(grads, sizes)
+            step = np.empty_like(flat)
+            denom = np.empty_like(flat)
+
         perm = gen.permutation(len(xt))
-        xe, ye = xt[perm], yt[perm]  # contiguous batches are slices
+        xe, ye = xt[perm], yt[:, perm]  # contiguous batches are slices
         for lo in range(0, len(xt), cfg.batch_size):
-            loss_and_grads(model, xe[lo:lo + cfg.batch_size],
-                           ye[lo:lo + cfg.batch_size], grad_out)
-            # Adam (Kingma & Ba, 2015), in place over the whole vector
+            _backprop(weights, biases, kind, xe[lo:lo + cfg.batch_size],
+                      ye[:, lo:lo + cfg.batch_size], grad_w, grad_b)
+            # Adam (Kingma & Ba, 2015), in place over every live net at once
             t += 1
             b1t = 1.0 - ADAM_BETA1**t
             b2t = 1.0 - ADAM_BETA2**t
@@ -317,32 +357,59 @@ def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             step /= denom
             flat -= step
 
-        # losses reported in original target units
-        train_diff = model.denormalize_output(forward(model, xt)) - yt_raw
-        train_loss = float(np.mean(train_diff * train_diff))
-        val_diff = model.denormalize_output(forward(model, xv)) - yv_raw
-        val_loss = float(np.mean(val_diff * val_diff))
-        if not np.isfinite(train_loss) or not np.isfinite(val_loss):
-            raise AnnError(f"training diverged to non-finite loss at epoch {epoch}")
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-
-        if val_loss < best_val:
-            best_val = val_loss
-            np.copyto(best, flat)
-            history.best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best > cfg.patience:
+        keep = []  # rows of flat whose nets carry on
+        for i, j in enumerate(live):
+            model, history = models[j], histories[j]
+            # losses reported in original target units
+            train_diff = model.denormalize_output(forward(model, xt)) - yt_raw[j]
+            train_loss = float(np.mean(train_diff * train_diff))
+            val_diff = model.denormalize_output(forward(model, xv)) - yv_raw[j]
+            val_loss = float(np.mean(val_diff * val_diff))
+            if not np.isfinite(train_loss) or not np.isfinite(val_loss):
+                raise AnnError(f"training diverged to non-finite loss at epoch {epoch}")
+            history.train_loss.append(train_loss)
+            history.val_loss.append(val_loss)
+            if history.best_epoch < 0 or val_loss < history.val_loss[history.best_epoch]:
+                np.copyto(best[j], flat[i])
+                history.best_epoch = epoch
+            if epoch - history.best_epoch <= cfg.patience:
+                keep.append(i)
+        if len(keep) < len(live):
+            if not keep:
                 break
+            live = [live[i] for i in keep]
+            flat, m, v, yt = flat[keep], m[keep], v[keep], yt[keep]
+            weights = None
 
-    history.stopped_epoch = len(history.train_loss) - 1
-    # the returned model owns one array per parameter, independent of the
-    # training buffers
-    best_params = [p.copy() for p in _views(best, shapes)]
-    model.weights, model.biases = best_params[:n_w], best_params[n_w:]
-    history.wall_seconds = time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    for model, history, row in zip(models, histories, best):
+        history.stopped_epoch = len(history.train_loss) - 1
+        history.wall_seconds = seconds
+        # the returned model owns one array per parameter, independent of the
+        # training buffers
+        weights, biases = _param_views(row, sizes)
+        model.weights = [w.copy() for w in weights]
+        model.biases = [b.copy() for b in biases]
+    return histories
+
+
+def train(model: AnnModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
+          *, standardize_targets: bool = True) -> tuple[AnnModel, TrainHistory]:
+    """Train in place on (x, y); returns the weights of the best validation epoch.
+
+    This is the stacked trainer with a stack of one net; see
+    ``train_monitor_pair`` for a stack of two.
+
+    By default the network regresses per-column z-scores of y, so every
+    output weighs equally in the loss whatever its spread. With
+    standardize_targets=False the targets are only mean-centred (out_sd stays
+    at ones) and the loss is the MSE in target units, so equal errors in
+    target units weigh equally across columns.
+
+    The validation split and all batch shuffles are derived from cfg.seed, so
+    identical calls reproduce identical weights.
+    """
+    history, = _train_stack([model], x, [y], cfg, standardize_targets)
     return model, history
 
 
@@ -395,7 +462,15 @@ def build_training_set(grid: GridModel, scenario_list, spec: MeasurementSpec,
 
 def train_monitor_pair(grid: GridModel, data: TrainingData, cfg: TrainConfig,
                        arch_overrides: dict | None = None):
-    """Train the voltage and loading models from one training set."""
+    """Train the voltage and loading models from one training set.
+
+    Both nets start from ``init_model(arch, cfg.seed)`` and draw the same
+    validation split and batch order; only their targets differ. Nets of one
+    shape (every bundled grid: as many monitored lines as buses) therefore
+    train as one stack of two, bitwise equal to two ``train`` calls; nets of
+    two shapes train as two stacks of one. Both histories' ``wall_seconds``
+    hold the pair's training time, so count it once per pair.
+    """
     n_in = data.x.shape[1]
     norm_mask = np.ones(n_in, dtype=bool)
     if data.n_switch_bits:
@@ -404,9 +479,10 @@ def train_monitor_pair(grid: GridModel, data: TrainingData, cfg: TrainConfig,
         tuple(int(round(b)) for b in row[n_in - data.n_switch_bits:])
         for row in data.x) if data.n_switch_bits else frozenset()
 
+    targets = {"voltage": data.y_voltage, "loading": data.y_loading}
     models = {}
-    histories = {}
-    for kind, y in (("voltage", data.y_voltage), ("loading", data.y_loading)):
+    stacks: dict[AnnArchitecture, list[str]] = {}
+    for kind, y in targets.items():
         arch = AnnArchitecture(n_in=n_in, n_out=y.shape[1],
                                **(arch_overrides or {}))
         model = init_model(arch, cfg.seed)
@@ -415,9 +491,17 @@ def train_monitor_pair(grid: GridModel, data: TrainingData, cfg: TrainConfig,
         model.target_kind = kind
         model.train_fingerprint = data.fingerprint
         model.seen_patterns = patterns
-        model, history = train(model, data.x, y, cfg)
         models[kind] = model
-        histories[kind] = history
+        stacks.setdefault(arch, []).append(kind)
+
+    start = time.perf_counter()
+    histories = {}
+    for kinds in stacks.values():
+        histories.update(zip(kinds, _train_stack(
+            [models[k] for k in kinds], data.x, [targets[k] for k in kinds], cfg)))
+    seconds = time.perf_counter() - start
+    for history in histories.values():
+        history.wall_seconds = seconds
     return models, histories
 
 

@@ -97,9 +97,14 @@ def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# settings read as comma-separated integers, where a config may give one int
+INT_LIST_KEYS = ("layers", "multipliers", "data_repetitions")
+
+
 def _resolved_config(args, keys) -> dict:
     """The settings ``keys`` from the flags, overridden by the config file,
-    whose values must pass their flag's type (a string is converted) and choices."""
+    whose values must pass their flag's type (a string is converted) and choices.
+    A flag without a type takes a string (or, in ``INT_LIST_KEYS``, an int)."""
     resolved = {k: getattr(args, k) for k in keys}
     if args.config:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -108,12 +113,13 @@ def _resolved_config(args, keys) -> dict:
             raise EvaluationError(f"config file sets unknown keys {sorted(unknown)}")
         flags = {action.dest: action for action in args.parser._actions}
         for key, value in overrides.items():
-            kind = flags[key].type or type(value)
+            kind = flags[key].type
+            kinds = (kind,) if kind else (str, int) if key in INT_LIST_KEYS else (str,)
             try:
-                value = kind(value) if isinstance(value, str) else value
+                value = kind(value) if kind and isinstance(value, str) else value
             except ValueError:
                 pass
-            if type(value) is not kind or value not in (flags[key].choices or (value,)):
+            if type(value) not in kinds or value not in (flags[key].choices or (value,)):
                 raise EvaluationError(f"config file sets {key} to invalid value {value!r}")
             resolved[key] = value
     return resolved

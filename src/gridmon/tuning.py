@@ -2,7 +2,8 @@
 
 Evaluates combinations of hidden-layer count, layer-size multiplier and
 training-data repetitions by the mean success rate over a set of test cases,
-and reports training time per combination.
+and reports training time per combination: the sum over its monitor
+pairs of each pair's training time.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def tune_architecture(grid: GridModel, axes, test_cases, test_scenarios, configs
                             grid, data[reps, key], train_cfg,
                             arch_overrides={"n_hidden_layers": n_layers,
                                             "layer_size_multiplier": mult})
-                        seconds += sum(h.wall_seconds for h in histories.values())
+                        # both histories hold the pair's shared training time
+                        seconds += histories["voltage"].wall_seconds
                         models_by_spec[key] = models
                     result = run_test_case(
                         tc, grid, test_scenarios, configs, models=models_by_spec[key],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridmon.ann import (AnnArchitecture, AnnError, SpecHashMismatch, TrainConfig,
-                         build_training_set, forward, hidden_size, init_model,
+                         TrainingData, build_training_set, forward, hidden_size, init_model,
                          load_model, loss_and_grads, predict_batch,
                          save_model, train, train_monitor_pair)
 from gridmon.measurements import make_spec
@@ -238,6 +238,69 @@ def test_train_matches_reference_bitwise(name):
     assert (history.best_epoch, history.stopped_epoch) == (best_epoch, stopped)
     if name == "patience_stop":
         assert stopped < cfg.max_epochs - 1
+
+
+def pair_data(rows, seed, n_loading=3):
+    """Four measurements and two switch bits, with three voltage targets and
+    ``n_loading`` noisier loading targets."""
+    gen = np.random.default_rng(seed)
+    meas = gen.normal(size=(rows, 4))
+    bits = gen.integers(0, 2, size=(rows, 2)).astype(float)
+    noise = gen.normal(size=(rows, 3 + n_loading))
+    y_voltage = np.column_stack([1.0 + 0.02 * np.tanh(meas[:, 0] - meas[:, 1]),
+                                 1.0 - 0.03 * bits[:, 0] + 0.01 * meas[:, 2],
+                                 0.98 + 0.01 * meas[:, 3] * bits[:, 1]]) \
+        + 0.002 * noise[:, :3]
+    y_loading = 0.5 + 0.2 * np.abs(meas[:, :n_loading]) + 0.1 * noise[:, 3:]
+    return TrainingData(x=np.column_stack([meas, bits]), y_voltage=y_voltage,
+                        y_loading=y_loading, spec_hash="pair", n_switch_bits=2)
+
+
+PAIR_RUNS = {
+    # name: (arch overrides, rows, TrainConfig, loading columns)
+    "loading_stops_first": (dict(n_hidden_layers=1), 128,
+                            TrainConfig(max_epochs=100, patience=2, learning_rate=0.05,
+                                        seed=3), 3),
+    "voltage_stops_first": (dict(n_hidden_layers=1), 128,
+                            TrainConfig(max_epochs=100, patience=1, learning_rate=0.05,
+                                        seed=9), 3),
+    "tanh": (dict(n_hidden_layers=2, hidden_activation="tanh"), 128,
+             TrainConfig(max_epochs=10, seed=4), 3),
+    "sigmoid": (dict(n_hidden_layers=1, hidden_activation="sigmoid"), 128,
+                TrainConfig(max_epochs=10, seed=5), 3),
+    # 130 training rows in batches of 32: the last batch holds 2 rows
+    "ragged_batches": (dict(n_hidden_layers=2), 173, TrainConfig(max_epochs=10, seed=6), 3),
+    # nets of two shapes train as two stacks of one
+    "loading_narrower": (dict(n_hidden_layers=2), 128, TrainConfig(max_epochs=10, seed=7), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_RUNS))
+def test_monitor_pair_matches_reference_bitwise(cigre_module, name):
+    overrides, rows, cfg, n_loading = PAIR_RUNS[name]
+    data = pair_data(rows, cfg.seed, n_loading)
+    models, histories = train_monitor_pair(cigre_module, data, cfg, arch_overrides=overrides)
+
+    for kind, y in (("voltage", data.y_voltage), ("loading", data.y_loading)):
+        got, history = models[kind], histories[kind]
+        assert got.arch == AnnArchitecture(n_in=6, n_out=y.shape[1], **overrides)
+        ref = init_model(got.arch, cfg.seed)
+        ref.norm_mask = np.array([True] * 4 + [False] * 2)
+        weights, biases, out_mean, out_sd, train_loss, val_loss, best_epoch, stopped = \
+            reference_train(ref, data.x, y, cfg)
+        for a, b in zip(got.weights + got.biases + [got.out_mean, got.out_sd,
+                                                    got.norm_mean, got.norm_sd],
+                        weights + biases + [out_mean, out_sd, ref.norm_mean, ref.norm_sd]):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert history.train_loss == train_loss
+        assert history.val_loss == val_loss
+        assert (history.best_epoch, history.stopped_epoch) == (best_epoch, stopped)
+    stops = {kind: h.stopped_epoch for kind, h in histories.items()}
+    if name == "loading_stops_first":
+        assert stops["loading"] < stops["voltage"] < cfg.max_epochs - 1
+    if name == "voltage_stops_first":
+        assert stops["voltage"] < stops["loading"] < cfg.max_epochs - 1
 
 
 def test_best_epoch_weights_are_returned():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gridmon.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                         SEED_TEST_SCENARIOS, derive_seed, main)
+                         SEED_TEST_SCENARIOS, _resolved_config, build_parser,
+                         derive_seed, main)
 from gridmon.grid import load_bundled
 from gridmon.scenarios import DEFAULT_AXES, generate_set
 
@@ -162,6 +163,10 @@ def test_config_file_overrides_flags(tmp_path, trained_dir):
     ("evaluate", {"jobs": "two"}),
     ("evaluate", {"jobs": "0"}),
     ("evaluate", {"v_correction": "maybe"}),
+    ("evaluate", {"cases": 4}),
+    ("generate", {"out": 5}),
+    ("tune", {"layers": True}),
+    ("tune", {"cases": ["M4"]}),
 ])
 def test_bad_config_value_fails_before_any_output(tmp_path, capsys, command, overrides):
     cfg = tmp_path / "run.json"
@@ -183,6 +188,14 @@ def test_config_strings_go_through_flag_types(tmp_path):
     for name in ("scenarios.csv", "truth_cache.npz"):
         assert ((tmp_path / "cfg" / name).read_bytes()
                 == (tmp_path / "flags" / name).read_bytes())
+
+
+def test_config_int_lists_take_one_int(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"layers": 1, "multipliers": "2"}))
+    args = build_parser().parse_args(["tune", "--config", str(cfg)])
+    assert _resolved_config(args, ("layers", "multipliers")) == {"layers": 1,
+                                                                "multipliers": "2"}
 
 
 def test_wls_only_needs_no_models(tmp_path):

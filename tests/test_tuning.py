@@ -1,6 +1,6 @@
 import pytest
 
-from gridmon.ann import TrainConfig
+from gridmon.ann import TrainConfig, train_monitor_pair
 from gridmon.evaluation import load_catalog
 from gridmon.scenarios import DEFAULT_AXES, generate_set
 from gridmon.tuning import tune_architecture
@@ -53,3 +53,26 @@ def test_default_combination_flagged(small_setup):
     defaults = [r for r in rows if r.is_default]
     assert len(defaults) == 1
     assert defaults[0].repetitions == 3
+
+
+def test_train_seconds_counts_each_pair_once(small_setup, monkeypatch):
+    from gridmon import tuning
+
+    grid, catalog, test_scenarios = small_setup
+    pair_seconds = []
+
+    def recording_pair(*args, **kwargs):
+        models, histories = train_monitor_pair(*args, **kwargs)
+        pair_seconds.append(histories["voltage"].wall_seconds)
+        assert histories["loading"].wall_seconds == pair_seconds[-1]
+        return models, histories
+
+    monkeypatch.setattr(tuning, "train_monitor_pair", recording_pair)
+    rows = tune_architecture(
+        grid, DEFAULT_AXES, [catalog.case("M4")], test_scenarios,
+        catalog.switch_configs[:1],
+        layer_counts=(1,), multipliers=(1,), repetition_counts=(1,),
+        train_cfg=TrainConfig(max_epochs=4, seed=3),
+        train_seed=11, meas_seed=12)
+    assert len(pair_seconds) == 1
+    assert rows[0].train_seconds == pair_seconds[0] > 0
