@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridModel, apply_switch_config, grid_fingerprint
-from .measurements import MeasurementSpec, simulate
+from .measurements import MeasurementSpec, simulate_truths
 from .powerflow import solve_truths
 from .scenarios import injections
 from .seeding import STREAM_ANN, rng
@@ -439,24 +439,21 @@ def build_training_set(grid: GridModel, scenario_list, spec: MeasurementSpec,
     Rows are config-major; diverging power flows are skipped and counted.
     """
     monitored = [ln.id for ln in grid.monitored_lines]
-    rows_x, rows_v, rows_l = [], [], []
-    skipped = 0
     views = [apply_switch_config(grid, config) for config in configs]
-    for cfg_idx, sc_idx, view, sol in solve_truths(
-            views, lambda s: injections(grid, scenario_list[s]), len(scenario_list)):
-        if sol is None:
-            skipped += 1
-            continue
-        ms = simulate(sol, view, spec, seed, noise_key=(cfg_idx, sc_idx))
-        rows_x.append(np.concatenate([ms.values, ms.switch_states]))
-        rows_v.append(sol.v_mag_pu)
-        rows_l.append(sol.loading_pct[monitored] / 100.0)
-    if not rows_x:
+    sim = simulate_truths(
+        solve_truths(views, lambda s: injections(grid, scenario_list[s]),
+                     len(scenario_list)),
+        views, len(views) * len(scenario_list), spec, seed)
+    ok = np.flatnonzero(~sim.diverged)
+    if not ok.size:
         raise AnnError("every scenario diverged; no training data")
+    bits = np.array([view.config for view in views], dtype=float)
     return TrainingData(
-        x=np.array(rows_x), y_voltage=np.array(rows_v), y_loading=np.array(rows_l),
-        spec_hash=spec.spec_hash, n_switch_bits=len(grid.switches), skipped=skipped,
-        fingerprint=f"{grid_fingerprint(grid)}:{spec.spec_hash}:{len(rows_x)}",
+        x=np.hstack([sim.values[ok], bits[sim.config[ok]]]), y_voltage=sim.v_mag[ok],
+        y_loading=sim.loading_pct[ok][:, monitored] / 100.0,
+        spec_hash=spec.spec_hash, n_switch_bits=len(grid.switches),
+        skipped=int(sim.diverged.sum()),
+        fingerprint=f"{grid_fingerprint(grid)}:{spec.spec_hash}:{ok.size}",
     )
 
 

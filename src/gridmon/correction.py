@@ -52,22 +52,37 @@ def correct_voltages(ms: MeasurementSet, spec: MeasurementSpec) -> CorrectionRep
         return CorrectionReport(ms, tuple(KEPT for _ in v_idx), (), skipped=True)
 
     values = ms.values.copy()
-    flags = {i: KEPT for i in v_idx}
-    substitutes: list[float] = []
-
-    # repeat whole screening passes until a pass replaces nothing, so that
-    # substitutes which still look like outliers get cleaned up as well;
-    # this makes the screen idempotent even for multi-fault inputs
-    for _ in range(16 * len(v_idx)):
-        if not _screen_pass(values, v_idx, flags, substitutes):
-            break
-
+    flags, substitutes = _screen(values, v_idx)
     return CorrectionReport(
         measurements=ms.replaced(values),
         flags=tuple(flags[i] for i in v_idx),
         substitutes=tuple(substitutes),
         skipped=False,
     )
+
+
+def correct_rows(values: np.ndarray, spec: MeasurementSpec) -> None:
+    """Screen each row of readings ``(B, m)`` in place, as
+    :func:`correct_voltages` screens one vector."""
+    v_idx = spec.indices("v_bus")
+    if len(v_idx) < MIN_VOLTAGE_ENTRIES:
+        return
+    for row in values:
+        _screen(row, v_idx)
+
+
+def _screen(values, v_idx):
+    """Screen ``values`` in place; the flag per voltage entry and the
+    substitutes in the order made."""
+    flags = {i: KEPT for i in v_idx}
+    substitutes: list[float] = []
+    # repeat whole screening passes until a pass replaces nothing, so that
+    # substitutes which still look like outliers get cleaned up as well;
+    # this makes the screen idempotent even for multi-fault inputs
+    for _ in range(16 * len(v_idx)):
+        if not _screen_pass(values, v_idx, flags, substitutes):
+            break
+    return flags, substitutes
 
 
 def _screen_pass(values, v_idx, flags, substitutes) -> int:

@@ -6,7 +6,10 @@ switching configuration. The measurement configurations are the catalog's
 fixed layouts (M0-M9, A0-A3); none is searched for at run time. Both
 estimators consume identical measurement vectors; errors are scored against
 the noise-free power flow truth. A pair whose truth power flow diverges is
-scored as failed for every method.
+scored as failed for every method. Each switch config's readings are one
+``(B, m)`` block: faults, voltage correction, ANN inputs and one batched WLS
+estimate act on the block, and per-pair results are arrays with one row per
+pair.
 
 Error conventions: voltage error in percent of nominal (pu * 100), loading
 error in percentage points, both as the maximum over buses / monitored
@@ -24,11 +27,11 @@ from importlib import resources
 import numpy as np
 
 from .ann import AnnModel, SpecHashMismatch, predict_batch
-from .correction import correct_voltages
+from .correction import correct_rows
 from .grid import GridModel, IsolationError, apply_switch_config
-from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
-                           assumed_sd_overrides, inject_fault, make_spec,
-                           scale_unit_powers, simulate)
+from .measurements import (FaultInjection, MeasurementSpec, apply_faults,
+                           assumed_sd_overrides, make_spec, resolve_faults,
+                           scale_unit_powers, simulate_truths)
 from .powerflow import solve_truths
 from .scenarios import injections
 from .seeding import STREAM_FAULT, rng
@@ -211,24 +214,15 @@ def _assumed_bits(tc: TestCase, config) -> tuple[bool, ...]:
     return tuple(bits)
 
 
-@dataclass
-class _ScenarioRecord:
-    """One evaluated pair; the defaults describe a diverged truth power flow."""
-
-    v_true: np.ndarray | None = None
-    loading_true: np.ndarray | None = None
-    x_row: np.ndarray | None = None
-    wls_v: np.ndarray | None = None
-    wls_loading: np.ndarray | None = None
-    wls_failed: bool = True
-
-
-def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
+def _evaluate_scenarios(tc, grid, spec, faults, scenarios, configs, methods,
                         meas_seed, fault_seed, monitored, truth_cache, indices):
-    """Worker: run the truth + measurement + WLS pipeline for given indices."""
-    records = []
-    value_faults = [f for f in tc.faults
-                    if f.kind in ("zero_value", "scale_value", "constant_substitute")]
+    """Worker: run the truth + measurement + WLS pipeline for given indices.
+
+    Returns per-pair arrays, one row per index: the truth (NaN where the
+    power flow diverged), the ANN inputs and the WLS estimates (NaN where
+    the estimate failed). ``faults`` are ``tc.faults`` resolved against
+    ``spec`` (``measurements.resolve_faults``).
+    """
     deviations = [f for f in tc.faults if f.kind == "power_deviation"]
     sd_over = assumed_sd_overrides(tc.faults, spec) or None
     # each deviation keyed by its own buses and factor, in the order applied
@@ -264,51 +258,42 @@ def _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
     truths = solve_truths(truth_views, actual_injections, len(scenarios),
                           pairs=indices, cache=truth_cache, tag=perturb_tag,
                           sample_factors=sample_factors)
-    wls_pending: dict[int, list] = {}  # assumed config -> [(record, measurements)]
-    for cfg_idx, sc_idx, truth_view, sol in truths:
-        if sol is None:
-            records.append(_ScenarioRecord())
-            continue
+    sim = simulate_truths(truths, truth_views, len(indices), spec, meas_seed,
+                          per_sample=sample_factors is not None)
+    n_pairs, n_meas = sim.values.shape
+    pairs = {"v_true": sim.v_mag, "loading_true": sim.loading_pct[:, monitored] / 100.0,
+             "diverged": sim.diverged, "x": None,
+             "wls_v": np.full((n_pairs, grid.n_bus), np.nan),
+             "wls_loading": np.full((n_pairs, len(monitored)), np.nan),
+             "wls_failed": np.ones(n_pairs, dtype=bool)}
+    if METHOD_ANN in methods:
+        pairs["x"] = np.full((n_pairs, n_meas + len(grid.switches)), np.nan)
 
-        ms = simulate(sol, truth_view, spec, meas_seed, noise_key=(cfg_idx, sc_idx))
-        for f in value_faults:
-            ms = inject_fault(ms, f, spec)
-        for f in deviations:
-            ms = inject_fault(ms, f, spec)
+    # one block of readings per switch config: faults, correction, ANN inputs
+    # and one batched estimate on the assumed view; an isolating assumed
+    # topology, an unobservable or diverging sample, a non-converged or a
+    # non-finite state leaves the pair failed
+    for cfg_idx, (bits, assumed_view) in assumed_views.items():
+        rows = np.flatnonzero((sim.config == cfg_idx) & ~sim.diverged)
+        if not rows.size:
+            continue
+        values = sim.values[rows]
+        apply_faults(values, faults)
         if tc.correction:
-            ms = correct_voltages(ms, spec).measurements
-
-        bits, _ = assumed_views[cfg_idx]
-        ms = MeasurementSet(values=ms.values,
-                            switch_states=np.array(bits, dtype=float),
-                            spec_hash=ms.spec_hash)
-
-        x_row = None
-        if METHOD_ANN in methods:
-            x_row = np.concatenate([ms.values, ms.switch_states])
-        record = _ScenarioRecord(x_row=x_row, v_true=sol.v_mag_pu,
-                                 loading_true=sol.loading_pct[monitored] / 100.0,
-                                 wls_failed=METHOD_WLS in methods)
-        records.append(record)
-        if METHOD_WLS in methods:
-            wls_pending.setdefault(cfg_idx, []).append((record, ms))
-
-    # one batched estimate per assumed view; an isolating assumed topology,
-    # an unobservable or diverging sample, a non-converged or a non-finite
-    # state leaves the pair failed
-    for cfg_idx, pending in wls_pending.items():
-        _, assumed_view = assumed_views[cfg_idx]
-        if assumed_view is None:
+            correct_rows(values, spec)
+        if pairs["x"] is not None:
+            pairs["x"][rows] = np.hstack([values, np.tile(np.array(bits, dtype=float),
+                                                          (len(rows), 1))])
+        if METHOD_WLS not in methods or assumed_view is None:
             continue
-        estimates = estimate_batch(assumed_view, [ms for _, ms in pending], spec,
-                                   sd_overrides=sd_over)
-        for (record, _), est in zip(pending, estimates):
+        estimates = estimate_batch(assumed_view, values, spec, sd_overrides=sd_over)
+        for row, est in zip(rows, estimates):
             if (isinstance(est, EstimatedState) and est.converged
                     and np.all(np.isfinite(est.v_mag))):
-                record.wls_v = est.v_mag
-                record.wls_loading = est.loading_pct[monitored]
-                record.wls_failed = False
-    return records
+                pairs["wls_v"][row] = est.v_mag
+                pairs["wls_loading"][row] = est.loading_pct[monitored]
+                pairs["wls_failed"][row] = False
+    return pairs
 
 
 def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
@@ -334,59 +319,60 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
                     f"case {tc.label}: model trained for layout {m.spec_hash}, "
                     f"case layout is {spec.spec_hash}")
 
+    # a fault that targets nothing fails the case before any truth is solved
+    faults = resolve_faults(tc.faults, spec)
     indices = [(c, s) for c in range(len(configs)) for s in range(len(scenarios))]
     if jobs > 1:
-        records = _parallel_evaluate(tc, grid, spec, scenarios, configs, methods,
-                                     meas_seed, fault_seed, monitored, indices, jobs)
+        pairs = _parallel_evaluate(tc, grid, spec, faults, scenarios, configs, methods,
+                                   meas_seed, fault_seed, monitored, indices, jobs)
     else:
-        records = _evaluate_scenarios(tc, grid, spec, scenarios, configs, methods,
-                                      meas_seed, fault_seed, monitored, truth_cache,
-                                      indices)
-
-    def stack(rows, width):  # a missing row reads NaN
-        return np.array([np.full(width, np.nan) if r is None else r for r in rows])
+        pairs = _evaluate_scenarios(tc, grid, spec, faults, scenarios, configs, methods,
+                                    meas_seed, fault_seed, monitored, truth_cache,
+                                    indices)
 
     results: dict[str, EvalResult] = {}
-    v_true = stack([r.v_true for r in records], grid.n_bus)
-    l_true = stack([r.loading_true for r in records], len(monitored)) * 100.0
-    diverged = np.array([r.v_true is None for r in records], dtype=bool)
+    v_true = pairs["v_true"]
+    l_true = pairs["loading_true"] * 100.0
+    diverged = pairs["diverged"]
 
     if METHOD_ANN in methods:
-        x = stack([r.x_row for r in records], models["voltage"].arch.n_in)
+        x = pairs["x"]
         v_est = predict_batch(models["voltage"], x)
         l_est = predict_batch(models["loading"], x) * 100.0
         results[METHOD_ANN] = _score(METHOD_ANN, tc.label, v_est, l_est,
                                      v_true, l_true, diverged, diverged)
-        unseen = np.zeros(len(records), dtype=bool)
+        unseen = np.zeros(len(indices), dtype=bool)
         if grid.switches:
             unseen_cfg = [not models["voltage"].topology_seen(_assumed_bits(tc, config))
                           for config in configs]
             unseen = np.array([unseen_cfg[c] for c, _ in indices]) & ~diverged
         results[METHOD_ANN].unseen_topology = unseen
     if METHOD_WLS in methods:
-        failed = np.array([r.wls_failed for r in records])
-        v_est = stack([r.wls_v for r in records], grid.n_bus)
-        l_est = stack([r.wls_loading for r in records], len(monitored))
-        results[METHOD_WLS] = _score(METHOD_WLS, tc.label, v_est, l_est,
-                                     v_true, l_true, failed, diverged)
+        results[METHOD_WLS] = _score(METHOD_WLS, tc.label, pairs["wls_v"],
+                                     pairs["wls_loading"], v_true, l_true,
+                                     pairs["wls_failed"], diverged)
     return results
 
 
-def _parallel_evaluate(tc, grid, spec, scenarios, configs, methods,
+def _parallel_evaluate(tc, grid, spec, faults, scenarios, configs, methods,
                        meas_seed, fault_seed, monitored, indices, jobs):
     from multiprocessing import get_context
 
     chunks = [indices[i::jobs] for i in range(jobs)]
-    args = [(tc, grid, spec, scenarios, configs, methods, meas_seed,
+    args = [(tc, grid, spec, faults, scenarios, configs, methods, meas_seed,
              fault_seed, monitored, None, chunk) for chunk in chunks]
     with get_context("spawn").Pool(jobs) as pool:
-        chunk_records = pool.starmap(_evaluate_scenarios, args)
-    # indices were dealt round-robin; reassemble in original order
-    records = [None] * len(indices)
-    for worker, chunk in enumerate(chunks):
-        for pos, _ in enumerate(chunk):
-            records[worker + pos * jobs] = chunk_records[worker][pos]
-    return records
+        chunk_pairs = pool.starmap(_evaluate_scenarios, args)
+    # indices were dealt round-robin; reassemble the rows in original order
+    pairs = {}
+    for key, first in chunk_pairs[0].items():
+        if first is None:
+            pairs[key] = None
+            continue
+        pairs[key] = np.empty((len(indices),) + first.shape[1:], dtype=first.dtype)
+        for worker, chunk in enumerate(chunk_pairs):
+            pairs[key][worker::jobs] = chunk[key]
+    return pairs
 
 
 def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged):
@@ -496,13 +482,11 @@ def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
 
     # measurement-only inputs on the unperturbed test truths, read from the cache
     views = [apply_switch_config(grid, config) for config in configs]
-    test_x, test_v = [], []
-    for ci, si, view, sol in solve_truths(
-            views, lambda s: injections(grid, test_scenarios[s]),
-            len(test_scenarios), cache=truth_cache):
-        if sol is not None:
-            test_x.append(simulate(sol, view, spec, meas_seed, noise_key=(ci, si)).values)
-            test_v.append(sol.v_mag_pu)
+    test = simulate_truths(
+        solve_truths(views, lambda s: injections(grid, test_scenarios[s]),
+                     len(test_scenarios), cache=truth_cache),
+        views, len(views) * len(test_scenarios), spec, meas_seed)
+    ok = ~test.diverged
     arch = AnnArchitecture(n_in=n_meas, n_out=train_data.y_voltage.shape[1],
                            n_hidden_layers=1, hidden_size_override=2,
                            hidden_activation="sigmoid")
@@ -511,8 +495,8 @@ def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
                             seed=train_cfg.seed, batch_size=train_cfg.batch_size)
     small, _ = train(small, train_data.x[:, :n_meas], train_data.y_voltage, small_cfg,
                      standardize_targets=False)
-    v_est = ann_predict(small, np.array(test_x))
-    v_err = np.abs(v_est - np.array(test_v)).max(axis=1) * 100.0
+    v_est = ann_predict(small, test.values[ok])
+    v_err = np.abs(v_est - test.v_mag[ok]).max(axis=1) * 100.0
     return SotaComparison(
         few_scenario_sr_c1=few_res.sr_c1,
         few_scenario_sr_c2=few_res.sr_c2,

@@ -125,6 +125,11 @@ class GridModel:
         """The per-unit facts as arrays, built on first use and kept."""
         return _build_unit_table(self.units)
 
+    @cached_property
+    def line_table(self) -> LineTable:
+        """The static per-line facts as arrays, built on first use and kept."""
+        return _build_line_table(self)
+
 
 @dataclass(frozen=True)
 class UnitTable:
@@ -149,6 +154,40 @@ def _build_unit_table(units: tuple[Unit, ...]) -> UnitTable:
         tan_phi=np.array([math.tan(math.acos(u.cos_phi)) for u in units]),
     )
     for a in (table.bus, table.sign, table.kind, table.p_nom_kw, table.tan_phi):
+        a.setflags(write=False)
+    return table
+
+
+@dataclass(frozen=True)
+class LineTable:
+    """Read-only arrays aligned with ``grid.lines``, one entry per line; the
+    impedance base is the from bus's."""
+
+    f_bus: np.ndarray  # from-bus index
+    t_bus: np.ndarray  # to-bus index
+    r_ohm: np.ndarray
+    x_ohm: np.ndarray
+    b_us: np.ndarray
+    rating_amps: np.ndarray
+    z_base: np.ndarray  # ohm
+    i_base_from: np.ndarray  # current base at the from end, A
+    i_base_to: np.ndarray  # current base at the to end, A
+    cf: np.ndarray  # (n_line, n_bus), 1 at the from bus
+    ct: np.ndarray  # (n_line, n_bus), 1 at the to bus
+
+
+def _build_line_table(grid: GridModel) -> LineTable:
+    r_ohm, x_ohm, b_us, rating, f_bus, t_bus = np.array(
+        [(ln.r_ohm, ln.x_ohm, ln.b_us, ln.rating_amps, ln.from_bus, ln.to_bus)
+         for ln in grid.lines]).T
+    f_bus, t_bus = f_bus.astype(int), t_bus.astype(int)
+    z_base = np.array([grid.buses[b].base_kv ** 2 / grid.s_base_mva for b in f_bus])
+    i_base = np.array([grid.i_base_amps(b.id) for b in grid.buses])
+    table = LineTable(f_bus=f_bus, t_bus=t_bus, r_ohm=r_ohm, x_ohm=x_ohm, b_us=b_us,
+                      rating_amps=rating, z_base=z_base, i_base_from=i_base[f_bus],
+                      i_base_to=i_base[t_bus], cf=np.eye(grid.n_bus)[f_bus],
+                      ct=np.eye(grid.n_bus)[t_bus])
+    for a in vars(table).values():
         a.setflags(write=False)
     return table
 
@@ -356,14 +395,16 @@ class GridView:
 
     def take(self, rows) -> GridView:
         """The view of the per-sample scale's ``rows``, with those rows of this
-        view's matrices; any other view serves every sample and returns itself."""
+        view's matrices once they are built (else it builds its own rows on
+        first use); any other view serves every sample and returns itself."""
         if self.impedance_scale is None or self.impedance_scale.ndim < 2:
             return self
         view = replace(self, impedance_scale=self.impedance_scale[rows])
-        net = self.branches
-        # fills the cached property, as its first use would
-        view.__dict__["branches"] = replace(net, ybus=net.ybus[rows], yf=net.yf[rows],
-                                            yt=net.yt[rows])
+        net = self.__dict__.get("branches")
+        if net is not None:
+            # fills the cached property, as its first use would
+            view.__dict__["branches"] = replace(net, ybus=net.ybus[rows], yf=net.yf[rows],
+                                                yt=net.yt[rows])
         return view
 
 
@@ -412,27 +453,21 @@ class BranchModel:
 
 
 def _build_branches(view: GridView) -> BranchModel:
-    grid = view.grid
-    r_ohm, x_ohm, b_us, rating, f_bus, t_bus = np.array(
-        [(ln.r_ohm, ln.x_ohm, ln.b_us, ln.rating_amps, ln.from_bus, ln.to_bus)
-         for ln in grid.lines]).T
-    f_bus, t_bus = f_bus.astype(int), t_bus.astype(int)
+    lines = view.grid.line_table
     scale = 1.0 if view.impedance_scale is None else view.impedance_scale
-    z_base = np.array([grid.buses[b].base_kv ** 2 / grid.s_base_mva for b in f_bus])
+    z_base, cf, ct = lines.z_base, lines.cf, lines.ct
     on = view.line_in_service
-    y_series = np.where(on, np.reciprocal(r_ohm * scale / z_base
-                                          + 1j * (x_ohm * scale / z_base)), 0.0)
-    y_end = y_series + np.where(on, 0.5j * (b_us * 1e-6 * z_base), 0.0)
-    cf, ct = np.eye(grid.n_bus)[f_bus], np.eye(grid.n_bus)[t_bus]
+    y_series = np.where(on, np.reciprocal(lines.r_ohm * scale / z_base
+                                          + 1j * (lines.x_ohm * scale / z_base)), 0.0)
+    y_end = y_series + np.where(on, 0.5j * (lines.b_us * 1e-6 * z_base), 0.0)
     yf = y_end[..., None] * cf - y_series[..., None] * ct
     yt = y_end[..., None] * ct - y_series[..., None] * cf
     ybus = cf.T @ yf + ct.T @ yt
-    for a in (ybus, yf, yt, cf):
+    for a in (ybus, yf, yt):
         a.setflags(write=False)
-    i_base = np.array([grid.i_base_amps(b.id) for b in grid.buses])
-    return BranchModel(ybus=ybus, yf=yf, yt=yt, cf=cf, f_bus=f_bus, t_bus=t_bus,
-                       i_base_from=i_base[f_bus], i_base_to=i_base[t_bus],
-                       rating_amps=rating)
+    return BranchModel(ybus=ybus, yf=yf, yt=yt, cf=cf, f_bus=lines.f_bus,
+                       t_bus=lines.t_bus, i_base_from=lines.i_base_from,
+                       i_base_to=lines.i_base_to, rating_amps=lines.rating_amps)
 
 
 def build_admittance(view: GridView) -> np.ndarray:

@@ -9,6 +9,14 @@ that the simulator and WLS read.
 
 Value conventions: v_bus in pu, p/q in pu (MW on a 1 MVA base), i_line as
 per-unit current at the from end. Noise is relative to the reading.
+
+Readings are simulated as ``(B, m)`` arrays, one row per (switch config,
+scenario) pair: :func:`simulate_batch` reads B states of one switch view,
+and :func:`simulate_truths` gathers a whole truth stream into one batch per
+config. A case's faults are resolved against the spec once
+(:func:`resolve_faults`) and applied to such a block (:func:`apply_faults`).
+``simulate`` and ``inject_fault`` are the one-vector calls, and
+``MeasurementSet`` wraps one vector for them.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridModel, GridView, build_admittance
-from .powerflow import PfSolution, line_flows
+from .powerflow import ELISION_ELEMENTS, PfSolution, line_flows
 from .seeding import STREAM_MEASUREMENT, rng
 
 BUS_KINDS = ("v_bus", "p_bus", "q_bus")
@@ -164,28 +172,116 @@ def stacked_positions(kind_code: np.ndarray, location: np.ndarray,
     return stacked_starts(n_bus, n_line)[kind_code] + location
 
 
+def _readings(view: GridView, v: np.ndarray, th: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Noise-free readings at stacked positions ``pos`` for ``(B, n_bus)``
+    states, row b on row b of a per-sample view."""
+    vc = v * np.exp(1j * th)
+    s_bus = vc * np.conj((build_admittance(view) @ vc[..., None])[..., 0])
+    flows = line_flows(view, v, th)
+    stacked = np.concatenate([v, s_bus.real, s_bus.imag, flows.p_from_pu,
+                              flows.q_from_pu, flows.i_from_pu], axis=-1)
+    return stacked[..., pos]
+
+
+def _positions(view: GridView, spec: MeasurementSpec) -> np.ndarray:
+    return stacked_positions(spec.kind_code, spec.location, view.n_bus,
+                             len(view.grid.lines))
+
+
 def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> np.ndarray:
     """Noise-free measurement vector for a converged state."""
-    v, th = solution.v_mag_pu, solution.v_ang_rad
-    vc = v * np.exp(1j * th)
-    s_bus = vc * np.conj(build_admittance(view) @ vc)
-    flows = line_flows(view, v, th)
-    stacked = np.concatenate([v, s_bus.real, s_bus.imag,
-                              flows.p_from_pu, flows.q_from_pu, flows.i_from_pu])
-    return stacked[stacked_positions(spec.kind_code, spec.location,
-                                     view.n_bus, len(view.grid.lines))]
+    return _readings(view, solution.v_mag_pu[None], solution.v_ang_rad[None],
+                     _positions(view, spec))[0]
+
+
+def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: MeasurementSpec,
+                   seed: int, noise_keys) -> np.ndarray:
+    """Noisy readings ``(B, m)`` of B converged states ``(B, n_bus)`` of one
+    switch view: value = true * (1 + N(0, sd)).
+
+    Under a per-sample impedance scale row b of the scale is state b's
+    network. Row b's noise comes from its own generator, ``rng(seed,
+    STREAM_MEASUREMENT, *noise_keys[b])``. Each row is bitwise the same in any
+    batch: every step is elementwise or one matrix-vector product per state.
+    The batch runs in blocks whose complex arrays stay under
+    ``ELISION_ELEMENTS`` elements (see :mod:`powerflow`), the ``(B, n_line,
+    n_bus)`` branch matrices of a per-sample view included.
+    """
+    pos = _positions(view, spec)
+    sd = spec.sd_vector() / 100.0
+    n = view.n_bus
+    block = max(1, (ELISION_ELEMENTS - 1) // (max(len(view.grid.lines), n) * n))
+    values = np.empty((len(v), len(pos)))
+    for start in range(0, len(v), block):
+        rows = slice(start, start + block)
+        truth = _readings(view.take(rows), v[rows], th[rows], pos)
+        noise = np.array([rng(seed, STREAM_MEASUREMENT, *key).standard_normal(len(pos))
+                          for key in noise_keys[rows]]).reshape(truth.shape)
+        values[rows] = truth * (1.0 + sd * noise)
+    return values
 
 
 def simulate(solution: PfSolution, view: GridView, spec: MeasurementSpec,
              seed: int, *, noise_key: tuple[int, ...] = ()) -> MeasurementSet:
-    """Sample one noisy measurement vector: value = true * (1 + N(0, sd))."""
-    truth = true_values(solution, view, spec)
-    gen = rng(seed, STREAM_MEASUREMENT, *noise_key)
-    noise = gen.standard_normal(len(truth))
-    values = truth * (1.0 + spec.sd_vector() / 100.0 * noise)
+    """Sample one noisy measurement vector; the one-state call of
+    :func:`simulate_batch`."""
+    values = simulate_batch(view, solution.v_mag_pu[None], solution.v_ang_rad[None],
+                            spec, seed, [noise_key])[0]
     return MeasurementSet(values=values,
                           switch_states=np.array(view.config, dtype=float),
                           spec_hash=spec.spec_hash)
+
+
+@dataclass(frozen=True)
+class SimulatedTruths:
+    """The pairs of a truth stream as arrays, one row per pair in stream
+    order; a diverged pair's rows are NaN."""
+
+    config: np.ndarray  # (N,) switch config index
+    v_mag: np.ndarray  # (N, n_bus) pu
+    loading_pct: np.ndarray  # (N, n_line)
+    values: np.ndarray  # (N, m) noisy readings
+    diverged: np.ndarray  # (N,) bool
+
+
+def simulate_truths(truths, views, n_pairs: int, spec: MeasurementSpec, seed: int, *,
+                    per_sample: bool = False) -> SimulatedTruths:
+    """Noisy readings of the ``n_pairs`` pairs of a ``powerflow.solve_truths``
+    stream over ``views``, with pair (c, s)'s noise keyed ``(c, s)``.
+
+    The states are gathered first and each config's pairs are then simulated
+    in one :func:`simulate_batch`. With ``per_sample`` (a stream solved under
+    ``sample_factors``) each pair view's impedance scale is kept and the
+    config's batch runs on one view stacking them.
+    """
+    grid = views[0].grid
+    n, n_line = grid.n_bus, len(grid.lines)
+    config = np.zeros(n_pairs, dtype=int)
+    scenario = np.zeros(n_pairs, dtype=int)
+    v = np.full((n_pairs, n), np.nan)
+    th = np.full((n_pairs, n), np.nan)
+    loading = np.full((n_pairs, n_line), np.nan)
+    diverged = np.zeros(n_pairs, dtype=bool)
+    scale = np.ones((n_pairs, n_line)) if per_sample else None
+    for row, (cfg_idx, sc_idx, view, sol) in enumerate(truths):
+        config[row], scenario[row] = cfg_idx, sc_idx
+        if sol is None:
+            diverged[row] = True
+            continue
+        v[row], th[row], loading[row] = sol.v_mag_pu, sol.v_ang_rad, sol.loading_pct
+        if per_sample:
+            scale[row] = view.impedance_scale
+    values = np.full((n_pairs, len(spec.entries)), np.nan)
+    for cfg_idx, view in enumerate(views):
+        rows = np.flatnonzero((config == cfg_idx) & ~diverged)
+        if not rows.size:
+            continue
+        if per_sample:
+            view = view.with_scaled_impedance(scale[rows])
+        keys = [(cfg_idx, sc_idx) for sc_idx in scenario[rows].tolist()]
+        values[rows] = simulate_batch(view, v[rows], th[rows], spec, seed, keys)
+    return SimulatedTruths(config=config, v_mag=v, loading_pct=loading, values=values,
+                           diverged=diverged)
 
 
 @dataclass(frozen=True)
@@ -211,29 +307,57 @@ class FaultInjection:
     assumed_sd_pct: float | None = None
 
 
-def inject_fault(ms: MeasurementSet, fault: FaultInjection,
-                 spec: MeasurementSpec) -> MeasurementSet:
-    """Apply a value-affecting fault to a measurement vector.
+VALUE_FAULTS = ("zero_value", "scale_value", "constant_substitute")
 
-    wrong_assumed_sd faults leave the vector untouched (see
+
+def resolve_faults(faults, spec: MeasurementSpec):
+    """The faults that change readings, each with the entry indices it acts
+    on, in the order they apply: value faults, then power deviations.
+
+    Raises MeasurementError for an unknown fault kind or a value fault that
+    targets nothing in ``spec``.
+    """
+    resolved = []
+    for fault in faults:
+        if fault.kind in VALUE_FAULTS:
+            targets = _targets(fault, spec)
+            if not len(targets):
+                raise MeasurementError(
+                    f"fault {fault.kind} targets nothing in this spec "
+                    f"(buses={fault.buses}, lines={fault.lines})")
+            resolved.append((fault, targets))
+        elif fault.kind not in ("power_deviation", "wrong_assumed_sd"):
+            raise MeasurementError(f"unknown fault kind {fault.kind!r}")
+    resolved += [(fault, _targets(fault, spec, ("p_bus", "q_bus")))
+                 for fault in faults if fault.kind == "power_deviation"]
+    return tuple(resolved)
+
+
+def apply_faults(values: np.ndarray, resolved) -> None:
+    """Apply :func:`resolve_faults` output in place to readings ``([B,] m)``.
+
+    wrong_assumed_sd faults leave readings untouched (see
     :func:`assumed_sd_overrides`); power_deviation faults restore the stale
     pre-deviation reading for bus power entries at the target buses.
     """
+    for fault, targets in resolved:
+        if fault.kind == "zero_value":
+            values[..., targets] = 0.0
+        elif fault.kind == "scale_value":
+            values[..., targets] *= fault.factor
+        elif fault.kind == "constant_substitute":
+            values[..., targets] = fault.value
+        else:
+            values[..., targets] /= fault.factor
+
+
+def inject_fault(ms: MeasurementSet, fault: FaultInjection,
+                 spec: MeasurementSpec) -> MeasurementSet:
+    """Apply one fault to a measurement vector (see :func:`apply_faults`)."""
     if spec.spec_hash != ms.spec_hash:
         raise MeasurementError("measurement set does not belong to this spec")
     values = ms.values.copy()
-    if fault.kind == "zero_value":
-        values[_value_targets(fault, spec)] = 0.0
-    elif fault.kind == "scale_value":
-        values[_value_targets(fault, spec)] *= fault.factor
-    elif fault.kind == "constant_substitute":
-        values[_value_targets(fault, spec)] = fault.value
-    elif fault.kind == "power_deviation":
-        values[_targets(fault, spec, ("p_bus", "q_bus"))] /= fault.factor
-    elif fault.kind == "wrong_assumed_sd":
-        pass
-    else:
-        raise MeasurementError(f"unknown fault kind {fault.kind!r}")
+    apply_faults(values, resolve_faults([fault], spec))
     return ms.replaced(values)
 
 
@@ -247,15 +371,6 @@ def _targets(fault: FaultInjection, spec: MeasurementSpec, kinds=None) -> np.nda
                   np.isin(spec.location, fault.lines))
     of_kind = np.isin(codes, [KIND_CODE[k] for k in kinds if k in KIND_CODE])
     return np.flatnonzero(of_kind & at)
-
-
-def _value_targets(fault: FaultInjection, spec: MeasurementSpec) -> np.ndarray:
-    targets = _targets(fault, spec)
-    if not len(targets):
-        raise MeasurementError(
-            f"fault {fault.kind} targets nothing in this spec "
-            f"(buses={fault.buses}, lines={fault.lines})")
-    return targets
 
 
 def assumed_sd_overrides(faults, spec: MeasurementSpec) -> dict[int, float]:

@@ -7,18 +7,19 @@ power, and the remaining balance (slack import minus measured injections
 minus DG estimate) is split over unmeasured load buses proportionally to
 installed power. Substitutes carry a 30 % standard deviation. They are
 built as array operations on the grid's unit table (one bus, sign, kind,
-rating and tan phi per unit), one measurement vector at a time, and come
-back as a ``PseudoSet`` of arrays.
+rating and tan phi per unit) for B measurement vectors ``(B, m)`` at once by
+:func:`pseudo_batch`, and come back as a ``PseudoSet`` of arrays;
+:func:`build_pseudo` is its one-vector call.
 
 There is one Gauss-Newton, :func:`estimate_batch`. It estimates B
-measurement sets of one spec on one assumed view at once, on ``(B, n_bus)``
-states. The row layout (the spec's entries, then the substitutes, less the
-rows at buses cut off the slack) depends on the spec and the view alone, so
-it is laid out once per batch; values z and weights W are ``(B, m)``
-arrays. A sample stops iterating when no state update exceeds
-``STATE_UPDATE_TOLERANCE`` (converged) or after ``MAX_ITERATIONS`` steps
-(flagged non-converged), and a singular gain matrix or a non-finite step
-fails that sample alone. :func:`estimate` is its B = 1 call.
+measurement vectors ``(B, m)`` of one spec on one assumed view at once, on
+``(B, n_bus)`` states. The row layout (the spec's entries, then the
+substitutes, less the rows at buses cut off the slack) depends on the spec
+and the view alone, so it is laid out once per batch; values z and weights
+W are ``(B, m)`` arrays. A sample stops iterating when no state update
+exceeds ``STATE_UPDATE_TOLERANCE`` (converged) or after ``MAX_ITERATIONS``
+steps (flagged non-converged), and a singular gain matrix or a non-finite
+step fails that sample alone. :func:`estimate` is its B = 1 call.
 
 The measurement functions h(x) and their Jacobian H(x) are row selections of
 the stacked bus and line quantities and their voltage derivatives, all
@@ -38,7 +39,7 @@ for M8's, and never more than 64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class PseudoSet:
 
     kind: np.ndarray  # kind code into ``ALL_KINDS`` (p_bus or q_bus)
     bus: np.ndarray
-    value: np.ndarray  # per-unit injection, generation positive
-    sd: np.ndarray  # absolute SD, per unit
+    value: np.ndarray  # ([B,] k) per-unit injection, generation positive
+    sd: np.ndarray  # ([B,] k) absolute SD, per unit
     fallback: np.ndarray  # True when part of the value is a half-nominal guess
 
 
@@ -89,16 +90,47 @@ class EstimatedState:
 
 
 def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec) -> PseudoSet:
-    """Substitute P/Q injections for every bus without a real injection measurement."""
+    """Substitute P/Q injections for every bus without a real injection
+    measurement; the one-vector call of :func:`pseudo_batch`."""
     if spec.spec_hash != ms.spec_hash:
         raise ValueError("measurement set does not belong to this spec")
+    pseudo = pseudo_batch(grid, ms.values[None], spec)
+    return replace(pseudo, value=pseudo.value[0], sd=pseudo.sd[0])
+
+
+def _bin_rows(bins: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """``np.bincount(bins, weights=w, minlength=length)`` of each row w of
+    ``weights``: the same additions, one column at a time in entry order."""
+    out = np.zeros((len(weights), length))
+    for i, b in enumerate(bins.tolist()):
+        out[:, b] += weights[:, i]
+    return out
+
+
+def _sum_columns(a: np.ndarray) -> np.ndarray:
+    """Python's ``sum`` of each row of ``a``: its columns added in order."""
+    total = np.zeros(len(a))
+    for col in a.T:
+        total = total + col
+    return total
+
+
+def pseudo_batch(grid: GridModel, values: np.ndarray, spec: MeasurementSpec) -> PseudoSet:
+    """Substitute injections for B measurement vectors ``(B, m)`` of one spec.
+
+    Which buses get substitutes, their kinds and the balance weights follow
+    from the spec alone and are shared; ``value`` and ``sd`` are ``(B, k)``.
+    Each row is bitwise what one vector alone gives: per-bus sums add in unit
+    order and the scalar totals in bus order, one column at a time.
+    """
     units = grid.unit_table
     n, slack, s_base_kw = grid.n_bus, grid.slack_bus, grid.s_base_mva * 1e3
-    p_idx = spec.indices("p_bus")
+    n_samples = len(values)
+    p_idx = np.array(spec.indices("p_bus"), dtype=int)
     # the first reading at a bus counts
     read_buses, first = np.unique(spec.location[p_idx], return_index=True)
-    p_meas = np.zeros(n)
-    p_meas[read_buses] = ms.values[p_idx][first]
+    p_meas = np.zeros((n_samples, n))
+    p_meas[:, read_buses] = values[:, p_idx[first]]
     measured = np.zeros(n, dtype=bool)
     measured[read_buses] = True
     feeder = np.arange(n) != slack
@@ -113,17 +145,16 @@ def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec) -> 
     seen = dg & feeder_measured[units.bus]
     n_kind = len(units.kinds)
     fallback_kind = np.bincount(units.kind[seen], minlength=n_kind) == 0
-    inj_sum = np.bincount(units.kind[seen], weights=p_meas[units.bus[seen]],
-                          minlength=n_kind)
+    inj_sum = _bin_rows(units.kind[seen], p_meas[:, units.bus[seen]], n_kind)
     nom_sum = np.bincount(units.kind[seen], weights=units.p_nom_kw[seen] / s_base_kw,
                           minlength=n_kind)
-    rel = np.clip(np.divide(inj_sum, nom_sum, out=np.full(n_kind, 0.5),
+    rel = np.clip(np.divide(inj_sum, nom_sum, out=np.full((n_samples, n_kind), 0.5),
                             where=~fallback_kind), 0.0, 1.0)
 
     # per-bus sums accumulate in unit order, the scalar totals in bus order
-    dg_part = np.where(dg, rel[units.kind] * units.p_nom_kw / s_base_kw, 0.0)
-    p_dg = np.bincount(units.bus, weights=dg_part, minlength=n)
-    q_dg = np.bincount(units.bus, weights=dg_part * units.tan_phi, minlength=n)
+    dg_part = np.where(dg, rel[:, units.kind] * units.p_nom_kw / s_base_kw, 0.0)
+    p_dg = _bin_rows(units.bus, dg_part, n)
+    q_dg = _bin_rows(units.bus, dg_part * units.tan_phi, n)
     load_nom = np.bincount(units.bus, weights=np.where(dg, 0.0, units.p_nom_kw),
                            minlength=n) / s_base_kw
     has_load = load_nom > 0
@@ -137,17 +168,18 @@ def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec) -> 
     # flows (oriented out of the from end), else unknown
     line_idx = spec.indices("p_line")
     if measured[slack]:
-        p_slack = p_meas[slack]
+        p_slack = p_meas[:, slack]
     elif line_idx:
-        p_slack = sum(ms.values[line_idx])
+        p_slack = _sum_columns(values[:, line_idx])
     else:
         p_slack = None
     total_load_nom = sum(load_nom[unmeasured])
     if p_slack is not None and total_load_nom > 0:
         # DG at measured buses is already inside their net injection readings;
         # only the unmeasured DG estimate enters the load balance
-        remainder = -p_slack - sum(p_meas[feeder_measured]) - sum(p_dg[unmeasured])
-        p_load = np.where(has_load, remainder * load_nom / total_load_nom, 0.0)
+        remainder = (-p_slack - _sum_columns(p_meas[:, feeder_measured])
+                     - _sum_columns(p_dg[:, unmeasured]))
+        p_load = np.where(has_load, remainder[:, None] * load_nom / total_load_nom, 0.0)
     else:
         # no balance information: every unmeasured load at half nominal
         p_load = np.where(has_load, -0.5 * load_nom, 0.0)
@@ -157,7 +189,7 @@ def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec) -> 
     fallback |= np.bincount(units.bus, weights=dg & fallback_kind[units.kind],
                             minlength=n) > 0
     buses = np.flatnonzero(unmeasured)
-    value = np.column_stack([p_value[buses], q_value[buses]]).ravel()
+    value = np.stack([p_value[:, buses], q_value[:, buses]], axis=-1).reshape(n_samples, -1)
     return PseudoSet(kind=np.tile([KIND_CODE["p_bus"], KIND_CODE["q_bus"]], len(buses)),
                      bus=np.repeat(buses, 2), value=value,
                      sd=np.maximum(PSEUDO_SD_FRACTION * np.abs(value), PSEUDO_SD_FLOOR_PU),
@@ -243,17 +275,19 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     ObservabilityError when the gain matrix is singular or a step is not
     finite. This is the one-sample call of :func:`estimate_batch`.
     """
-    result = estimate_batch(view, [ms], spec, sd_overrides)[0]
+    if spec.spec_hash != ms.spec_hash:
+        raise ValueError("measurement set does not belong to this spec")
+    result = estimate_batch(view, ms.values[None], spec, sd_overrides)[0]
     if isinstance(result, ObservabilityError):
         raise result
     return result
 
 
-def estimate_batch(view: GridView, measurement_sets, spec: MeasurementSpec,
+def estimate_batch(view: GridView, values: np.ndarray, spec: MeasurementSpec,
                    sd_overrides: dict[int, float] | None = None
                    ) -> list[EstimatedState | ObservabilityError]:
-    """Gauss-Newton WLS estimates of B measurement sets of one spec on one
-    assumed view.
+    """Gauss-Newton WLS estimates of B measurement vectors ``(B, m)`` of one
+    spec on one assumed view.
 
     Entry b of the result is sample b's state, flagged converged=False when
     it used up ``MAX_ITERATIONS``, or the ObservabilityError that ended its
@@ -261,25 +295,24 @@ def estimate_batch(view: GridView, measurement_sets, spec: MeasurementSpec,
     only. Each sample's result is bitwise the same in any batch.
     """
     grid = view.grid
-    sets = list(measurement_sets)
-    if not sets:
+    values = np.asarray(values, dtype=float)
+    if not len(values):
         return []
-    pseudo = [build_pseudo(grid, ms, spec) for ms in sets]
+    pseudo = pseudo_batch(grid, values, spec)
     # the row layout depends on the spec and the view alone: the spec's
     # entries, then the substitutes, less injection rows at buses cut off
     # the slack, which constrain nothing
-    kind = np.concatenate([spec.kind_code, pseudo[0].kind])
-    location = np.concatenate([spec.location, pseudo[0].bus])
+    kind = np.concatenate([spec.kind_code, pseudo.kind])
+    location = np.concatenate([spec.location, pseudo.bus])
     keep = ~((kind < len(BUS_KINDS)) & np.isin(location, list(view.dead_buses)))
     pos = stacked_positions(kind[keep], location[keep], grid.n_bus, len(grid.lines))
     sd_pct = spec.sd_vector()
     for i, sd in (sd_overrides or {}).items():
         sd_pct[i] = sd
-    values = np.array([ms.values for ms in sets])
-    z = np.concatenate([values, [p.value for p in pseudo]], axis=1)
+    z = np.concatenate([values, pseudo.value], axis=1)
     reading = np.maximum(np.abs(values), READING_FLOOR_PU[spec.kind_code])
-    sd_abs = np.maximum(np.concatenate([sd_pct / 100.0 * reading, [p.sd for p in pseudo]],
-                                       axis=1), SD_FLOOR_PU)
+    sd_abs = np.maximum(np.concatenate([sd_pct / 100.0 * reading, pseudo.sd], axis=1),
+                        SD_FLOOR_PU)
     z = z[:, keep]
     weights = 1.0 / sd_abs[:, keep] ** 2
     index = StateIndex.for_view(view)
@@ -291,7 +324,7 @@ def estimate_batch(view: GridView, measurement_sets, spec: MeasurementSpec,
                      len(pos) * index.n_state // 2)
     block = max(1, (ELISION_ELEMENTS - 1) // per_sample)
     results = []
-    for start in range(0, len(sets), block):
+    for start in range(0, len(values), block):
         rows = slice(start, start + block)
         results += _gauss_newton(view, pos, index, z[rows], weights[rows])
     return results

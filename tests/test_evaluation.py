@@ -262,3 +262,22 @@ def test_parallel_jobs_match_serial(setup):
                       "success_c1", "success_c2"):
             assert np.array_equal(getattr(serial[method], field),
                                   getattr(parallel[method], field)), (method, field)
+
+
+def test_fault_targeting_nothing_fails_before_any_truth(setup, monkeypatch):
+    from dataclasses import replace
+
+    from gridmon import powerflow
+    from gridmon.measurements import FaultInjection, MeasurementError
+
+    grid, catalog, scenarios, _ = setup
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a truth was solved")
+
+    monkeypatch.setattr(powerflow, "solve_pf_batch", solve)
+    # M4 reads no voltage at bus 5
+    tc = replace(catalog.case("M4"), faults=(
+        FaultInjection(kind="zero_value", target_kind="v_bus", buses=(5,)),))
+    with pytest.raises(MeasurementError, match="targets nothing"):
+        run_test_case(tc, grid, scenarios[:2], catalog.switch_configs, methods=(METHOD_WLS,))

@@ -175,3 +175,17 @@ def test_line_by_name_both_orders(cigre):
 def test_monitored_lines_exclude_substation_jumpers(cigre):
     assert len(cigre.monitored_lines) == 15
     assert len(cigre.lines) == 17
+
+
+def test_line_table_is_built_once_and_shared_by_views(cigre):
+    table = cigre.line_table
+    assert cigre.line_table is table
+    for config in (CONFIG_0, (True,) * 6):
+        net = apply_switch_config(cigre, config).branches
+        for name in ("cf", "f_bus", "t_bus", "i_base_from", "i_base_to", "rating_amps"):
+            assert getattr(net, name) is getattr(table, name), name
+    assert not any(a.flags.writeable for a in vars(table).values())
+    assert table.z_base.tolist() == [cigre.buses[ln.from_bus].base_kv ** 2 / cigre.s_base_mva
+                                     for ln in cigre.lines]
+    assert table.i_base_to.tolist() == [cigre.i_base_amps(ln.to_bus) for ln in cigre.lines]
+    assert table.r_ohm.tolist() == [ln.r_ohm for ln in cigre.lines]

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from gridmon import powerflow
 from gridmon.grid import apply_switch_config
 from gridmon.measurements import (FaultInjection, MeasurementError,
-                                  MeasurementSpec, accuracy_to_sd,
+                                  MeasurementSpec, accuracy_to_sd, apply_faults,
                                   assumed_sd_overrides, inject_fault,
-                                  make_spec, scale_unit_powers, simulate,
-                                  true_values)
-from gridmon.powerflow import solve_pf
-from gridmon.scenarios import injections
+                                  make_spec, resolve_faults, scale_unit_powers,
+                                  simulate, simulate_batch, simulate_truths,
+                                  stacked_positions, true_values)
+from gridmon.powerflow import solve_pf, solve_pf_batch, solve_truths
+from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
+from gridmon.seeding import STREAM_MEASUREMENT, rng
 
 from conftest import flat_scenario
 
@@ -221,3 +224,94 @@ def test_hash_guard_on_inject(cigre, cigre_solution):
     with pytest.raises(MeasurementError, match="spec"):
         inject_fault(ms, FaultInjection(kind="zero_value", target_kind="v_bus",
                                         buses=(0,)), other)
+
+
+@pytest.fixture(scope="module")
+def config0_truths(cigre):
+    """All 1,100 default-axes scenarios solved on config 0."""
+    view = apply_switch_config(cigre, CONFIG_0)
+    inj = [injections(cigre, sc) for sc in generate_set(DEFAULT_AXES, cigre, 1, 5)]
+    return view, inj, solve_pf_batch(view, inj)
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def _reference_readings(sol, view, spec, seed, key):
+    """One noisy vector computed from one state alone, with 2-D matrices."""
+    v, th = sol.v_mag_pu, sol.v_ang_rad
+    vc = v * np.exp(1j * th)
+    s_bus = vc * np.conj(view.branches.ybus @ vc)
+    i_f = view.branches.yf @ vc
+    s_f = vc[view.branches.f_bus] * np.conj(i_f)
+    stacked = np.concatenate([v, s_bus.real, s_bus.imag, s_f.real, s_f.imag, np.abs(i_f)])
+    truth = stacked[stacked_positions(spec.kind_code, spec.location, view.n_bus,
+                                      len(view.grid.lines))]
+    noise = rng(seed, STREAM_MEASUREMENT, *key).standard_normal(len(truth))
+    return truth * (1.0 + spec.sd_vector() / 100.0 * noise)
+
+
+def test_simulate_batch_rows_equal_per_pair_simulate(cigre, config0_truths):
+    """One config's 1,100 pairs on its shared view: 16,500 complex bus
+    voltages, several blocks under the elision bound. Each row equals the
+    one-pair call and a reference computed from its state alone."""
+    view, _, sols = config0_truths
+    assert len(sols) * cigre.n_bus > powerflow.ELISION_ELEMENTS
+    spec = make_spec(cigre, v_buses=[0, 6, 8, 10], s_buses=[0, 4, 7],
+                     s_lines=["1-2", "12-13"], i_lines=["3-4", "6-7"])
+    keys = [(2, s) for s in range(len(sols))]
+    batch = simulate_batch(view, np.array([s.v_mag_pu for s in sols]),
+                           np.array([s.v_ang_rad for s in sols]), spec, 9, keys)
+    assert batch.shape == (len(sols), len(spec.entries))
+    for row, sol, key in zip(batch, sols, keys):
+        assert _bits(row) == _bits(simulate(sol, view, spec, 9, noise_key=key).values), key
+        assert _bits(row) == _bits(_reference_readings(sol, view, spec, 9, key)), key
+
+
+def test_simulate_truths_per_sample_rows_equal_per_pair_simulate(cigre, config0_truths):
+    """A T4-like stream, each pair on its own impedance scale: the stacked
+    view's rows, built again in blocks, give each pair's own readings."""
+    view, inj, _ = config0_truths
+    n = 150  # three blocks
+    gen = np.random.default_rng(3)
+    factors = 1.0 / gen.uniform(0.8, 1.2, (n, len(cigre.lines)))
+    truths = list(solve_truths([view], inj.__getitem__, n,
+                               sample_factors=lambda c, s: factors[s]))
+    spec = m4_spec(cigre)
+    sim = simulate_truths(iter(truths), [view], n, spec, 4, per_sample=True)
+    assert not sim.diverged.any()
+    for (c, s, pair_view, sol), row in zip(truths, sim.values):
+        assert pair_view.impedance_scale.tobytes() == factors[s].tobytes()
+        assert _bits(row) == _bits(simulate(sol, pair_view, spec, 4, noise_key=(c, s)).values)
+        assert _bits(sim.v_mag[s]) == _bits(sol.v_mag_pu)
+        assert _bits(sim.loading_pct[s]) == _bits(sol.loading_pct)
+
+
+def test_resolved_faults_on_a_block_equal_per_vector_injection(cigre, cigre_solution):
+    view, sol = cigre_solution
+    spec = m4_spec(cigre)
+    line = cigre.line_by_name("1-2").id
+    faults = [FaultInjection(kind="wrong_assumed_sd", buses=(4,), assumed_sd_pct=6.0),
+              FaultInjection(kind="power_deviation", buses=(4, 7), factor=0.7),
+              FaultInjection(kind="scale_value", target_kind="v_bus", buses=(8,),
+                             factor=1.5),
+              FaultInjection(kind="zero_value", lines=(line,)),
+              FaultInjection(kind="constant_substitute", target_kind="v_bus",
+                             buses=(6, 10), value=1.0)]
+    resolved = resolve_faults(faults, spec)
+    # value faults first, then power deviations; wrong_assumed_sd changes no reading
+    assert [f.kind for f, _ in resolved] == [
+        "scale_value", "zero_value", "constant_substitute", "power_deviation"]
+    sets = [simulate(sol, view, spec, seed=k) for k in range(5)]
+    block = np.array([ms.values for ms in sets])
+    apply_faults(block, resolved)
+    for row, ms in zip(block, sets):
+        for fault in faults[2:] + faults[:2]:
+            ms = inject_fault(ms, fault, spec)
+        assert _bits(row) == _bits(ms.values)
+
+
+def test_unknown_fault_kind_is_measurement_error(cigre):
+    with pytest.raises(MeasurementError, match="unknown fault kind"):
+        resolve_faults([FaultInjection(kind="drift")], m4_spec(cigre))

@@ -9,7 +9,7 @@ from gridmon.measurements import (BUS_KINDS, KIND_CODE, MeasurementSet,
 from gridmon.powerflow import ELISION_ELEMENTS, solve_pf
 from gridmon.scenarios import injections
 from gridmon.wls import (MAX_ITERATIONS, ObservabilityError, build_pseudo, estimate,
-                         estimate_batch)
+                         estimate_batch, pseudo_batch)
 
 from conftest import flat_scenario
 
@@ -182,7 +182,7 @@ def test_batch_is_bitwise_per_sample_estimates(cigre, cigre_case):
         values[v8] = reading
         sets[b] = sets[b].replaced(values)
 
-    batch = estimate_batch(view, sets, spec)
+    batch = estimate_batch(view, np.array([ms.values for ms in sets]), spec)
     assert len(batch) == len(sets)
     assert isinstance(batch[6], ObservabilityError)
     with pytest.raises(ObservabilityError):
@@ -330,3 +330,95 @@ def test_zeroed_voltage_reading_weighs_as_a_half_pu_reading(cigre, cigre_case):
     sd_zeroed = accuracy_to_sd("v_bus") / 100.0 * 0.5
     expected = 1.0 / sd_zeroed**2 - (ms.values[i] - 1.0) ** 2 / sd_clean**2
     assert faulted - clean == pytest.approx(expected, rel=1e-9)
+
+
+def _reference_pseudo(grid, values, spec):
+    """Substitute values of one vector, summed as a per-vector loop sums
+    them: per-bus sums by ``np.bincount`` in unit order, scalar totals by
+    Python's ``sum`` in bus order. Returns (bus, P, Q) per substitute."""
+    units = grid.unit_table
+    n, slack, s_base_kw = grid.n_bus, grid.slack_bus, grid.s_base_mva * 1e3
+    p_idx = spec.indices("p_bus")
+    read_buses, first = np.unique(spec.location[p_idx], return_index=True)
+    p_meas = np.zeros(n)
+    p_meas[read_buses] = values[p_idx][first]
+    measured = np.isin(np.arange(n), read_buses)
+    feeder = np.arange(n) != slack
+    unmeasured = feeder & ~measured
+    dg = units.sign > 0
+    seen = dg & (feeder & measured)[units.bus]
+    n_kind = len(units.kinds)
+    no_kind = np.bincount(units.kind[seen], minlength=n_kind) == 0
+    inj = np.bincount(units.kind[seen], weights=p_meas[units.bus[seen]], minlength=n_kind)
+    nom = np.bincount(units.kind[seen], weights=units.p_nom_kw[seen] / s_base_kw,
+                      minlength=n_kind)
+    rel = np.clip(np.divide(inj, nom, out=np.full(n_kind, 0.5), where=~no_kind), 0.0, 1.0)
+    dg_part = np.where(dg, rel[units.kind] * units.p_nom_kw / s_base_kw, 0.0)
+    p_dg = np.bincount(units.bus, weights=dg_part, minlength=n)
+    q_dg = np.bincount(units.bus, weights=dg_part * units.tan_phi, minlength=n)
+    load_nom = np.bincount(units.bus, weights=np.where(dg, 0.0, units.p_nom_kw),
+                           minlength=n) / s_base_kw
+    loads = np.flatnonzero(~dg)
+    load_buses, first_load = np.unique(units.bus[loads], return_index=True)
+    load_tan = np.zeros(n)
+    load_tan[load_buses] = units.tan_phi[loads[first_load]]
+    line_idx = spec.indices("p_line")
+    p_slack = (p_meas[slack] if measured[slack]
+               else sum(values[line_idx]) if line_idx else None)
+    total = sum(load_nom[unmeasured])
+    if p_slack is not None and total > 0:
+        remainder = -p_slack - sum(p_meas[feeder & measured]) - sum(p_dg[unmeasured])
+        p_load = np.where(load_nom > 0, remainder * load_nom / total, 0.0)
+    else:
+        p_load = np.where(load_nom > 0, -0.5 * load_nom, 0.0)
+    buses = np.flatnonzero(unmeasured)
+    return buses, (p_load + p_dg)[buses], (q_dg + p_load * load_tan)[buses]
+
+
+def _pseudo_rows_equal_per_vector(grid, spec, sets):
+    """Each row of one batch equals the one-vector call and the per-vector
+    reference, bit for bit."""
+    batch = pseudo_batch(grid, np.array([ms.values for ms in sets]), spec)
+    assert batch.value.shape == batch.sd.shape == (len(sets), len(batch.bus))
+    for b, ms in enumerate(sets):
+        single = build_pseudo(grid, ms, spec)
+        assert single.value.tobytes() == batch.value[b].tobytes(), b
+        assert single.sd.tobytes() == batch.sd[b].tobytes(), b
+        for field in ("kind", "bus", "fallback"):
+            assert np.array_equal(getattr(single, field), getattr(batch, field)), field
+        buses, p, q = _reference_pseudo(grid, ms.values, spec)
+        assert np.array_equal(batch.bus[::2], buses)
+        assert batch.value[b, ::2].tobytes() == p.tobytes(), b
+        assert batch.value[b, 1::2].tobytes() == q.tobytes(), b
+    return batch
+
+
+@pytest.mark.parametrize("layout", ["M4", "M9", "no_line_flows"])
+def test_pseudo_batch_rows_equal_per_vector(cigre, layout):
+    """M4 balances on its feeder-head flows, M9 on its slack reading, and a
+    layout without line flows falls back to half the nominal load."""
+    catalog = load_catalog(cigre)
+    spec = (make_spec(cigre, v_buses=[0, 6], s_buses=[4, 7]) if layout == "no_line_flows"
+            else catalog.case(layout).spec(cigre))
+    sets = []
+    for ci, config in enumerate(catalog.switch_configs):
+        view = apply_switch_config(cigre, config)
+        for k, (load, dg) in enumerate(((0.3, 0.0), (0.6, 0.5), (1.0, 1.0))):
+            sol = solve_pf(view, injections(cigre, flat_scenario(cigre, load, dg)))
+            sets.append(simulate(sol, view, spec, seed=7, noise_key=(ci, k)))
+    batch = _pseudo_rows_equal_per_vector(cigre, spec, sets)
+    slack_read = spec.location[spec.kind_code == KIND_CODE["p_bus"]].tolist()
+    assert (0 in slack_read) == (layout == "M9")
+    has_load = np.isin(batch.bus, cigre.unit_table.bus[cigre.unit_table.sign < 0])
+    assert np.all(batch.fallback[has_load]) == (layout == "no_line_flows")
+
+
+def test_pseudo_batch_rows_equal_per_vector_on_dead_bus_view(dead_end):
+    view = apply_switch_config(dead_end, (False,))
+    spec = make_spec(dead_end, v_buses=[0, 1], s_lines=[0])
+    sets = [simulate(solve_pf(view, injections(dead_end, flat_scenario(dead_end, load))),
+                     view, spec, seed=3, noise_key=(k,))
+            for k, load in enumerate((0.2, 0.5, 0.8, 1.0))]
+    batch = _pseudo_rows_equal_per_vector(dead_end, spec, sets)
+    assert batch.bus.tolist() == [1, 1, 2, 2]
+    assert np.all(batch.value[:, 2:] == 0.0)  # the dead bus carries no unit
