@@ -17,6 +17,11 @@ the same operation order as a per-array update. Early stopping is per net:
 a net that stops keeps its best weights and leaves the stack, and the
 others carry on. A single net (``train``) is a stack of one, so the weights
 of a pair are bitwise equal to training each net alone.
+
+An epoch's train loss is taken from its own batches: each batch's output
+errors, before that batch's update, summed per output column and reported
+in target units. Only the validation rows get a second forward pass, which
+early stopping reads.
 """
 
 from __future__ import annotations
@@ -149,17 +154,19 @@ def init_model(arch: AnnArchitecture, seed: int) -> AnnModel:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``z``; may overwrite ``z``."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    return np.tanh(z)
+    return np.tanh(z, out=z)
 
 
 def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # gradients expressed through the activation output
+    # gradients expressed through the activation output; ReLU's is a bool
+    # mask, which multiplies as 1.0 / 0.0
     if kind == "relu":
-        return (a > 0.0).astype(a.dtype)
+        return a > 0.0
     if kind == "sigmoid":
         return a * (1.0 - a)
     return 1.0 - a * a
@@ -169,14 +176,15 @@ def _layer_outputs(weights, biases, kind: str, x: np.ndarray):
     """Yield each layer's output for a stack of K nets of one shape.
 
     ``weights[l]`` is ``(K, fan_in, fan_out)`` and ``biases[l]`` is
-    ``(K, fan_out)``. The inputs ``x`` are ``(B, n_in)`` and shared by the
-    stack; every output is ``(K, B, fan_out)``.
+    ``(K, 1, fan_out)``, or ``(1, fan_out)`` for one net. The inputs ``x``
+    are ``(B, n_in)`` and shared by the stack; every output is
+    ``(K, B, fan_out)``.
     """
     a = x
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
         z = np.matmul(a, w)
-        z += b[:, None, :]
+        z += b
         a = z if k == last else _activate(z, kind)
         yield a
 
@@ -196,18 +204,20 @@ def _backprop(weights, biases, kind: str, x: np.ndarray, y: np.ndarray,
 
     Shapes are as in ``_layer_outputs``, with targets ``y`` of
     ``(K, B, n_out)``. The gradients are written into ``grad_w`` and
-    ``grad_b``, shaped like ``weights`` and ``biases``. Returns the output
-    errors ``(K, B, n_out)``; the loss itself is left to the caller.
+    ``grad_b``, shaped ``(K, fan_in, fan_out)`` and ``(K, fan_out)``.
+    Returns the output errors ``(K, B, n_out)``; the loss itself is left to
+    the caller.
     """
     acts = [x, *_layer_outputs(weights, biases, kind, x)]
     diff = acts[-1] - y
-    delta = 2.0 * diff / (y.shape[1] * y.shape[2])
+    delta = 2.0 * diff
+    delta /= y.shape[1] * y.shape[2]
     for k in range(len(weights) - 1, -1, -1):
-        np.matmul(np.swapaxes(acts[k], -1, -2), delta, out=grad_w[k])
-        np.sum(delta, axis=1, out=grad_b[k])
+        np.matmul(acts[k].swapaxes(-1, -2), delta, out=grad_w[k])
+        np.add.reduce(delta, 1, out=grad_b[k])
         if k > 0:
-            delta = np.matmul(delta, np.swapaxes(weights[k], -1, -2)) * _activate_grad(
-                acts[k], kind)
+            delta = np.matmul(delta, weights[k].swapaxes(-1, -2))
+            delta *= _activate_grad(acts[k], kind)
     return diff
 
 
@@ -230,6 +240,12 @@ def loss_and_grads(model: AnnModel, x: np.ndarray, y: np.ndarray, out=None):
 
 @dataclass
 class TrainHistory:
+    """Per-epoch losses in target units, one entry per epoch run.
+
+    ``train_loss`` is the mean squared error of each batch's outputs before
+    that batch's update, over the epoch's training rows; ``val_loss`` is the
+    validation MSE after the epoch.
+    """
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int = -1
@@ -328,6 +344,7 @@ def _train_stack(models: list[AnnModel], x: np.ndarray, ys: list[np.ndarray],
             for i, j in enumerate(live):
                 models[j].weights = [w[i] for w in weights]
                 models[j].biases = [b[i] for b in biases]
+            bias_rows = [b[:, None] for b in biases]  # broadcast over a batch
             grads = np.empty_like(flat)
             grad_w, grad_b = _param_views(grads, sizes)
             step = np.empty_like(flat)
@@ -335,9 +352,12 @@ def _train_stack(models: list[AnnModel], x: np.ndarray, ys: list[np.ndarray],
 
         perm = gen.permutation(len(xt))
         xe, ye = xt[perm], yt[:, perm]  # contiguous batches are slices
+        sq_err = np.zeros((len(live), yt.shape[2]))  # per net and output column
         for lo in range(0, len(xt), cfg.batch_size):
-            _backprop(weights, biases, kind, xe[lo:lo + cfg.batch_size],
-                      ye[:, lo:lo + cfg.batch_size], grad_w, grad_b)
+            diff = _backprop(weights, bias_rows, kind, xe[lo:lo + cfg.batch_size],
+                             ye[:, lo:lo + cfg.batch_size], grad_w, grad_b)
+            diff *= diff
+            sq_err += np.add.reduce(diff, 1)
             # Adam (Kingma & Ba, 2015), in place over every live net at once
             t += 1
             b1t = 1.0 - ADAM_BETA1**t
@@ -360,9 +380,9 @@ def _train_stack(models: list[AnnModel], x: np.ndarray, ys: list[np.ndarray],
         keep = []  # rows of flat whose nets carry on
         for i, j in enumerate(live):
             model, history = models[j], histories[j]
-            # losses reported in original target units
-            train_diff = model.denormalize_output(forward(model, xt)) - yt_raw[j]
-            train_loss = float(np.mean(train_diff * train_diff))
+            # losses reported in original target units; the train loss is
+            # the mean of each batch's error before its update
+            train_loss = float(np.sum(sq_err[i] * model.out_sd**2)) / yt[i].size
             val_diff = model.denormalize_output(forward(model, xv)) - yv_raw[j]
             val_loss = float(np.mean(val_diff * val_diff))
             if not np.isfinite(train_loss) or not np.isfinite(val_loss):
@@ -472,9 +492,9 @@ def train_monitor_pair(grid: GridModel, data: TrainingData, cfg: TrainConfig,
     norm_mask = np.ones(n_in, dtype=bool)
     if data.n_switch_bits:
         norm_mask[n_in - data.n_switch_bits:] = False
-    patterns = frozenset(
-        tuple(int(round(b)) for b in row[n_in - data.n_switch_bits:])
-        for row in data.x) if data.n_switch_bits else frozenset()
+    patterns = frozenset(map(tuple, np.rint(
+        data.x[:, n_in - data.n_switch_bits:]).astype(int).tolist())
+    ) if data.n_switch_bits else frozenset()
 
     targets = {"voltage": data.y_voltage, "loading": data.y_loading}
     models = {}

@@ -148,7 +148,9 @@ def reference_train(model, x, y, cfg, standardize_targets=True):
 
     Same RNG streams, validation split, loss reports and early stopping as
     ``train``; returns (weights, biases, out_mean, out_sd, train_loss,
-    val_loss, best_epoch, stopped_epoch).
+    val_loss, best_epoch, stopped_epoch). The train loss of an epoch is the
+    squared error of each batch before its update, per output column, in
+    target units.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     gen = seeded_rng(cfg.seed, STREAM_ANN, 1)
@@ -172,8 +174,11 @@ def reference_train(model, x, y, cfg, standardize_targets=True):
     best_val, best, best_epoch, since = np.inf, None, -1, 0
     for epoch in range(cfg.max_epochs):
         perm = gen.permutation(len(xt))
+        sq_err = np.zeros(y.shape[1])
         for lo in range(0, len(xt), cfg.batch_size):
             batch = perm[lo:lo + cfg.batch_size]
+            diff = forward(model, xt[batch]) - yt[batch]
+            sq_err += np.sum(diff * diff, axis=0)
             _, gw, gb = loss_and_grads(model, xt[batch], yt[batch])
             t += 1
             for p, g, mk, vk in zip(params, gw + gb, m, v):
@@ -183,9 +188,9 @@ def reference_train(model, x, y, cfg, standardize_targets=True):
                 vk += (1.0 - beta2) * g * g
                 p -= cfg.learning_rate * (mk / (1.0 - beta1**t)) / (
                     np.sqrt(vk / (1.0 - beta2**t)) + eps)
-        for rows, losses in ((train_idx, train_loss), (val_idx, val_loss)):
-            diff = predict_batch(model, x[rows]) - y[rows]
-            losses.append(float(np.mean(diff * diff)))
+        train_loss.append(float(np.sum(sq_err * model.out_sd**2)) / yt.size)
+        diff = predict_batch(model, x[val_idx]) - y[val_idx]
+        val_loss.append(float(np.mean(diff * diff)))
         if val_loss[-1] < best_val:
             best_val, best, best_epoch, since = val_loss[-1], [p.copy() for p in params], epoch, 0
         else:
@@ -301,6 +306,17 @@ def test_monitor_pair_matches_reference_bitwise(cigre_module, name):
         assert stops["loading"] < stops["voltage"] < cfg.max_epochs - 1
     if name == "voltage_stops_first":
         assert stops["voltage"] < stops["loading"] < cfg.max_epochs - 1
+
+
+@pytest.mark.parametrize("name", ["loading_stops_first", "voltage_stops_first"])
+def test_monitor_pair_histories_end_at_each_nets_stop(cigre_module, name):
+    overrides, rows, cfg, n_loading = PAIR_RUNS[name]
+    _, histories = train_monitor_pair(cigre_module, pair_data(rows, cfg.seed, n_loading),
+                                      cfg, arch_overrides=overrides)
+    assert histories["voltage"].stopped_epoch != histories["loading"].stopped_epoch
+    for history in histories.values():
+        assert len(history.train_loss) == len(history.val_loss) == history.stopped_epoch + 1
+        assert np.isfinite(history.train_loss).all()
 
 
 def test_best_epoch_weights_are_returned():
@@ -475,6 +491,18 @@ def test_prediction_is_lipschitz_in_inputs(m4_training):
     # sensitivity stays bounded as the perturbation shrinks
     assert ratios.max() < 1e3
     assert np.isfinite(ratios).all()
+
+
+def test_seen_patterns_are_the_distinct_switch_rows(tmp_path, m4_training):
+    grid, spec, data = m4_training
+    models, _ = train_monitor_pair(grid, data, TrainConfig(max_epochs=1, seed=3))
+    patterns = models["voltage"].seen_patterns
+    assert patterns == {tuple(int(b) for b in row) for row in data.x[:, -6:]}
+    assert len(patterns) == 2
+    assert all(type(b) is int for pattern in patterns for b in pattern)
+    assert models["loading"].seen_patterns == patterns
+    save_model(models["voltage"], tmp_path / "voltage.npz")
+    assert load_model(tmp_path / "voltage.npz").seen_patterns == patterns
 
 
 def test_model_save_load_round_trip(tmp_path, m4_training):
