@@ -20,8 +20,8 @@ of a pair are bitwise equal to training each net alone.
 
 An epoch's train loss is taken from its own batches: each batch's output
 errors, before that batch's update, summed per output column and reported
-in target units. Only the validation rows get a second forward pass, which
-early stopping reads.
+in target units. Only the validation rows get a second forward pass, one
+for the whole stack, which early stopping reads.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .grid import GridModel, apply_switch_config, grid_fingerprint
 from .measurements import MeasurementSpec, simulate_truths
 from .powerflow import solve_truths
-from .scenarios import injections
+from .scenarios import bus_injections, unit_powers
 from .seeding import STREAM_ANN, rng
 
 MODEL_FORMAT = 1
@@ -377,13 +377,16 @@ def _train_stack(models: list[AnnModel], x: np.ndarray, ys: list[np.ndarray],
             step /= denom
             flat -= step
 
+        # one stacked validation forward over the live nets
+        for val_out in _layer_outputs(weights, bias_rows, kind, xv):
+            pass
         keep = []  # rows of flat whose nets carry on
         for i, j in enumerate(live):
             model, history = models[j], histories[j]
             # losses reported in original target units; the train loss is
             # the mean of each batch's error before its update
             train_loss = float(np.sum(sq_err[i] * model.out_sd**2)) / yt[i].size
-            val_diff = model.denormalize_output(forward(model, xv)) - yv_raw[j]
+            val_diff = model.denormalize_output(val_out[i]) - yv_raw[j]
             val_loss = float(np.mean(val_diff * val_diff))
             if not np.isfinite(train_loss) or not np.isfinite(val_loss):
                 raise AnnError(f"training diverged to non-finite loss at epoch {epoch}")
@@ -460,10 +463,8 @@ def build_training_set(grid: GridModel, scenario_list, spec: MeasurementSpec,
     """
     monitored = [ln.id for ln in grid.monitored_lines]
     views = [apply_switch_config(grid, config) for config in configs]
-    sim = simulate_truths(
-        solve_truths(views, lambda s: injections(grid, scenario_list[s]),
-                     len(scenario_list)),
-        views, len(views) * len(scenario_list), spec, seed)
+    injections = bus_injections(grid, *unit_powers(scenario_list))
+    sim = simulate_truths(solve_truths(views, injections), views, spec, seed)
     ok = np.flatnonzero(~sim.diverged)
     if not ok.size:
         raise AnnError("every scenario diverged; no training data")

@@ -9,6 +9,9 @@ All three solve their truths through ``powerflow.solve_truths``. A diverged
 (switch config, scenario) pair is skipped by ``generate`` (NaN truth rows)
 and ``train`` and scored as failed by ``evaluate``; each command checks its
 diverged pairs against ``PF_FAILURE_BUDGET`` after writing all its outputs.
+``evaluate`` takes its unperturbed truths from the ``truth_cache.npz`` that
+``generate`` wrote to the same ``--out``, when the file was solved for the
+same grid content, axes, repetitions, seed and switch configs.
 
 Every output embeds the config hash and master seed; reruns with identical
 configs reproduce identical CSV bodies. Exit codes: 0 success, 2 validation
@@ -22,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +35,12 @@ from .ann import (AnnError, TrainConfig, build_training_set, load_model,
                   save_model, train_monitor_pair)
 from .evaluation import (METHOD_ANN, METHOD_WLS, EvaluationError, TruthCache,
                          error_stats, load_catalog, run_test_case)
-from .grid import GridError, apply_switch_config, load_bundled, load_grid
+from .grid import (GridError, apply_switch_config, grid_fingerprint, load_bundled,
+                   load_grid)
 from .measurements import MeasurementError
-from .powerflow import PowerFlowError, solve_truths
+from .powerflow import PowerFlowError, TruthTable, solve_truths
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError, generate_set,
-                        injections)
+                        bus_injections, unit_powers)
 from .seeding import seed_sequence
 from .tuning import tune_architecture
 
@@ -44,6 +49,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 PF_FAILURE_BUDGET = 0.001  # diverged power flows per (config, scenario) pair
+TRUTH_FILE = "truth_cache.npz"  # written by generate, read by evaluate
 
 # stream tags for deriving sub-seeds from the master seed
 SEED_TRAIN_SCENARIOS = 10
@@ -92,8 +98,7 @@ def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
     lines = list(header)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join([repr(v) if isinstance(v, float) else str(v) for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -153,25 +158,50 @@ def cmd_generate(args) -> int:
                (np.column_stack((sc.p_kw, sc.q_kvar)).ravel().tolist()
                 for sc in scenarios))
 
-    views = [apply_switch_config(grid, config)
-             for config in load_catalog(grid).switch_configs]
+    configs = load_catalog(grid).switch_configs
+    views = [apply_switch_config(grid, config) for config in configs]
     # diverged pairs keep NaN rows
-    v_mag = np.full((len(views), len(scenarios), grid.n_bus), np.nan)
-    loading = np.full((len(views), len(scenarios), len(grid.lines)), np.nan)
-    skipped = 0
-    for ci, si, _view, sol in solve_truths(
-            views, lambda s: injections(grid, scenarios[s]), len(scenarios)):
-        if sol is None:
-            skipped += 1
-        else:
-            v_mag[ci, si], loading[ci, si] = sol.v_mag_pu, sol.loading_pct
-    truths = {f"{name}_config{ci}": table[ci] for ci in range(len(views))
-              for name, table in (("v_mag", v_mag), ("loading", loading))}
-    np.savez(out / "truth_cache.npz",
-             config_hash=_config_hash(cfg), seed=cfg["seed"], **truths)
+    blocks = solve_truths(views, bus_injections(grid, *unit_powers(scenarios)))
+    skipped = sum(int(block.diverged.sum()) for block in blocks)
+    truths = {f"{name}_config{block.config}": getattr(block, field) for block in blocks
+              for name, field in (("v_mag", "v"), ("v_ang", "th"), ("loading", "loading"))}
+    np.savez(out / TRUTH_FILE, config_hash=_config_hash(cfg), seed=cfg["seed"],
+             grid_fingerprint=grid_fingerprint(grid), axes=cfg["axes"],
+             repetitions=cfg["repetitions"], switch_configs=np.array(configs, dtype=bool),
+             **truths)
     print(f"generated {len(scenarios)} scenarios x {len(views)} "
           f"configs -> {out} (skipped {skipped} diverged power flows)")
     return _check_pf_budget(skipped, len(scenarios) * len(views))
+
+
+def _generated_truths(out: Path, cfg: dict, grid, configs, n_scenarios: int) -> TruthCache:
+    """A truth cache seeded with the unperturbed truths that ``generate``
+    wrote to ``out``, if it ran on the same grid content, axes, repetitions,
+    seed and switch configs; else an empty one."""
+    cache = TruthCache()
+    try:
+        with np.load(out / TRUTH_FILE) as data:
+            if (str(data["grid_fingerprint"]) != grid_fingerprint(grid)
+                    or str(data["axes"]) != cfg["axes"]
+                    or int(data["repetitions"]) != cfg["repetitions"]
+                    or int(data["seed"]) != cfg["seed"]
+                    or not np.array_equal(data["switch_configs"],
+                                          np.array(configs, dtype=bool))):
+                return cache
+            tables = {}
+            for c in range(len(configs)):
+                v, th, loading = (data[f"{name}_config{c}"]
+                                  for name in ("v_mag", "v_ang", "loading"))
+                if (v.shape != th.shape or v.shape != (n_scenarios, grid.n_bus)
+                        or loading.shape != (n_scenarios, len(grid.lines))):
+                    return cache
+                tables[(), c] = TruthTable(v=v, th=th, loading=loading,
+                                           diverged=np.isnan(v).any(axis=1),
+                                           known=np.ones(n_scenarios, dtype=bool))
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return cache
+    cache.update(tables)
+    return cache
 
 
 def cmd_train(args) -> int:
@@ -263,7 +293,7 @@ def cmd_evaluate(args) -> int:
         models_by_layout[spec_hash] = {kind: load_model(path, expect_spec_hash=spec_hash)
                                        for kind, path in paths.items()}
 
-    cache = TruthCache()
+    cache = _generated_truths(out, cfg, grid, catalog.switch_configs, len(scenarios))
     summary_rows = []
     header = _header_lines(cfg)
     diverged = 0
@@ -280,14 +310,13 @@ def cmd_evaluate(args) -> int:
         first = next(iter(results.values()))
         diverged += int(first.pf_diverged.sum())
         total += first.n_scenarios
+        index = np.arange(first.n_scenarios)
         for method, res in results.items():
-            rows = [
-                (i, i // len(scenarios), i % len(scenarios),
-                 float(res.v_err_max_pct[i]), float(res.loading_err_max_pp[i]),
-                 int(res.success_c1[i]), int(res.success_c2[i]),
-                 int(res.failed_structurally[i]))
-                for i in range(res.n_scenarios)
-            ]
+            rows = zip(index.tolist(), (index // len(scenarios)).tolist(),
+                       (index % len(scenarios)).tolist(), res.v_err_max_pct.tolist(),
+                       res.loading_err_max_pp.tolist(),
+                       *(flags.astype(int).tolist() for flags in (
+                           res.success_c1, res.success_c2, res.failed_structurally)))
             _write_csv(out / f"{tc.label.replace('*', 'star')}_{method}.csv",
                        header,
                        ["index", "config", "scenario", "v_err_max_pct",

@@ -63,12 +63,19 @@ def correct_voltages(ms: MeasurementSet, spec: MeasurementSpec) -> CorrectionRep
 
 def correct_rows(values: np.ndarray, spec: MeasurementSpec) -> None:
     """Screen each row of readings ``(B, m)`` in place, as
-    :func:`correct_voltages` screens one vector."""
+    :func:`correct_voltages` screens one vector.
+
+    Only a reading outside the plausibility band can be removed, so only the
+    rows with a voltage outside it (NaN counts as outside) are screened; the
+    others would come back unchanged.
+    """
     v_idx = spec.indices("v_bus")
     if len(v_idx) < MIN_VOLTAGE_ENTRIES:
         return
-    for row in values:
-        _screen(row, v_idx)
+    v = values[:, v_idx]
+    outside = ~((v >= PLAUSIBLE_V_MIN) & (v <= PLAUSIBLE_V_MAX))
+    for row in np.flatnonzero(outside.any(axis=1)):
+        _screen(values[row], v_idx)
 
 
 def _screen(values, v_idx):

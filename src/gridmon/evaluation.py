@@ -31,10 +31,10 @@ from .correction import correct_rows
 from .grid import GridModel, IsolationError, apply_switch_config
 from .measurements import (FaultInjection, MeasurementSpec, apply_faults,
                            assumed_sd_overrides, make_spec, resolve_faults,
-                           scale_unit_powers, simulate_truths)
+                           scale_powers_at, simulate_truths)
 from .powerflow import solve_truths
-from .scenarios import injections
-from .seeding import STREAM_FAULT, rng
+from .scenarios import bus_injections, unit_powers
+from .seeding import STREAM_FAULT, rngs
 from .wls import EstimatedState, estimate_batch
 
 METHOD_ANN = "ann"
@@ -183,14 +183,18 @@ class EvalResult:
 
 
 class TruthCache(dict):
-    """Power-flow truths ``(solution, view)`` keyed by (perturbation tag,
-    config, scenario); filled and read by :func:`powerflow.solve_truths`."""
+    """Power-flow truths, one ``powerflow.TruthTable`` per (perturbation tag,
+    config); filled and read by :func:`powerflow.solve_truths`."""
 
 
 def _truth_rx_factors(tc: TestCase, grid: GridModel, fault_seed: int,
-                      cfg_idx: int, sc_idx: int):
+                      cfg_idx: int, scenarios):
     """Per-line multipliers applied to the real grid's impedances.
 
+    None when the case keeps the nominal impedances. A case with fixed
+    factors gets one row ``(n_line,)``. A case with uniform random factors
+    gets one row per scenario index of ``scenarios`` ``(B, n_line)``, drawn
+    from ``rng(fault_seed, STREAM_FAULT, cfg_idx, scenario)``.
     The catalog factor describes the estimator model as a fraction of the
     actual value, so reality is nominal divided by that factor.
     """
@@ -200,11 +204,14 @@ def _truth_rx_factors(tc: TestCase, grid: GridModel, fault_seed: int,
     if tc.rx_model_factor is not None:
         for name in tc.rx_lines:
             factors[grid.line_by_name(name).id] = 1.0 / tc.rx_model_factor
-    if tc.rx_uniform is not None:
-        lo, hi = tc.rx_uniform
-        gen = rng(fault_seed, STREAM_FAULT, cfg_idx, sc_idx)
-        factors *= 1.0 / gen.uniform(lo, hi, size=len(grid.lines))
-    return factors
+    if tc.rx_uniform is None:
+        return factors
+    lo, hi = tc.rx_uniform
+    n_line = len(grid.lines)
+    keys = np.column_stack([np.full(len(scenarios), STREAM_FAULT),
+                            np.full(len(scenarios), cfg_idx), scenarios])
+    draws = np.array([gen.uniform(lo, hi, size=n_line) for gen in rngs(fault_seed, keys)])
+    return factors * (1.0 / draws.reshape(len(scenarios), n_line))
 
 
 def _assumed_bits(tc: TestCase, config) -> tuple[bool, ...]:
@@ -243,23 +250,19 @@ def _evaluate_scenarios(tc, grid, spec, faults, scenarios, configs, methods,
     if tc.rx_uniform is None:
         # a fixed impedance perturbation is the same for every sample, so the
         # perturbed views (and their admittance models) are built once
-        factors = _truth_rx_factors(tc, grid, fault_seed, 0, 0)
+        factors = _truth_rx_factors(tc, grid, fault_seed, 0, ())
         if factors is not None:
             truth_views = [view.with_scaled_impedance(factors) for view in truth_views]
     else:
         sample_factors = partial(_truth_rx_factors, tc, grid, fault_seed)
 
-    def actual_injections(sc_idx):
-        actual = scenarios[sc_idx]
-        for f in deviations:
-            actual = scale_unit_powers(actual, grid, f.buses, f.factor)
-        return injections(grid, actual)
-
-    truths = solve_truths(truth_views, actual_injections, len(scenarios),
-                          pairs=indices, cache=truth_cache, tag=perturb_tag,
+    p_kw, q_kvar = unit_powers(scenarios)
+    for f in deviations:
+        p_kw, q_kvar = scale_powers_at(grid, f.buses, f.factor, p_kw, q_kvar)
+    blocks = solve_truths(truth_views, bus_injections(grid, p_kw, q_kvar), pairs=indices,
+                          cache=truth_cache, tag=perturb_tag,
                           sample_factors=sample_factors)
-    sim = simulate_truths(truths, truth_views, len(indices), spec, meas_seed,
-                          per_sample=sample_factors is not None)
+    sim = simulate_truths(blocks, truth_views, spec, meas_seed)
     n_pairs, n_meas = sim.values.shape
     pairs = {"v_true": sim.v_mag, "loading_true": sim.loading_pct[:, monitored] / 100.0,
              "diverged": sim.diverged, "x": None,
@@ -321,7 +324,9 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
 
     # a fault that targets nothing fails the case before any truth is solved
     faults = resolve_faults(tc.faults, spec)
-    indices = [(c, s) for c in range(len(configs)) for s in range(len(scenarios))]
+    # every (config, scenario) pair, config-major
+    indices = np.stack(np.divmod(np.arange(len(configs) * len(scenarios)),
+                                 len(scenarios)), axis=1)
     if jobs > 1:
         pairs = _parallel_evaluate(tc, grid, spec, faults, scenarios, configs, methods,
                                    meas_seed, fault_seed, monitored, indices, jobs)
@@ -343,9 +348,9 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
                                      v_true, l_true, diverged, diverged)
         unseen = np.zeros(len(indices), dtype=bool)
         if grid.switches:
-            unseen_cfg = [not models["voltage"].topology_seen(_assumed_bits(tc, config))
-                          for config in configs]
-            unseen = np.array([unseen_cfg[c] for c, _ in indices]) & ~diverged
+            unseen_cfg = np.array([not models["voltage"].topology_seen(
+                _assumed_bits(tc, config)) for config in configs])
+            unseen = unseen_cfg[indices[:, 0]] & ~diverged
         results[METHOD_ANN].unseen_topology = unseen
     if METHOD_WLS in methods:
         results[METHOD_WLS] = _score(METHOD_WLS, tc.label, pairs["wls_v"],
@@ -482,10 +487,9 @@ def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
 
     # measurement-only inputs on the unperturbed test truths, read from the cache
     views = [apply_switch_config(grid, config) for config in configs]
-    test = simulate_truths(
-        solve_truths(views, lambda s: injections(grid, test_scenarios[s]),
-                     len(test_scenarios), cache=truth_cache),
-        views, len(views) * len(test_scenarios), spec, meas_seed)
+    injections = bus_injections(grid, *unit_powers(test_scenarios))
+    test = simulate_truths(solve_truths(views, injections, cache=truth_cache), views, spec,
+                           meas_seed)
     ok = ~test.diverged
     arch = AnnArchitecture(n_in=n_meas, n_out=train_data.y_voltage.shape[1],
                            n_hidden_layers=1, hidden_size_override=2,

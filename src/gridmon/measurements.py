@@ -11,10 +11,12 @@ Value conventions: v_bus in pu, p/q in pu (MW on a 1 MVA base), i_line as
 per-unit current at the from end. Noise is relative to the reading.
 
 Readings are simulated as ``(B, m)`` arrays, one row per (switch config,
-scenario) pair: :func:`simulate_batch` reads B states of one switch view,
-and :func:`simulate_truths` gathers a whole truth stream into one batch per
-config. A case's faults are resolved against the spec once
-(:func:`resolve_faults`) and applied to such a block (:func:`apply_faults`).
+scenario) pair: :func:`simulate_batch` reads B states of one switch view
+and draws each row's noise from its own stream, all B streams seeded in one
+``seeding.rngs`` call; :func:`simulate_truths` reads the truth blocks of
+``powerflow.solve_truths``, one batch per config. A case's faults are
+resolved against the spec once (:func:`resolve_faults`) and applied to such
+a block (:func:`apply_faults`).
 ``simulate`` and ``inject_fault`` are the one-vector calls, and
 ``MeasurementSet`` wraps one vector for them.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .grid import GridModel, GridView, build_admittance
 from .powerflow import ELISION_ELEMENTS, PfSolution, line_flows
-from .seeding import STREAM_MEASUREMENT, rng
+from .seeding import STREAM_MEASUREMENT, rngs
 
 BUS_KINDS = ("v_bus", "p_bus", "q_bus")
 LINE_KINDS = ("p_line", "q_line", "i_line")
@@ -201,8 +203,10 @@ def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: Measurem
 
     Under a per-sample impedance scale row b of the scale is state b's
     network. Row b's noise comes from its own generator, ``rng(seed,
-    STREAM_MEASUREMENT, *noise_keys[b])``. Each row is bitwise the same in any
-    batch: every step is elementwise or one matrix-vector product per state.
+    STREAM_MEASUREMENT, *noise_keys[b])`` for keys ``(B, k)``, and the B
+    generators are seeded in one ``seeding.rngs`` call. Each row is bitwise
+    the same in any batch: every step is elementwise or one matrix-vector
+    product per state.
     The batch runs in blocks whose complex arrays stay under
     ``ELISION_ELEMENTS`` elements (see :mod:`powerflow`), the ``(B, n_line,
     n_bus)`` branch matrices of a per-sample view included.
@@ -210,14 +214,17 @@ def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: Measurem
     pos = _positions(view, spec)
     sd = spec.sd_vector() / 100.0
     n = view.n_bus
+    keys = np.asarray(noise_keys, dtype=np.int64)
+    keys = keys.reshape(len(v), -1 if keys.size else 0)
+    streams = rngs(seed, np.hstack([np.full((len(v), 1), STREAM_MEASUREMENT), keys]))
+    noise = np.array([gen.standard_normal(len(pos)) for gen in streams]).reshape(
+        len(v), len(pos))
     block = max(1, (ELISION_ELEMENTS - 1) // (max(len(view.grid.lines), n) * n))
     values = np.empty((len(v), len(pos)))
     for start in range(0, len(v), block):
         rows = slice(start, start + block)
         truth = _readings(view.take(rows), v[rows], th[rows], pos)
-        noise = np.array([rng(seed, STREAM_MEASUREMENT, *key).standard_normal(len(pos))
-                          for key in noise_keys[rows]]).reshape(truth.shape)
-        values[rows] = truth * (1.0 + sd * noise)
+        values[rows] = truth * (1.0 + sd * noise[rows])
     return values
 
 
@@ -234,8 +241,8 @@ def simulate(solution: PfSolution, view: GridView, spec: MeasurementSpec,
 
 @dataclass(frozen=True)
 class SimulatedTruths:
-    """The pairs of a truth stream as arrays, one row per pair in stream
-    order; a diverged pair's rows are NaN."""
+    """Truth blocks as arrays, one row per pair in the order the pairs were
+    solved in; a diverged pair's rows are NaN."""
 
     config: np.ndarray  # (N,) switch config index
     v_mag: np.ndarray  # (N, n_bus) pu
@@ -244,42 +251,34 @@ class SimulatedTruths:
     diverged: np.ndarray  # (N,) bool
 
 
-def simulate_truths(truths, views, n_pairs: int, spec: MeasurementSpec, seed: int, *,
-                    per_sample: bool = False) -> SimulatedTruths:
-    """Noisy readings of the ``n_pairs`` pairs of a ``powerflow.solve_truths``
-    stream over ``views``, with pair (c, s)'s noise keyed ``(c, s)``.
+def simulate_truths(blocks, views, spec: MeasurementSpec, seed: int) -> SimulatedTruths:
+    """Noisy readings of the pairs of the ``powerflow.solve_truths`` blocks
+    over ``views``, with pair (c, s)'s noise keyed ``(c, s)``.
 
-    The states are gathered first and each config's pairs are then simulated
-    in one :func:`simulate_batch`. With ``per_sample`` (a stream solved under
-    ``sample_factors``) each pair view's impedance scale is kept and the
-    config's batch runs on one view stacking them.
+    Each block's converged pairs are simulated in one :func:`simulate_batch`;
+    a block solved under per-sample factors runs on one view stacking its
+    pairs' impedance scales. The rows follow the pair order the truths were
+    solved in.
     """
     grid = views[0].grid
-    n, n_line = grid.n_bus, len(grid.lines)
+    n_pairs = sum(len(block.rows) for block in blocks)
     config = np.zeros(n_pairs, dtype=int)
-    scenario = np.zeros(n_pairs, dtype=int)
-    v = np.full((n_pairs, n), np.nan)
-    th = np.full((n_pairs, n), np.nan)
-    loading = np.full((n_pairs, n_line), np.nan)
+    v = np.full((n_pairs, grid.n_bus), np.nan)
+    loading = np.full((n_pairs, len(grid.lines)), np.nan)
     diverged = np.zeros(n_pairs, dtype=bool)
-    scale = np.ones((n_pairs, n_line)) if per_sample else None
-    for row, (cfg_idx, sc_idx, view, sol) in enumerate(truths):
-        config[row], scenario[row] = cfg_idx, sc_idx
-        if sol is None:
-            diverged[row] = True
-            continue
-        v[row], th[row], loading[row] = sol.v_mag_pu, sol.v_ang_rad, sol.loading_pct
-        if per_sample:
-            scale[row] = view.impedance_scale
     values = np.full((n_pairs, len(spec.entries)), np.nan)
-    for cfg_idx, view in enumerate(views):
-        rows = np.flatnonzero((config == cfg_idx) & ~diverged)
-        if not rows.size:
+    for block in blocks:
+        rows = block.rows
+        config[rows], v[rows], loading[rows] = block.config, block.v, block.loading
+        diverged[rows] = block.diverged
+        ok = ~block.diverged
+        if not ok.any():
             continue
-        if per_sample:
-            view = view.with_scaled_impedance(scale[rows])
-        keys = [(cfg_idx, sc_idx) for sc_idx in scenario[rows].tolist()]
-        values[rows] = simulate_batch(view, v[rows], th[rows], spec, seed, keys)
+        view = views[block.config]
+        if block.scale is not None:
+            view = view.with_scaled_impedance(block.scale[ok])
+        keys = np.column_stack([np.full(ok.sum(), block.config), block.scenario[ok]])
+        values[rows[ok]] = simulate_batch(view, block.v[ok], block.th[ok], spec, seed, keys)
     return SimulatedTruths(config=config, v_mag=v, loading_pct=loading, values=values,
                            diverged=diverged)
 
@@ -384,9 +383,15 @@ def assumed_sd_overrides(faults, spec: MeasurementSpec) -> dict[int, float]:
 def scale_unit_powers(scenario, grid: GridModel, buses, factor: float):
     """Scenario with every unit at the given buses scaled by ``factor``
     (power_deviation faults perturb reality this way before the power flow)."""
+    p, q = scale_powers_at(grid, buses, factor, scenario.p_kw, scenario.q_kvar)
+    return replace(scenario, p_kw=p, q_kvar=q)
+
+
+def scale_powers_at(grid: GridModel, buses, factor: float, p_kw: np.ndarray,
+                    q_kvar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit powers ``([B,] n_unit)`` with every unit at ``buses`` scaled by
+    ``factor``."""
     at_bus = np.zeros(grid.n_bus, dtype=bool)
     at_bus[list(buses)] = True
     mask = at_bus[grid.unit_table.bus]
-    p = np.where(mask, scenario.p_kw * factor, scenario.p_kw)
-    q = np.where(mask, scenario.q_kvar * factor, scenario.q_kvar)
-    return replace(scenario, p_kw=p, q_kvar=q)
+    return (np.where(mask, p_kw * factor, p_kw), np.where(mask, q_kvar * factor, q_kvar))

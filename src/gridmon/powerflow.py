@@ -6,14 +6,21 @@ All buses except the slack are treated as PQ buses. The Jacobian and the
 line flows derive from the view's branch admittance model
 (:attr:`GridView.branches`).
 
-There is one Newton-Raphson, :func:`solve_pf_batch`. It solves B power
-flows of one view at once on ``(B, n_bus)`` states, with the view's one
-``Ybus`` or, under a per-sample impedance scale, its stacked ``(B, n_bus,
-n_bus)`` one. A sample leaves the iteration when it converges, and a
-diverged or singular sample fails alone. :func:`solve_pf` is its B = 1 call.
-:func:`solve_truths` solves the (switch config, scenario) pairs of every
-caller, ``TRUTH_CHUNK`` pairs at a time with one batched call per config,
-and yields None for a diverged one.
+There is one Newton-Raphson. It solves B power flows of one view at once on
+``(B, n_bus)`` states, with the view's one ``Ybus`` or, under a per-sample
+impedance scale, its stacked ``(B, n_bus, n_bus)`` one. A sample leaves the
+iteration when it converges, and a diverged or singular sample fails alone.
+:func:`solve_pf_batch` returns one ``PfSolution`` (or ``PowerFlowError``)
+per sample and :func:`solve_pf` is its B = 1 call; :func:`solve_flows`
+returns the same states as arrays.
+
+:func:`solve_truths` is the truth layer of every command. It solves the
+(switch config, scenario) pairs of a set of scenarios, given as one stacked
+``InjectionSet``, and returns one :class:`TruthBlock` of arrays per switch
+config: ``v``, ``th``, ``loading`` and ``diverged``, and under a per-sample
+impedance scale each pair's row of the scale. A cache (such as
+``evaluation.TruthCache``) keeps one :class:`TruthTable` per (perturbation,
+config), with one row per scenario.
 
 Each sample's result is bitwise the same in any batch: every step is
 elementwise per sample or one BLAS/LAPACK call per sample. One numpy
@@ -22,13 +29,14 @@ reuses a temporary operand in place, and a complex product such as
 ``a * np.conj(b)`` then rounds differently in the last bit; one unchunked
 batch of 1,100 samples x 15 buses moved 405 samples by up to 4e-14 pu. So
 a batch is solved in blocks whose largest complex array, ``B x n_bus x
-n_bus``, stays under ``ELISION_ELEMENTS``.
+n_bus``, stays under ``ELISION_ELEMENTS``, and of at most ``NEWTON_BLOCK``
+samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +44,11 @@ from .grid import GridView, dsbus_dv
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 30
-# (config, scenario) pairs per solve_truths step; a chunk of 32 solved a pair
-# about a quarter faster but kept enough per-sample views and Newton
-# temporaries alive to raise the peak RSS of a WLS catalog run by ~3 %
-TRUTH_CHUNK = 16
 ELISION_ELEMENTS = 16384  # complex128 elements in 256 KiB, see above
+# samples per Newton block at most; blocks of 72 (the elision bound on the
+# bundled feeder) solved truths about a tenth faster than 32 but raised the
+# peak RSS of a WLS catalog run by about 0.45 MB
+NEWTON_BLOCK = 32
 
 
 class PowerFlowError(Exception):
@@ -53,7 +61,8 @@ class PowerFlowError(Exception):
 
 @dataclass(frozen=True)
 class InjectionSet:
-    """Net per-bus injections in per-unit, generation positive. Slack entries ignored."""
+    """Net per-bus injections in per-unit, generation positive, ``([B,] n_bus)``.
+    Slack entries ignored."""
 
     p_pu: np.ndarray
     q_pu: np.ndarray
@@ -94,19 +103,39 @@ def solve_pf_batch(view: GridView, injections) -> list[PfSolution | PowerFlowErr
     its iteration: a singular Jacobian or no convergence fails that sample
     only. Each sample's result is bitwise the same in any batch.
     """
-    injections = list(injections)
-    p, q = _schedule(view, injections)
-    n, slack = view.grid.n_bus, view.grid.slack_bus
-    pq = np.array([i for i in range(n) if i != slack and i not in view.dead_buses],
-                  dtype=int)
-    block = max(1, (ELISION_ELEMENTS - 1) // (n * n))
+    p, q = _schedule(view, list(injections))
     results = []
-    for start in range(0, len(injections), block):
-        rows = slice(start, start + block)
-        block_view = view.take(rows)
-        results += _solutions(block_view, *_newton(block_view.branches.ybus, slack, pq,
-                                                   p[rows], q[rows]))
+    for _, block_view, solved in _newton_blocks(view, p, q):
+        results += _solutions(block_view, *solved)
     return results
+
+
+def solve_flows(view: GridView, p: np.ndarray, q: np.ndarray):
+    """Solve the B power flows of scheduled injections ``p``/``q`` ``(B,
+    n_bus)`` as :func:`solve_pf_batch` does, as arrays.
+
+    Returns ``v`` and ``th`` ``(B, n_bus)``, the loading ``(B, n_line)`` in
+    percent and the diverged mask ``(B,)``; a diverged sample's rows are NaN.
+    Each row is bitwise the fields of that sample's ``PfSolution``.
+    """
+    _check_schedule(view, p, q)
+    n_samples = len(p)
+    v = np.full((n_samples, view.n_bus), np.nan)
+    th = np.full((n_samples, view.n_bus), np.nan)
+    loading = np.full((n_samples, len(view.grid.lines)), np.nan)
+    diverged = np.zeros(n_samples, dtype=bool)
+    for start, block_view, (vb, thb, _, _, _, errors) in _newton_blocks(view, p, q):
+        ok = np.array([err is None for err in errors])
+        diverged[start + np.flatnonzero(~ok)] = True
+        if ok.all():
+            rows = slice(start, start + len(ok))
+        else:
+            rows = start + np.flatnonzero(ok)
+            block_view, vb, thb = block_view.take(ok), vb[ok], thb[ok]
+        if len(vb):
+            v[rows], th[rows] = vb, thb
+            loading[rows] = line_flows(block_view, vb, thb).loading_pct
+    return v, th, loading, diverged
 
 
 def _schedule(view: GridView, injections) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +146,33 @@ def _schedule(view: GridView, injections) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("injection vectors must have one entry per bus")
     p = np.array([inj.p_pu for inj in injections], dtype=float).reshape(-1, n)
     q = np.array([inj.q_pu for inj in injections], dtype=float).reshape(-1, n)
+    _check_schedule(view, p, q)
+    return p, q
+
+
+def _check_schedule(view: GridView, p: np.ndarray, q: np.ndarray) -> None:
+    if p.shape != q.shape or p.ndim != 2 or p.shape[1] != view.grid.n_bus:
+        raise ValueError("injection vectors must have one entry per bus")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise ValueError("injections must be finite")
     if view.dead_buses:
         dead = sorted(view.dead_buses)
         if np.any(np.abs(p[:, dead]) + np.abs(q[:, dead]) > 0):
             raise ValueError("nonzero injection at a bus cut off the slack")
-    return p, q
+
+
+def _newton_blocks(view: GridView, p: np.ndarray, q: np.ndarray):
+    """Yield, for each block of the rows of ``p``/``q`` under the elision
+    bound, its first row, its view and what :func:`_newton` returns for it."""
+    n, slack = view.grid.n_bus, view.grid.slack_bus
+    pq = np.array([i for i in range(n) if i != slack and i not in view.dead_buses],
+                  dtype=int)
+    block = min(NEWTON_BLOCK, max(1, (ELISION_ELEMENTS - 1) // (n * n)))
+    for start in range(0, len(p), block):
+        rows = slice(start, start + block)
+        block_view = view.take(rows)
+        yield start, block_view, _newton(block_view.branches.ybus, slack, pq,
+                                         p[rows], q[rows])
 
 
 def _newton(ybus, slack, pq, p, q):
@@ -265,46 +314,96 @@ def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
                      loading_pct=100.0 * worst / net.rating_amps)
 
 
-def solve_truths(views, injections, n_scenarios: int, *, pairs=None, cache=None,
-                 tag=(), sample_factors=None):
+# the truth records are named tuples: a frozen dataclass would add about a
+# millisecond each to every command's start-up
+class TruthBlock(NamedTuple):
+    """The truths of one switch config's pairs, one row per pair.
+
+    ``rows`` are the pairs' positions in the pair order asked for and
+    ``scenario`` their scenario indices. A diverged pair's state rows are
+    NaN. ``scale`` is each pair's impedance scale under per-sample factors,
+    else None.
+    """
+
+    config: int
+    rows: np.ndarray  # (B,)
+    scenario: np.ndarray  # (B,)
+    v: np.ndarray  # (B, n_bus) pu
+    th: np.ndarray  # (B, n_bus) rad
+    loading: np.ndarray  # (B, n_line) percent
+    diverged: np.ndarray  # (B,) bool
+    scale: np.ndarray | None = None  # (B, n_line)
+
+
+class TruthTable(NamedTuple):
+    """The memoised truths of one (perturbation, switch config), row s for
+    scenario s; ``known`` marks the solved rows, divergences included."""
+
+    v: np.ndarray  # (n_scenarios, n_bus)
+    th: np.ndarray
+    loading: np.ndarray  # (n_scenarios, n_line)
+    diverged: np.ndarray  # (n_scenarios,) bool
+    known: np.ndarray  # (n_scenarios,) bool
+
+    @classmethod
+    def empty(cls, n_scenarios: int, n_bus: int, n_line: int) -> TruthTable:
+        return cls(v=np.full((n_scenarios, n_bus), np.nan),
+                   th=np.full((n_scenarios, n_bus), np.nan),
+                   loading=np.full((n_scenarios, n_line), np.nan),
+                   diverged=np.zeros(n_scenarios, dtype=bool),
+                   known=np.zeros(n_scenarios, dtype=bool))
+
+
+def solve_truths(views, injections: InjectionSet, *, pairs=None, cache=None, tag=(),
+                 sample_factors=None) -> list[TruthBlock]:
     """Noise-free truths of (switch config, scenario) pairs.
 
-    Yields ``(cfg_idx, sc_idx, view, solution)`` config-major, or over
-    ``pairs`` in their order; ``solution`` is None where Newton-Raphson
-    diverges. ``views[c]`` is the network of config ``c``, ``injections(s)``
-    the bus injections of scenario ``s``. ``sample_factors(c, s)`` scales each
-    pair's line impedances (the pair's view is its own row of the batch's
-    scale), and such truths are never memoised; otherwise a ``cache`` (a dict
-    such as ``evaluation.TruthCache``) keeps ``(solution, view)``, divergences
-    too, under ``(tag, c, s)``, with ``tag`` naming a fixed perturbation.
+    ``views[c]`` is the network of config ``c`` and row s of the stacked
+    ``injections`` ``(n_scenarios, n_bus)`` the bus injections of scenario
+    s. ``pairs`` ``(N, 2)`` lists (config, scenario) pairs, by default every
+    pair config-major. Returns one :class:`TruthBlock` per config that has
+    pairs, in config order.
 
-    Pairs are taken ``TRUTH_CHUNK`` at a time, and the cache misses of each
-    config in a chunk are solved in one :func:`solve_pf_batch` call.
+    ``sample_factors(c, scenarios)`` gives the ``(B, n_line)`` line
+    impedance scale of config c's pairs, and such truths are never
+    memoised. Otherwise a ``cache`` (a dict such as
+    ``evaluation.TruthCache``) keeps one :class:`TruthTable` under
+    ``(tag, c)``, with ``tag`` naming a fixed perturbation, and only the
+    scenarios it does not know yet are solved. Each config's pairs are
+    solved in one :func:`solve_flows` call, whose Newton-Raphson takes them
+    ``NEWTON_BLOCK`` at a time.
     """
+    p_all, q_all = injections.p_pu, injections.q_pu
+    n_scenarios = len(p_all)
     if pairs is None:
-        pairs = product(range(len(views)), range(n_scenarios))
-    pairs = iter(pairs)
+        config = np.repeat(np.arange(len(views)), n_scenarios)
+        scenario = np.tile(np.arange(n_scenarios), len(views))
+    else:
+        config, scenario = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     memo = cache if sample_factors is None else None
-    while chunk := list(islice(pairs, TRUTH_CHUNK)):
-        truths = {}
-        misses: dict[int, dict[int, None]] = {}  # config -> scenarios, in order
-        for cfg_idx, sc_idx in chunk:
-            truth = memo.get((tag, cfg_idx, sc_idx)) if memo is not None else None
-            if truth is None:
-                misses.setdefault(cfg_idx, {})[sc_idx] = None
-            else:
-                truths[cfg_idx, sc_idx] = truth
-        for cfg_idx, scs in misses.items():
-            view = views[cfg_idx]
-            if sample_factors is not None:
-                view = view.with_scaled_impedance(
-                    [sample_factors(cfg_idx, sc_idx) for sc_idx in scs])
-            solved = solve_pf_batch(view, [injections(sc_idx) for sc_idx in scs])
-            for row, (sc_idx, sol) in enumerate(zip(scs, solved)):
-                truth = (None if isinstance(sol, PowerFlowError) else sol, view.take(row))
-                truths[cfg_idx, sc_idx] = truth
-                if memo is not None:
-                    memo[tag, cfg_idx, sc_idx] = truth
-        for cfg_idx, sc_idx in chunk:
-            solution, view = truths[cfg_idx, sc_idx]
-            yield cfg_idx, sc_idx, view, solution
+    blocks = []
+    for cfg_idx, view in enumerate(views):
+        rows = np.flatnonzero(config == cfg_idx)
+        if not rows.size:
+            continue
+        scs = scenario[rows]
+        table = memo.get((tag, cfg_idx)) if memo is not None else None
+        if table is None:
+            table = TruthTable.empty(n_scenarios, view.n_bus, len(view.grid.lines))
+            if memo is not None:
+                memo[tag, cfg_idx] = table
+        scale = None
+        if sample_factors is not None:
+            todo = scs
+            scale = np.asarray(sample_factors(cfg_idx, scs), dtype=float)
+        else:
+            todo = scs[~table.known[scs]]
+        if todo.size:
+            solve_view = view if scale is None else view.with_scaled_impedance(scale)
+            (table.v[todo], table.th[todo], table.loading[todo],
+             table.diverged[todo]) = solve_flows(solve_view, p_all[todo], q_all[todo])
+            table.known[todo] = True
+        blocks.append(TruthBlock(config=cfg_idx, rows=rows, scenario=scs, v=table.v[scs],
+                                 th=table.th[scs], loading=table.loading[scs],
+                                 diverged=table.diverged[scs], scale=scale))
+    return blocks

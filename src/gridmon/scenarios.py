@@ -4,7 +4,10 @@ Scenarios are built from axis tuples: each axis covers one unit kind with an
 inclusive percentage grid, the Cartesian product of all axis grids gives the
 tuple set, and expansion applies per-unit multiplicative Gaussian noise on
 top of the tuple's scaling values. Expansion and the net bus injections are
-array operations on the grid's unit table (``GridModel.unit_table``).
+array operations on the grid's unit table (``GridModel.unit_table``);
+``generate_set`` seeds every scenario's noise stream in one
+``seeding.rngs`` call, and ``bus_injections`` of ``unit_powers`` gives a
+whole set's injections as one stacked ``InjectionSet``.
 Scenarios are always regenerated from a seed; ``gridmon generate`` writes a
 set to ``scenarios.csv`` as a record, and nothing reads it back.
 """
@@ -19,7 +22,7 @@ import numpy as np
 
 from .grid import GridModel
 from .powerflow import InjectionSet
-from .seeding import STREAM_SCENARIO, rng
+from .seeding import STREAM_SCENARIO, rng, rngs
 
 
 class ScenarioError(Exception):
@@ -94,12 +97,13 @@ def enumerate_tuples(axes) -> list[tuple[float, ...]]:
 
 
 def expand(tuple_values, axes, grid: GridModel, seed: int | None,
-           repetition: int = 0, tuple_index: int = 0) -> Scenario:
+           repetition: int = 0, tuple_index: int = 0, gen=None) -> Scenario:
     """Turn one scaling tuple into per-unit powers.
 
     p = p_nom * scale(kind) * max(0, 1 + N(0, sd)); the clamp keeps loads and
     generators from flipping sign through noise. q follows each unit's
-    cos phi with the same sign as p.
+    cos phi with the same sign as p. The noise comes from ``gen``, by
+    default ``rng(seed, STREAM_SCENARIO, repetition, tuple_index)``.
     """
     units = grid.unit_table
     by_kind = {ax.unit_kind: (ax.noise_sd_pct, value) for ax, value in zip(axes, tuple_values)}
@@ -108,7 +112,8 @@ def expand(tuple_values, axes, grid: GridModel, seed: int | None,
         raise ScenarioError(f"no scenario axis for unit kinds {missing}")
     noise_sd = np.array([by_kind[k][0] for k in units.kinds], dtype=float)[units.kind]
     scale = np.array([by_kind[k][1] for k in units.kinds], dtype=float)[units.kind]
-    gen = rng(0 if seed is None else seed, STREAM_SCENARIO, repetition, tuple_index)
+    if gen is None:
+        gen = rng(0 if seed is None else seed, STREAM_SCENARIO, repetition, tuple_index)
     eps = gen.standard_normal(len(units.bus))
     factor = np.maximum(0.0, 1.0 + noise_sd / 100.0 * eps)
     p = units.p_nom_kw * scale * factor
@@ -122,20 +127,38 @@ def generate_set(axes, grid: GridModel, repetitions: int, seed: int) -> list[Sce
     if repetitions < 1:
         raise ScenarioError("repetitions must be >= 1")
     tuples = enumerate_tuples(axes)
-    return [
-        expand(tv, axes, grid, seed, repetition=rep, tuple_index=idx)
-        for rep in range(repetitions)
-        for idx, tv in enumerate(tuples)
-    ]
+    rep, idx = np.divmod(np.arange(repetitions * len(tuples)), len(tuples))
+    gens = rngs(0 if seed is None else seed,
+                np.column_stack([np.full(len(rep), STREAM_SCENARIO), rep, idx]))
+    return [expand(tuples[i], axes, grid, seed, repetition=r, tuple_index=i, gen=gen)
+            for r, i, gen in zip(rep.tolist(), idx.tolist(), gens)]
 
 
 def injections(grid: GridModel, scenario: Scenario) -> InjectionSet:
     """Net per-bus injections in per-unit, generation positive."""
+    return bus_injections(grid, scenario.p_kw, scenario.q_kvar)
+
+
+def bus_injections(grid: GridModel, p_kw: np.ndarray, q_kvar: np.ndarray) -> InjectionSet:
+    """Net per-bus injections of unit powers ``([B,] n_unit)`` (kW / kvar),
+    as an InjectionSet ``([B,] n_bus)``; each bus sums its units in unit
+    order, row by row, so row b is bitwise what row b alone gives."""
     units = grid.unit_table
+    n = grid.n_bus
     s_base_kw = grid.s_base_mva * 1e3
+    lead = np.shape(p_kw)[:-1]
+    n_rows = int(np.prod(lead))
+    bins = (np.arange(n_rows)[:, None] * n + units.bus).ravel()
 
-    def per_bus(values):  # accumulates in unit order, bus by bus
-        return np.bincount(units.bus, weights=units.sign * values / s_base_kw,
-                           minlength=grid.n_bus)
+    def per_bus(values):
+        weights = (units.sign * values / s_base_kw).ravel()
+        return np.bincount(bins, weights=weights, minlength=n_rows * n).reshape(lead + (n,))
 
-    return InjectionSet(p_pu=per_bus(scenario.p_kw), q_pu=per_bus(scenario.q_kvar))
+    return InjectionSet(p_pu=per_bus(p_kw), q_pu=per_bus(q_kvar))
+
+
+def unit_powers(scenario_list) -> tuple[np.ndarray, np.ndarray]:
+    """The scenarios' unit powers as ``(N, n_unit)`` kW and kvar arrays."""
+    n_units = len(scenario_list[0].p_kw) if scenario_list else 0
+    return (np.array([sc.p_kw for sc in scenario_list], dtype=float).reshape(-1, n_units),
+            np.array([sc.q_kvar for sc in scenario_list], dtype=float).reshape(-1, n_units))

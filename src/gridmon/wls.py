@@ -335,8 +335,9 @@ def _gauss_newton(view, pos, index, z, weights):
 
     A sample leaves the live set at the iteration where its step falls below
     ``STATE_UPDATE_TOLERANCE`` or where it fails, so its state stays as it
-    was then. Each objective is the 1-D sum of its own row, as a one-sample
-    estimate sums it.
+    was then. Each block's objectives are one row reduction,
+    ``np.add.reduce(terms, 1)``, which sums each row as ``np.sum`` sums it
+    alone.
     """
     n_samples, n = len(z), view.n_bus
     n_ang = len(index.non_slack)
@@ -351,8 +352,9 @@ def _gauss_newton(view, pos, index, z, weights):
         iterations[live] = iteration
         h, jac = measurement_model(view, pos, v[live], th[live], index)
         residual = z[live] - h
-        for b, terms in zip(live, weights[live] * residual**2):
-            history[b].append(float(np.sum(terms)))
+        for b, objective in zip(live.tolist(),
+                                np.add.reduce(weights[live] * residual**2, 1).tolist()):
+            history[b].append(objective)
         wjac = jac * weights[live][..., None]
         gain = np.swapaxes(jac, 1, 2) @ wjac
         rhs = (np.swapaxes(wjac, 1, 2) @ residual[..., None])[..., 0]
@@ -379,10 +381,9 @@ def _gauss_newton(view, pos, index, z, weights):
     if not ok:
         return results
     h, _ = measurement_model(view, pos, v[ok], th[ok], index)
-    terms = weights[ok] * (z[ok] - h) ** 2
+    objectives = np.add.reduce(weights[ok] * (z[ok] - h) ** 2, 1).tolist()
     loading_pct = line_flows(view, v[ok], th[ok]).loading_pct
-    for row, b in enumerate(ok):
-        objective = float(np.sum(terms[row]))
+    for row, (b, objective) in enumerate(zip(ok, objectives)):
         results[b] = EstimatedState(v_mag=v[b].copy(), v_ang=th[b].copy(),
                                     loading_pct=loading_pct[row],
                                     converged=bool(converged[b]),

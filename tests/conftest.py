@@ -76,3 +76,9 @@ def flat_scenario(grid, load=1.0, dg=0.0):
     q = p * np.tan(np.arccos(np.array([u.cos_phi for u in grid.units])))
     return Scenario(p_kw=p, q_kvar=q, tuple_values=(load, dg), repetition=0,
                     tuple_index=0, seed=None)
+
+
+def n_known(cache):
+    """The (tag, config, scenario) truths a truth cache holds, divergences
+    included."""
+    return sum(int(table.known.sum()) for table in cache.values())

@@ -16,7 +16,8 @@ from gridmon.correction import correct_voltages
 from gridmon.evaluation import (METHOD_ANN, METHOD_WLS, TruthCache, compare_sota,
                                 load_catalog, run_test_case)
 from gridmon.grid import apply_switch_config, load_bundled
-from gridmon.measurements import MeasurementSpec, MeasurementSet, make_spec, simulate, true_values
+from gridmon.measurements import (MeasurementSpec, MeasurementSet, make_spec, simulate_batch,
+                                  true_values)
 from gridmon.powerflow import InjectionSet, line_flows, solve_pf
 from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
 from gridmon.wls import estimate
@@ -224,9 +225,13 @@ def test_criterion_7_error_correction(bundle):
     idempotent = True
     views = [apply_switch_config(grid, c) for c in catalog.switch_configs]
     for ci in range(len(catalog.switch_configs)):
-        for si in range(len(bundle["test_scenarios"])):
-            sol, _view = bundle["cache"].get(((), ci, si))
-            ms = simulate(sol, views[ci], spec, NOISE_SEED, noise_key=(ci, si))
+        table = bundle["cache"][(), ci]
+        assert table.known.all() and not table.diverged.any()
+        keys = [(ci, si) for si in range(len(bundle["test_scenarios"]))]
+        readings = simulate_batch(views[ci], table.v, table.th, spec, NOISE_SEED, keys)
+        for si, values in enumerate(readings):
+            ms = MeasurementSet(values, np.array(views[ci].config, dtype=float),
+                                spec.spec_hash)
             rep = correct_voltages(ms, spec)
             total += 1
             false_positives += rep.n_replaced > 0

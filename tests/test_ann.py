@@ -400,22 +400,22 @@ def test_build_training_set_shapes(m4_training):
 
 def test_build_training_set_skips_diverged_pair(m4_training, monkeypatch):
     from gridmon import powerflow
-    from gridmon.powerflow import PowerFlowError
 
     grid, spec, data = m4_training
     scenarios = generate_set(DEFAULT_AXES, grid, 1, seed=501)[:3]
-    real = powerflow.solve_pf_batch
+    real = powerflow.solve_flows
     calls = []
 
-    def diverge_fourth(views, injections):
-        solved = real(views, injections)
-        for i in range(len(solved)):
+    def diverge_fourth(view, p, q):
+        v, th, loading, diverged = real(view, p, q)
+        for i in range(len(p)):
             calls.append(None)
             if len(calls) == 4:  # config 1, scenario 0
-                solved[i] = PowerFlowError("no convergence after 30 iterations", 1.0)
-        return solved
+                v[i] = th[i] = loading[i] = np.nan
+                diverged[i] = True
+        return v, th, loading, diverged
 
-    monkeypatch.setattr(powerflow, "solve_pf_batch", diverge_fourth)
+    monkeypatch.setattr(powerflow, "solve_flows", diverge_fourth)
     small = build_training_set(grid, scenarios, spec,
                                [CONFIG_0, (True, False, True, False, True, False)],
                                seed=501)

@@ -49,6 +49,64 @@ def test_generate_writes_scenarios_and_truths(tmp_path):
     assert (out / "truth_cache.npz").exists()
 
 
+def test_generate_truth_file_holds_each_pairs_state(tmp_path):
+    from gridmon.evaluation import load_catalog
+    from gridmon.grid import apply_switch_config, grid_fingerprint
+    from gridmon.powerflow import solve_pf
+    from gridmon.scenarios import injections
+
+    out = tmp_path / "gen"
+    assert run("generate", "--repetitions", "1", "--seed", "3", "--out", str(out)) == EXIT_OK
+    grid = load_bundled("cigre_mv_mod")
+    configs = load_catalog(grid).switch_configs
+    scenarios = generate_set(DEFAULT_AXES, grid, 1, derive_seed(3, SEED_TEST_SCENARIOS))
+    with np.load(out / "truth_cache.npz") as data:
+        assert (str(data["grid_fingerprint"]), str(data["axes"]), int(data["repetitions"]),
+                int(data["seed"])) == (grid_fingerprint(grid), "default", 1, 3)
+        assert np.array_equal(data["switch_configs"], np.array(configs, dtype=bool))
+        for c, s in ((0, 0), (1, 517), (3, 1099)):
+            sol = solve_pf(apply_switch_config(grid, configs[c]), injections(grid, scenarios[s]))
+            assert data[f"v_mag_config{c}"][s].tobytes() == sol.v_mag_pu.tobytes()
+            assert data[f"v_ang_config{c}"][s].tobytes() == sol.v_ang_rad.tobytes()
+            assert data[f"loading_config{c}"][s].tobytes() == sol.loading_pct.tobytes()
+
+
+def _rewrite_truth_file(path, **fields):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    np.savez(path, **{**arrays, **fields})
+
+
+def test_evaluate_reuses_generated_truths_only_when_they_match(tmp_path, monkeypatch):
+    """``evaluate`` into generate's directory solves none of M4's truths;
+    without the file, or with one from another seed, axes or grid, it solves
+    them all. Every output is byte-identical."""
+    from gridmon import powerflow
+
+    for name, seed in (("same", 5), ("seed", 6), ("axes", 5), ("grid", 5)):
+        assert run("generate", "--repetitions", "1", "--seed", str(seed),
+                   "--out", str(tmp_path / name)) == EXIT_OK
+    _rewrite_truth_file(tmp_path / "axes" / "truth_cache.npz", axes="five")
+    _rewrite_truth_file(tmp_path / "grid" / "truth_cache.npz", grid_fingerprint="0" * 16)
+    solved = []
+    real = powerflow.solve_flows
+
+    def counting(view, p, q):
+        solved.append(len(p))
+        return real(view, p, q)
+
+    monkeypatch.setattr(powerflow, "solve_flows", counting)
+    outputs = {}
+    for name in ("same", "none", "seed", "axes", "grid"):
+        solved.clear()
+        assert run("evaluate", "--cases", "M4", "--methods", "wls", "--repetitions", "1",
+                   "--seed", "5", "--out", str(tmp_path / name)) == EXIT_OK
+        assert sum(solved) == (0 if name == "same" else 4400), name
+        outputs[name] = [(tmp_path / name / f).read_bytes()
+                         for f in ("M4_wls.csv", "M4_stats.json", "summary.csv")]
+    assert all(files == outputs["none"] for files in outputs.values())
+
+
 def test_train_writes_models_and_history(trained_dir):
     npz = sorted(p.name for p in trained_dir.glob("*.npz"))
     assert len(npz) == 2
@@ -207,13 +265,11 @@ def test_wls_only_needs_no_models(tmp_path):
 
 
 def test_evaluate_diverged_power_flow_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    from gridmon.powerflow import PowerFlowError
+    def diverge(view, p, q):
+        return (np.full(p.shape, np.nan), np.full(p.shape, np.nan),
+                np.full((len(p), len(view.grid.lines)), np.nan), np.ones(len(p), dtype=bool))
 
-    def diverge(views, injections):
-        return [PowerFlowError("no convergence after 30 iterations", 1.0)
-                for _ in injections]
-
-    monkeypatch.setattr("gridmon.powerflow.solve_pf_batch", diverge)
+    monkeypatch.setattr("gridmon.powerflow.solve_flows", diverge)
     out = tmp_path / "diverged"
     code = run("evaluate", "--cases", "M0", "--methods", "wls",
                "--repetitions", "1", "--out", str(out))
@@ -224,16 +280,14 @@ def test_evaluate_diverged_power_flow_is_numerical_failure(tmp_path, monkeypatch
 
 
 def test_stats_json_is_strict_when_every_pair_fails(tmp_path, monkeypatch):
-    from gridmon.powerflow import PowerFlowError
-
-    def diverge(views, injections):
-        return [PowerFlowError("no convergence after 30 iterations", 1.0)
-                for _ in injections]
+    def diverge(view, p, q):
+        return (np.full(p.shape, np.nan), np.full(p.shape, np.nan),
+                np.full((len(p), len(view.grid.lines)), np.nan), np.ones(len(p), dtype=bool))
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    monkeypatch.setattr("gridmon.powerflow.solve_pf_batch", diverge)
+    monkeypatch.setattr("gridmon.powerflow.solve_flows", diverge)
     out = tmp_path / "failed"
     code = run("evaluate", "--cases", "M0", "--methods", "wls",
                "--repetitions", "1", "--out", str(out))
@@ -251,7 +305,6 @@ def _csv_rows(path):
 def test_evaluate_scores_diverged_pair_as_failed(tmp_path, trained_dir, monkeypatch,
                                                  capsys):
     from gridmon import powerflow
-    from gridmon.powerflow import PowerFlowError
 
     argv = ["evaluate", "--cases", "M4", "--methods", "ann,wls",
             "--repetitions", "1", "--seed", "5", "--models", str(trained_dir)]
@@ -259,18 +312,19 @@ def test_evaluate_scores_diverged_pair_as_failed(tmp_path, trained_dir, monkeypa
     assert "diverged" not in capsys.readouterr().out
 
     target = 1102  # pairs run config-major: config 1, scenario 2
-    real = powerflow.solve_pf_batch
+    real = powerflow.solve_flows
     calls = []
 
-    def diverge_once(views, injections):
-        solved = real(views, injections)
-        for i in range(len(solved)):
+    def diverge_once(view, p, q):
+        v, th, loading, diverged = real(view, p, q)
+        for i in range(len(p)):
             calls.append(None)
             if len(calls) == target + 1:
-                solved[i] = PowerFlowError("no convergence after 30 iterations", 1.0)
-        return solved
+                v[i] = th[i] = loading[i] = np.nan
+                diverged[i] = True
+        return v, th, loading, diverged
 
-    monkeypatch.setattr("gridmon.powerflow.solve_pf_batch", diverge_once)
+    monkeypatch.setattr("gridmon.powerflow.solve_flows", diverge_once)
     assert run(*argv, "--out", str(tmp_path / "diverged")) == EXIT_OK
     assert "1 of 4400 evaluated pairs had a diverged power flow" in capsys.readouterr().out
     for name in ("M4_ann.csv", "M4_wls.csv"):

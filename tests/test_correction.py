@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmon.correction import KEPT, REPLACED, correct_voltages
+from gridmon.correction import KEPT, REPLACED, correct_rows, correct_voltages
 from gridmon.measurements import MeasurementEntry, MeasurementSet, MeasurementSpec
 
 
@@ -106,3 +106,29 @@ def test_two_outliers_both_replaced_when_separable():
     assert report.flags[4] == REPLACED
     kept = report.measurements.values[1:4]
     assert np.array_equal(kept, ms.values[1:4])
+
+
+def test_correct_rows_screens_a_mixed_block_as_per_row_correction():
+    """Clean rows, rows with a dropout, a 150 % reading or two faults, and
+    rows with a NaN voltage: each row comes out bitwise as
+    ``correct_voltages`` leaves it."""
+    spec = spec_with_voltages(5)
+    gen = np.random.default_rng(8)
+    block = np.column_stack([1.0 + 0.02 * gen.standard_normal((40, 5)),
+                             gen.standard_normal((40, 2))])
+    block[3, 1] = 0.0
+    block[7, 4] = 1.5
+    block[11, [0, 2]] = (0.0, 1.49)
+    block[15, 3] = np.nan
+    block[19, [0, 1, 2, 3, 4]] = np.nan
+    block[23, 2] = 0.8  # at the band's edges: plausible
+    block[23, 4] = 1.2
+    expected = np.array([correct_voltages(MeasurementSet(row.copy(), np.zeros(2),
+                                                         spec.spec_hash), spec)
+                         .measurements.values for row in block])
+    got = block.copy()
+    correct_rows(got, spec)
+    assert got.tobytes() == expected.tobytes()
+    changed = np.flatnonzero(np.any((got != block) & ~(np.isnan(got) & np.isnan(block)),
+                                    axis=1))
+    assert {3, 7, 11} <= set(changed.tolist())

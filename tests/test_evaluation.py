@@ -7,6 +7,8 @@ from gridmon.evaluation import (C1, C2, METHOD_ANN, METHOD_WLS, Criterion,
                                 load_catalog, run_test_case, sota_extreme_tuples)
 from gridmon.scenarios import DEFAULT_AXES, generate_set
 
+from conftest import n_known
+
 CONFIG_0 = (False, False, False, True, True, True)
 
 
@@ -133,7 +135,8 @@ def test_per_sample_impedance_truths_bypass_cache(setup):
     assert len(cache) == 0
     run_test_case(catalog.case("T0"), grid, scenarios[:3], catalog.switch_configs,
                   methods=(METHOD_WLS,), truth_cache=cache)
-    assert len(cache) == 3 * len(catalog.switch_configs)
+    assert len(cache) == len(catalog.switch_configs)
+    assert n_known(cache) == 3 * len(catalog.switch_configs)
 
 
 def test_missing_models_rejected(setup):
@@ -197,11 +200,11 @@ def test_truth_cache_shared_across_cases(setup):
     run_test_case(catalog.case("M4"), grid, scenarios, catalog.switch_configs,
                   models=models, methods=(METHOD_WLS,), meas_seed=3,
                   truth_cache=cache)
-    n_after_m4 = len(cache)
+    n_after_m4 = n_known(cache)
     res_a = run_test_case(catalog.case("M0"), grid, scenarios,
                           catalog.switch_configs, methods=(METHOD_WLS,),
                           meas_seed=3, truth_cache=cache)
-    assert len(cache) == n_after_m4  # M0 reuses M4's truths
+    assert n_known(cache) == n_after_m4  # M0 reuses M4's truths
     res_b = run_test_case(catalog.case("M0"), grid, scenarios,
                           catalog.switch_configs, methods=(METHOD_WLS,),
                           meas_seed=3)
@@ -226,7 +229,8 @@ def test_truth_cache_keys_each_deviation_by_its_own_factor(setup):
                             truth_cache=cache, **kwargs)[METHOD_WLS]
     alone = run_test_case(case_b, grid, scenarios[:4], catalog.switch_configs,
                           **kwargs)[METHOD_WLS]
-    assert len(cache) == 2 * 4 * len(catalog.switch_configs)
+    assert len(cache) == 2 * len(catalog.switch_configs)
+    assert n_known(cache) == 2 * 4 * len(catalog.switch_configs)
     assert np.array_equal(after_a.v_err_max_pct, alone.v_err_max_pct)
 
 
@@ -275,7 +279,7 @@ def test_fault_targeting_nothing_fails_before_any_truth(setup, monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("a truth was solved")
 
-    monkeypatch.setattr(powerflow, "solve_pf_batch", solve)
+    monkeypatch.setattr(powerflow, "solve_flows", solve)
     # M4 reads no voltage at bus 5
     tc = replace(catalog.case("M4"), faults=(
         FaultInjection(kind="zero_value", target_kind="v_bus", buses=(5,)),))

@@ -276,14 +276,18 @@ def test_simulate_truths_per_sample_rows_equal_per_pair_simulate(cigre, config0_
     n = 150  # three blocks
     gen = np.random.default_rng(3)
     factors = 1.0 / gen.uniform(0.8, 1.2, (n, len(cigre.lines)))
-    truths = list(solve_truths([view], inj.__getitem__, n,
-                               sample_factors=lambda c, s: factors[s]))
+    stacked = powerflow.InjectionSet(np.array([i.p_pu for i in inj[:n]]),
+                                     np.array([i.q_pu for i in inj[:n]]))
+    blocks = solve_truths([view], stacked,
+                          sample_factors=lambda c, scenarios: factors[scenarios])
     spec = m4_spec(cigre)
-    sim = simulate_truths(iter(truths), [view], n, spec, 4, per_sample=True)
+    sim = simulate_truths(blocks, [view], spec, 4)
     assert not sim.diverged.any()
-    for (c, s, pair_view, sol), row in zip(truths, sim.values):
-        assert pair_view.impedance_scale.tobytes() == factors[s].tobytes()
-        assert _bits(row) == _bits(simulate(sol, pair_view, spec, 4, noise_key=(c, s)).values)
+    assert blocks[0].scale.tobytes() == factors.tobytes()
+    for s, row in enumerate(sim.values):
+        pair_view = view.with_scaled_impedance(factors[s])
+        sol = solve_pf(pair_view, inj[s])
+        assert _bits(row) == _bits(simulate(sol, pair_view, spec, 4, noise_key=(0, s)).values)
         assert _bits(sim.v_mag[s]) == _bits(sol.v_mag_pu)
         assert _bits(sim.loading_pct[s]) == _bits(sol.loading_pct)
 

@@ -10,7 +10,7 @@ from gridmon.powerflow import (InjectionSet, PowerFlowError, line_flows, solve_p
                                solve_truths)
 from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
 
-from conftest import flat_scenario
+from conftest import flat_scenario, n_known
 
 CONFIG_0 = (False, False, False, True, True, True)
 
@@ -159,55 +159,80 @@ def truth_inputs(two_bus):
     return view, loads
 
 
+def _stack(loads):
+    """The InjectionSets as one stacked set, one row per scenario."""
+    return InjectionSet(np.array([inj.p_pu for inj in loads]),
+                        np.array([inj.q_pu for inj in loads]))
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Counts the power flows the truth layer solves, one entry per sample."""
     calls = []
-    real = powerflow.solve_pf_batch
+    real = powerflow.solve_flows
 
-    def counting(view, injections):
-        calls.extend([view] * len(injections))
-        return real(view, injections)
+    def counting(view, p, q):
+        calls.extend([view] * len(p))
+        return real(view, p, q)
 
-    monkeypatch.setattr(powerflow, "solve_pf_batch", counting)
+    monkeypatch.setattr(powerflow, "solve_flows", counting)
     return calls
+
+
+def _same_truth(block, row, sol):
+    """Row ``row`` of a truth block is bitwise the PfSolution ``sol``."""
+    return (block.v[row].tobytes() == sol.v_mag_pu.tobytes()
+            and block.th[row].tobytes() == sol.v_ang_rad.tobytes()
+            and block.loading[row].tobytes() == sol.loading_pct.tobytes()
+            and not block.diverged[row])
+
+
+def _is_diverged(block, row):
+    return bool(block.diverged[row] and np.isnan(block.v[row]).all()
+                and np.isnan(block.th[row]).all() and np.isnan(block.loading[row]).all())
 
 
 def test_solve_truths_config_major_and_diverged_is_none(truth_inputs, solve_calls):
     view, loads = truth_inputs
-    truths = list(solve_truths([view, view], loads.__getitem__, len(loads)))
-    assert [(c, s) for c, s, _, _ in truths] == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert [(c, s) for c, s, _, sol in truths if sol is None] == [(0, 1), (1, 1)]
-    assert all(v is view for _, _, v, _ in truths)
+    blocks = solve_truths([view, view], _stack(loads))
+    assert [b.config for b in blocks] == [0, 1]
+    assert [b.rows.tolist() for b in blocks] == [[0, 1, 2], [3, 4, 5]]
+    for block in blocks:
+        assert block.scenario.tolist() == [0, 1, 2]
+        assert block.diverged.tolist() == [False, True, False]
+        assert _is_diverged(block, 1)
+        assert _same_truth(block, 0, solve_pf(view, loads[0]))
+        assert block.scale is None
     assert len(solve_calls) == 6
 
 
 def test_solve_truths_second_pass_reads_cache(truth_inputs, solve_calls):
     view, loads = truth_inputs
     cache = TruthCache()
-    first = list(solve_truths([view], loads.__getitem__, 3, cache=cache, tag="t"))
+    first, = solve_truths([view], _stack(loads), cache=cache, tag="t")
     assert len(solve_calls) == 3
-    assert len(cache) == 3
-    second = list(solve_truths([view], loads.__getitem__, 3, cache=cache, tag="t"))
+    assert list(cache) == [("t", 0)]
+    assert n_known(cache) == 3
+    second, = solve_truths([view], _stack(loads), cache=cache, tag="t")
     assert len(solve_calls) == 3  # diverged pair included
-    assert [(c, s) for c, s, _, _ in second] == [(c, s) for c, s, _, _ in first]
-    assert all(a[2] is b[2] and a[3] is b[3] for a, b in zip(first, second))
-    assert second[1][3] is None
+    for name in ("rows", "scenario", "v", "th", "loading", "diverged"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+    assert _is_diverged(second, 1)
 
 
 def test_solve_truths_never_memoises_per_sample_impedances(truth_inputs, solve_calls):
     view, loads = truth_inputs
     cache = TruthCache()
+
+    def factors(c, scenarios):
+        return 1.0 + 0.1 * np.asarray(scenarios, dtype=float)[:, None]
+
     for _ in range(2):
-        truths = list(solve_truths([view], loads.__getitem__, 3, cache=cache,
-                                   sample_factors=lambda c, s: np.array([1.0 + 0.1 * s])))
+        block, = solve_truths([view], _stack(loads), cache=cache, sample_factors=factors)
     assert len(solve_calls) == 6
     assert len(cache) == 0
-    pair_view = truths[2][2]
-    assert pair_view.grid is view.grid
-    assert np.array_equal(pair_view.branches.ybus,
-                          _reference_view(view, [1.0 + 0.1 * 2]).branches.ybus)
+    assert block.scale.tobytes() == factors(0, [0, 1, 2]).tobytes()
+    assert _same_truth(block, 2, solve_pf(_reference_view(view, [1.0 + 0.1 * 2]), loads[2]))
 
 
 def _reference_view(view, factors):
@@ -243,28 +268,55 @@ def test_batched_truths_bitwise_equal_per_pair_solves(cigre_batch):
     view, inj = cigre_batch
     single = [solve_pf(view, i) for i in inj]
     batch = powerflow.solve_pf_batch(view, inj)
-    truths = list(solve_truths([view], inj.__getitem__, len(inj)))
-    assert [s for _, s, _, _ in truths] == list(range(len(inj)))
+    block, = solve_truths([view], _stack(inj))
+    assert block.scenario.tolist() == list(range(len(inj)))
     assert all(_same_bits(a, b) for a, b in zip(single, batch))
-    assert all(_same_bits(a, t[3]) for a, t in zip(single, truths))
+    assert all(_same_truth(block, s, sol) for s, sol in enumerate(single))
+    stacked = _stack(inj)
+    v, th, loading, diverged = powerflow.solve_flows(view, stacked.p_pu, stacked.q_pu)
+    assert not diverged.any()
+    assert (v.tobytes(), th.tobytes(), loading.tobytes()) == (
+        block.v.tobytes(), block.th.tobytes(), block.loading.tobytes())
 
 
 def test_batched_per_sample_impedances_bitwise_equal(cigre_batch):
     view, inj = cigre_batch
     gen = np.random.default_rng(11)
     factors = 1.0 / gen.uniform(0.9, 1.1, (len(inj), len(view.grid.lines)))
-    truths = list(solve_truths([view], inj.__getitem__, len(inj),
-                               sample_factors=lambda c, s: factors[s]))
+    block, = solve_truths([view], _stack(inj),
+                          sample_factors=lambda c, scenarios: factors[scenarios])
+    assert block.scale.tobytes() == factors.tobytes()
     stacked = view.with_scaled_impedance(factors[:16]).branches
-    for s, (_, sc_idx, pair_view, sol) in enumerate(truths):
-        assert sc_idx == s
+    for s in range(len(inj)):
+        assert block.scenario[s] == s
         reference = _reference_view(view, factors[s])
-        for name in ("ybus", "yf", "yt"):
-            expected = getattr(reference.branches, name).tobytes()
-            assert getattr(pair_view.branches, name).tobytes() == expected
-            if s < 16:
+        if s < 16:
+            for name in ("ybus", "yf", "yt"):
+                expected = getattr(reference.branches, name).tobytes()
                 assert getattr(stacked, name)[s].tobytes() == expected
-        assert _same_bits(sol, solve_pf(reference, inj[s]))
+        assert _same_truth(block, s, solve_pf(reference, inj[s]))
+
+
+def test_truths_under_a_power_deviation_equal_per_pair_solves(cigre):
+    """Unit powers scaled at some buses, stacked, give each pair the truth of
+    its own deviated scenario."""
+    from gridmon.measurements import scale_powers_at, scale_unit_powers
+    from gridmon.scenarios import bus_injections, unit_powers
+
+    scenarios = generate_set(DEFAULT_AXES, cigre, 1, 7)[::25]
+    views = [apply_switch_config(cigre, CONFIG_0),
+             apply_switch_config(cigre, (True, False, True, False, True, False))]
+    p_kw, q_kvar = unit_powers(scenarios)
+    for buses, factor in (((4,), 0.7), ((5, 9, 10), 1.3)):
+        p_kw, q_kvar = scale_powers_at(cigre, buses, factor, p_kw, q_kvar)
+    blocks = solve_truths(views, bus_injections(cigre, p_kw, q_kvar))
+    assert [b.config for b in blocks] == [0, 1]
+    for block in blocks:
+        for row, s in enumerate(block.scenario):
+            actual = scale_unit_powers(scenarios[s], cigre, (4,), 0.7)
+            actual = scale_unit_powers(actual, cigre, (5, 9, 10), 1.3)
+            assert _same_truth(block, row,
+                               solve_pf(views[block.config], injections(cigre, actual)))
 
 
 def _cut_view(two_bus):
@@ -290,12 +342,14 @@ def test_failed_samples_leave_their_neighbours_unchanged(truth_inputs, two_bus):
     with pytest.raises(PowerFlowError, match="singular Jacobian at iteration 1"):
         solve_pf(_cut_view(two_bus), loads[0])
 
-    # the same through the truth layer, both failures in one chunk
-    truths = list(solve_truths([view, _cut_view(two_bus)], loads.__getitem__, 3,
-                               pairs=[(0, 0), (0, 1), (1, 0), (0, 2)]))
-    assert [sol is None for _, _, _, sol in truths] == [False, True, True, False]
-    assert _same_bits(truths[0][3], solve_pf(view, loads[0]))
-    assert _same_bits(truths[3][3], solve_pf(view, loads[2]))
+    # the same through the truth layer, both failures in one call
+    good, cut = solve_truths([view, _cut_view(two_bus)], _stack(loads),
+                             pairs=[(0, 0), (0, 1), (1, 0), (0, 2)])
+    assert (good.rows.tolist(), cut.rows.tolist()) == ([0, 1, 3], [2])
+    assert good.diverged.tolist() == [False, True, False]
+    assert _is_diverged(good, 1) and _is_diverged(cut, 0)
+    assert _same_truth(good, 0, solve_pf(view, loads[0]))
+    assert _same_truth(good, 2, solve_pf(view, loads[2]))
 
 
 def test_mixed_config_pairs_keep_order_and_cache_keys(truth_inputs, solve_calls,
@@ -303,17 +357,21 @@ def test_mixed_config_pairs_keep_order_and_cache_keys(truth_inputs, solve_calls,
     view, loads = truth_inputs
     views = [view, view.with_scaled_impedance(np.array([1.5]))]
     pairs = [(1, 2), (0, 0), (1, 0), (0, 2), (0, 1), (1, 1)]
-    monkeypatch.setattr(powerflow, "TRUTH_CHUNK", 4)  # a chunk boundary mid-list
+    # Newton blocks of two two-bus samples: a block boundary mid-config
+    monkeypatch.setattr(powerflow, "ELISION_ELEMENTS", 9)
     cache = TruthCache()
-    truths = list(solve_truths(views, loads.__getitem__, 3, pairs=iter(pairs),
-                               cache=cache, tag="t"))
-    assert [(c, s) for c, s, _, _ in truths] == pairs
-    assert set(cache) == {("t", c, s) for c, s in pairs}
+    blocks = solve_truths(views, _stack(loads), pairs=np.array(pairs), cache=cache, tag="t")
+    assert [b.config for b in blocks] == [0, 1]
+    assert [b.rows.tolist() for b in blocks] == [[1, 3, 4], [0, 2, 5]]
+    assert [b.scenario.tolist() for b in blocks] == [[0, 2, 1], [2, 0, 1]]
+    assert set(cache) == {("t", 0), ("t", 1)}
+    assert n_known(cache) == len(pairs)
     assert len(solve_calls) == len(pairs)
-    for c, s, pair_view, sol in truths:
-        assert pair_view is views[c]
-        assert cache["t", c, s] == (sol, pair_view)
-        if s == 1:
-            assert sol is None
-        else:
-            assert _same_bits(sol, solve_pf(views[c], loads[s]))
+    for block in blocks:
+        table = cache["t", block.config]
+        for row, s in enumerate(block.scenario):
+            assert table.v[s].tobytes() == block.v[row].tobytes()
+            if s == 1:
+                assert _is_diverged(block, row) and table.diverged[s]
+            else:
+                assert _same_truth(block, row, solve_pf(views[block.config], loads[s]))

@@ -422,3 +422,15 @@ def test_pseudo_batch_rows_equal_per_vector_on_dead_bus_view(dead_end):
     batch = _pseudo_rows_equal_per_vector(dead_end, spec, sets)
     assert batch.bus.tolist() == [1, 1, 2, 2]
     assert np.all(batch.value[:, 2:] == 0.0)  # the dead bus carries no unit
+
+
+def test_row_reduction_sums_each_row_as_np_sum():
+    """The Gauss-Newton objectives of a block are one ``np.add.reduce(terms,
+    1)``; each row's sum is bitwise what ``np.sum`` gives that row alone, so
+    an objective does not depend on its block."""
+    gen = np.random.default_rng(4)
+    for _ in range(80):
+        terms = gen.exponential(size=(int(gen.integers(1, 65)), int(gen.integers(5, 301))))
+        terms *= 10.0 ** gen.integers(-6, 7, size=terms.shape)
+        rows = np.add.reduce(terms, 1)
+        assert rows.tobytes() == np.array([np.sum(row) for row in terms]).tobytes()
