@@ -78,8 +78,8 @@ def _load_any_grid(ref: str):
     return load_grid(ref)
 
 
-# keys that do not influence results (paths, parallelism) stay out of the hash
-NON_SEMANTIC_KEYS = ("out", "models", "jobs", "config")
+# keys that do not influence results (paths) stay out of the hash
+NON_SEMANTIC_KEYS = ("out", "models", "config")
 
 
 def _config_hash(resolved: dict) -> str:
@@ -254,10 +254,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     keys = ("grid", "axes", "cases", "methods", "v_correction", "repetitions",
-            "seed", "models", "jobs", "out")
+            "seed", "models", "out")
     cfg = _resolved_config(args, keys)
-    if cfg["jobs"] < 1:
-        raise EvaluationError(f"jobs must be at least 1, got {cfg['jobs']}")
     grid = _load_any_grid(cfg["grid"])
     axes = _axes(cfg["axes"])
     catalog = load_catalog(grid)
@@ -304,7 +302,7 @@ def cmd_evaluate(args) -> int:
         results = run_test_case(
             tc, grid, scenarios, catalog.switch_configs, models=models,
             methods=methods, meas_seed=noise_seed, fault_seed=fault_seed,
-            truth_cache=cache, jobs=cfg["jobs"])
+            truth_cache=cache)
         wall = time.perf_counter() - t0
         # the methods share each pair's truth, so its divergence counts once
         first = next(iter(results.values()))
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="off", help="voltage outlier pre-processing (starred cases)")
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--models", default="", help="directory with trained models")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("tune", help="architecture and training-data sweep")

@@ -6,10 +6,12 @@ switching configuration. The measurement configurations are the catalog's
 fixed layouts (M0-M9, A0-A3); none is searched for at run time. Both
 estimators consume identical measurement vectors; errors are scored against
 the noise-free power flow truth. A pair whose truth power flow diverges is
-scored as failed for every method. Each switch config's readings are one
-``(B, m)`` block: faults, voltage correction, ANN inputs and one batched WLS
-estimate act on the block, and per-pair results are arrays with one row per
-pair.
+scored as failed for every method. A case runs in one process over its
+pairs, config-major. Each switch config's readings are one ``(B, m)``
+block: faults, voltage correction, ANN inputs and one batched WLS estimate
+act on the block, and per-pair results are arrays with one row per pair. A
+pair's noise and impedance factors are keyed by its (config, scenario), so
+its row does not depend on which other pairs share its block.
 
 Error conventions: voltage error in percent of nominal (pu * 100), loading
 error in percentage points, both as the maximum over buses / monitored
@@ -221,94 +223,16 @@ def _assumed_bits(tc: TestCase, config) -> tuple[bool, ...]:
     return tuple(bits)
 
 
-def _evaluate_scenarios(tc, grid, spec, faults, scenarios, configs, methods,
-                        meas_seed, fault_seed, monitored, truth_cache, indices):
-    """Worker: run the truth + measurement + WLS pipeline for given indices.
-
-    Returns per-pair arrays, one row per index: the truth (NaN where the
-    power flow diverged), the ANN inputs and the WLS estimates (NaN where
-    the estimate failed). ``faults`` are ``tc.faults`` resolved against
-    ``spec`` (``measurements.resolve_faults``).
-    """
-    deviations = [f for f in tc.faults if f.kind == "power_deviation"]
-    sd_over = assumed_sd_overrides(tc.faults, spec) or None
-    # each deviation keyed by its own buses and factor, in the order applied
-    perturb_tag = (tc.rx_model_factor, tc.rx_lines,
-                   tuple((f.buses, f.factor) for f in deviations)) \
-        if (tc.rx_model_factor or deviations) else ()
-
-    assumed_views = {}
-    for cfg_idx, config in enumerate(configs):
-        bits = _assumed_bits(tc, config)
-        try:
-            assumed_views[cfg_idx] = (bits, apply_switch_config(grid, bits))
-        except IsolationError:
-            assumed_views[cfg_idx] = (bits, None)
-
-    truth_views = [apply_switch_config(grid, config) for config in configs]
-    sample_factors = None
-    if tc.rx_uniform is None:
-        # a fixed impedance perturbation is the same for every sample, so the
-        # perturbed views (and their admittance models) are built once
-        factors = _truth_rx_factors(tc, grid, fault_seed, 0, ())
-        if factors is not None:
-            truth_views = [view.with_scaled_impedance(factors) for view in truth_views]
-    else:
-        sample_factors = partial(_truth_rx_factors, tc, grid, fault_seed)
-
-    p_kw, q_kvar = unit_powers(scenarios)
-    for f in deviations:
-        p_kw, q_kvar = scale_powers_at(grid, f.buses, f.factor, p_kw, q_kvar)
-    blocks = solve_truths(truth_views, bus_injections(grid, p_kw, q_kvar), pairs=indices,
-                          cache=truth_cache, tag=perturb_tag,
-                          sample_factors=sample_factors)
-    sim = simulate_truths(blocks, truth_views, spec, meas_seed)
-    n_pairs, n_meas = sim.values.shape
-    pairs = {"v_true": sim.v_mag, "loading_true": sim.loading_pct[:, monitored] / 100.0,
-             "diverged": sim.diverged, "x": None,
-             "wls_v": np.full((n_pairs, grid.n_bus), np.nan),
-             "wls_loading": np.full((n_pairs, len(monitored)), np.nan),
-             "wls_failed": np.ones(n_pairs, dtype=bool)}
-    if METHOD_ANN in methods:
-        pairs["x"] = np.full((n_pairs, n_meas + len(grid.switches)), np.nan)
-
-    # one block of readings per switch config: faults, correction, ANN inputs
-    # and one batched estimate on the assumed view; an isolating assumed
-    # topology, an unobservable or diverging sample, a non-converged or a
-    # non-finite state leaves the pair failed
-    for cfg_idx, (bits, assumed_view) in assumed_views.items():
-        rows = np.flatnonzero((sim.config == cfg_idx) & ~sim.diverged)
-        if not rows.size:
-            continue
-        values = sim.values[rows]
-        apply_faults(values, faults)
-        if tc.correction:
-            correct_rows(values, spec)
-        if pairs["x"] is not None:
-            pairs["x"][rows] = np.hstack([values, np.tile(np.array(bits, dtype=float),
-                                                          (len(rows), 1))])
-        if METHOD_WLS not in methods or assumed_view is None:
-            continue
-        estimates = estimate_batch(assumed_view, values, spec, sd_overrides=sd_over)
-        for row, est in zip(rows, estimates):
-            if (isinstance(est, EstimatedState) and est.converged
-                    and np.all(np.isfinite(est.v_mag))):
-                pairs["wls_v"][row] = est.v_mag
-                pairs["wls_loading"][row] = est.loading_pct[monitored]
-                pairs["wls_failed"][row] = False
-    return pairs
-
-
 def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
                   models: dict[str, AnnModel] | None = None,
                   methods=(METHOD_ANN, METHOD_WLS),
                   meas_seed: int = 0, fault_seed: int = 0,
-                  truth_cache: TruthCache | None = None,
-                  jobs: int = 1) -> dict[str, EvalResult]:
+                  truth_cache: TruthCache | None = None) -> dict[str, EvalResult]:
     """Evaluate one test case for the selected methods.
 
-    Every scenario is run under every switching configuration; estimators see
-    the same (possibly faulted, possibly corrected) measurement vectors.
+    Every scenario is run under every switching configuration, config-major;
+    estimators see the same (possibly faulted, possibly corrected)
+    measurement vectors.
     """
     spec = tc.spec(grid)
     monitored = [ln.id for ln in grid.monitored_lines]
@@ -324,60 +248,92 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
 
     # a fault that targets nothing fails the case before any truth is solved
     faults = resolve_faults(tc.faults, spec)
-    # every (config, scenario) pair, config-major
-    indices = np.stack(np.divmod(np.arange(len(configs) * len(scenarios)),
-                                 len(scenarios)), axis=1)
-    if jobs > 1:
-        pairs = _parallel_evaluate(tc, grid, spec, faults, scenarios, configs, methods,
-                                   meas_seed, fault_seed, monitored, indices, jobs)
+    deviations = [f for f in tc.faults if f.kind == "power_deviation"]
+    sd_over = assumed_sd_overrides(tc.faults, spec) or None
+    # each deviation keyed by its own buses and factor, in the order applied
+    perturb_tag = (tc.rx_model_factor, tc.rx_lines,
+                   tuple((f.buses, f.factor) for f in deviations)) \
+        if (tc.rx_model_factor or deviations) else ()
+
+    truth_views = [apply_switch_config(grid, config) for config in configs]
+    sample_factors = None
+    if tc.rx_uniform is None:
+        # a fixed impedance perturbation is the same for every sample, so the
+        # perturbed views (and their admittance models) are built once
+        factors = _truth_rx_factors(tc, grid, fault_seed, 0, ())
+        if factors is not None:
+            truth_views = [view.with_scaled_impedance(factors) for view in truth_views]
     else:
-        pairs = _evaluate_scenarios(tc, grid, spec, faults, scenarios, configs, methods,
-                                    meas_seed, fault_seed, monitored, truth_cache,
-                                    indices)
+        sample_factors = partial(_truth_rx_factors, tc, grid, fault_seed)
+
+    p_kw, q_kvar = unit_powers(scenarios)
+    for f in deviations:
+        p_kw, q_kvar = scale_powers_at(grid, f.buses, f.factor, p_kw, q_kvar)
+    sim = simulate_truths(solve_truths(truth_views, bus_injections(grid, p_kw, q_kvar),
+                                       cache=truth_cache, tag=perturb_tag,
+                                       sample_factors=sample_factors),
+                          truth_views, spec, meas_seed)
+    v_true = sim.v_mag
+    # not the identity in floating point; kept so the scores stay bitwise
+    l_true = sim.loading_pct[:, monitored] / 100.0 * 100.0
+    diverged = sim.diverged
+    n_pairs, n_meas = sim.values.shape
+    x = np.full((n_pairs, n_meas + len(grid.switches)), np.nan) \
+        if METHOD_ANN in methods else None
+    wls_v = np.full((n_pairs, grid.n_bus), np.nan)
+    wls_loading = np.full((n_pairs, len(monitored)), np.nan)
+    wls_failed = np.ones(n_pairs, dtype=bool)
+
+    # one block of readings per switch config: faults, correction, ANN inputs
+    # and one batched estimate on the assumed view; an isolating assumed
+    # topology, an unobservable or diverging sample, a non-converged or a
+    # non-finite state leaves the pair failed
+    assumed = [_assumed_bits(tc, config) for config in configs]
+    for cfg_idx, bits in enumerate(assumed):
+        rows = np.flatnonzero((sim.config == cfg_idx) & ~diverged)
+        if not rows.size:
+            continue
+        values = sim.values[rows]
+        apply_faults(values, faults)
+        if tc.correction:
+            correct_rows(values, spec)
+        if x is not None:
+            x[rows] = np.hstack([values, np.tile(np.array(bits, dtype=float),
+                                                 (len(rows), 1))])
+        if METHOD_WLS not in methods:
+            continue
+        try:
+            assumed_view = apply_switch_config(grid, bits)
+        except IsolationError:
+            continue
+        estimates = estimate_batch(assumed_view, values, spec, sd_overrides=sd_over)
+        for row, est in zip(rows, estimates):
+            if (isinstance(est, EstimatedState) and est.converged
+                    and np.all(np.isfinite(est.v_mag))):
+                wls_v[row] = est.v_mag
+                wls_loading[row] = est.loading_pct[monitored]
+                wls_failed[row] = False
+    # the readings and every line's loading are not needed past here; freeing
+    # them keeps the ANN pass's peak memory down
+    config = sim.config
+    del sim
 
     results: dict[str, EvalResult] = {}
-    v_true = pairs["v_true"]
-    l_true = pairs["loading_true"] * 100.0
-    diverged = pairs["diverged"]
-
     if METHOD_ANN in methods:
-        x = pairs["x"]
         v_est = predict_batch(models["voltage"], x)
         l_est = predict_batch(models["loading"], x) * 100.0
         results[METHOD_ANN] = _score(METHOD_ANN, tc.label, v_est, l_est,
                                      v_true, l_true, diverged, diverged)
-        unseen = np.zeros(len(indices), dtype=bool)
+        unseen = np.zeros(n_pairs, dtype=bool)
         if grid.switches:
-            unseen_cfg = np.array([not models["voltage"].topology_seen(
-                _assumed_bits(tc, config)) for config in configs])
-            unseen = unseen_cfg[indices[:, 0]] & ~diverged
+            unseen_cfg = np.array([not models["voltage"].topology_seen(bits)
+                                   for bits in assumed])
+            unseen = unseen_cfg[config] & ~diverged
         results[METHOD_ANN].unseen_topology = unseen
     if METHOD_WLS in methods:
-        results[METHOD_WLS] = _score(METHOD_WLS, tc.label, pairs["wls_v"],
-                                     pairs["wls_loading"], v_true, l_true,
-                                     pairs["wls_failed"], diverged)
+        results[METHOD_WLS] = _score(METHOD_WLS, tc.label, wls_v, wls_loading,
+                                     v_true, l_true, wls_failed, diverged)
     return results
-
-
-def _parallel_evaluate(tc, grid, spec, faults, scenarios, configs, methods,
-                       meas_seed, fault_seed, monitored, indices, jobs):
-    from multiprocessing import get_context
-
-    chunks = [indices[i::jobs] for i in range(jobs)]
-    args = [(tc, grid, spec, faults, scenarios, configs, methods, meas_seed,
-             fault_seed, monitored, None, chunk) for chunk in chunks]
-    with get_context("spawn").Pool(jobs) as pool:
-        chunk_pairs = pool.starmap(_evaluate_scenarios, args)
-    # indices were dealt round-robin; reassemble the rows in original order
-    pairs = {}
-    for key, first in chunk_pairs[0].items():
-        if first is None:
-            pairs[key] = None
-            continue
-        pairs[key] = np.empty((len(indices),) + first.shape[1:], dtype=first.dtype)
-        for worker, chunk in enumerate(chunk_pairs):
-            pairs[key][worker::jobs] = chunk[key]
-    return pairs
 
 
 def _score(method, label, v_est, l_est, v_true, l_true, failed, diverged):

@@ -241,8 +241,8 @@ def simulate(solution: PfSolution, view: GridView, spec: MeasurementSpec,
 
 @dataclass(frozen=True)
 class SimulatedTruths:
-    """Truth blocks as arrays, one row per pair in the order the pairs were
-    solved in; a diverged pair's rows are NaN."""
+    """Truth blocks as arrays, one row per pair in block order; a diverged
+    pair's rows are NaN."""
 
     config: np.ndarray  # (N,) switch config index
     v_mag: np.ndarray  # (N, n_bus) pu
@@ -257,30 +257,24 @@ def simulate_truths(blocks, views, spec: MeasurementSpec, seed: int) -> Simulate
 
     Each block's converged pairs are simulated in one :func:`simulate_batch`;
     a block solved under per-sample factors runs on one view stacking its
-    pairs' impedance scales. The rows follow the pair order the truths were
-    solved in.
+    pairs' impedance scales. The blocks' rows are stacked in order.
     """
-    grid = views[0].grid
-    n_pairs = sum(len(block.rows) for block in blocks)
-    config = np.zeros(n_pairs, dtype=int)
-    v = np.full((n_pairs, grid.n_bus), np.nan)
-    loading = np.full((n_pairs, len(grid.lines)), np.nan)
-    diverged = np.zeros(n_pairs, dtype=bool)
-    values = np.full((n_pairs, len(spec.entries)), np.nan)
+    values = []
     for block in blocks:
-        rows = block.rows
-        config[rows], v[rows], loading[rows] = block.config, block.v, block.loading
-        diverged[rows] = block.diverged
+        part = np.full((len(block.scenario), len(spec.entries)), np.nan)
         ok = ~block.diverged
-        if not ok.any():
-            continue
-        view = views[block.config]
-        if block.scale is not None:
-            view = view.with_scaled_impedance(block.scale[ok])
-        keys = np.column_stack([np.full(ok.sum(), block.config), block.scenario[ok]])
-        values[rows[ok]] = simulate_batch(view, block.v[ok], block.th[ok], spec, seed, keys)
-    return SimulatedTruths(config=config, v_mag=v, loading_pct=loading, values=values,
-                           diverged=diverged)
+        if ok.any():
+            view = views[block.config]
+            if block.scale is not None:
+                view = view.with_scaled_impedance(block.scale[ok])
+            keys = np.column_stack([np.full(ok.sum(), block.config), block.scenario[ok]])
+            part[ok] = simulate_batch(view, block.v[ok], block.th[ok], spec, seed, keys)
+        values.append(part)
+    return SimulatedTruths(
+        config=np.concatenate([np.full(len(b.scenario), b.config) for b in blocks]),
+        v_mag=np.concatenate([b.v for b in blocks]),
+        loading_pct=np.concatenate([b.loading for b in blocks]),
+        values=np.concatenate(values), diverged=np.concatenate([b.diverged for b in blocks]))
 
 
 @dataclass(frozen=True)

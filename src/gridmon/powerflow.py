@@ -319,14 +319,12 @@ def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
 class TruthBlock(NamedTuple):
     """The truths of one switch config's pairs, one row per pair.
 
-    ``rows`` are the pairs' positions in the pair order asked for and
-    ``scenario`` their scenario indices. A diverged pair's state rows are
-    NaN. ``scale`` is each pair's impedance scale under per-sample factors,
-    else None.
+    ``scenario`` are the pairs' scenario indices. A diverged pair's state
+    rows are NaN. ``scale`` is each pair's impedance scale under per-sample
+    factors, else None.
     """
 
     config: int
-    rows: np.ndarray  # (B,)
     scenario: np.ndarray  # (B,)
     v: np.ndarray  # (B, n_bus) pu
     th: np.ndarray  # (B, n_bus) rad
@@ -354,15 +352,14 @@ class TruthTable(NamedTuple):
                    known=np.zeros(n_scenarios, dtype=bool))
 
 
-def solve_truths(views, injections: InjectionSet, *, pairs=None, cache=None, tag=(),
+def solve_truths(views, injections: InjectionSet, *, cache=None, tag=(),
                  sample_factors=None) -> list[TruthBlock]:
-    """Noise-free truths of (switch config, scenario) pairs.
+    """Noise-free truths of every (switch config, scenario) pair.
 
     ``views[c]`` is the network of config ``c`` and row s of the stacked
     ``injections`` ``(n_scenarios, n_bus)`` the bus injections of scenario
-    s. ``pairs`` ``(N, 2)`` lists (config, scenario) pairs, by default every
-    pair config-major. Returns one :class:`TruthBlock` per config that has
-    pairs, in config order.
+    s. Returns one :class:`TruthBlock` per config, in config order, with one
+    row per scenario: the pairs config-major.
 
     ``sample_factors(c, scenarios)`` gives the ``(B, n_line)`` line
     impedance scale of config c's pairs, and such truths are never
@@ -374,22 +371,13 @@ def solve_truths(views, injections: InjectionSet, *, pairs=None, cache=None, tag
     ``NEWTON_BLOCK`` at a time.
     """
     p_all, q_all = injections.p_pu, injections.q_pu
-    n_scenarios = len(p_all)
-    if pairs is None:
-        config = np.repeat(np.arange(len(views)), n_scenarios)
-        scenario = np.tile(np.arange(n_scenarios), len(views))
-    else:
-        config, scenario = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    scs = np.arange(len(p_all))
     memo = cache if sample_factors is None else None
     blocks = []
     for cfg_idx, view in enumerate(views):
-        rows = np.flatnonzero(config == cfg_idx)
-        if not rows.size:
-            continue
-        scs = scenario[rows]
         table = memo.get((tag, cfg_idx)) if memo is not None else None
         if table is None:
-            table = TruthTable.empty(n_scenarios, view.n_bus, len(view.grid.lines))
+            table = TruthTable.empty(len(scs), view.n_bus, len(view.grid.lines))
             if memo is not None:
                 memo[tag, cfg_idx] = table
         scale = None
@@ -397,13 +385,13 @@ def solve_truths(views, injections: InjectionSet, *, pairs=None, cache=None, tag
             todo = scs
             scale = np.asarray(sample_factors(cfg_idx, scs), dtype=float)
         else:
-            todo = scs[~table.known[scs]]
+            todo = scs[~table.known]
         if todo.size:
             solve_view = view if scale is None else view.with_scaled_impedance(scale)
             (table.v[todo], table.th[todo], table.loading[todo],
              table.diverged[todo]) = solve_flows(solve_view, p_all[todo], q_all[todo])
             table.known[todo] = True
-        blocks.append(TruthBlock(config=cfg_idx, rows=rows, scenario=scs, v=table.v[scs],
+        blocks.append(TruthBlock(config=cfg_idx, scenario=scs, v=table.v[scs],
                                  th=table.th[scs], loading=table.loading[scs],
                                  diverged=table.diverged[scs], scale=scale))
     return blocks

@@ -2,7 +2,7 @@
 
 Every stochastic step derives its generator from a master seed plus a
 structured key (stream id, repetition, scenario index, ...), so results are
-reproducible and independent of execution order across parallel workers.
+reproducible and independent of execution order and of batch composition.
 
 :func:`rng` is one stream: a ``SeedSequence(master_seed, spawn_key=key)``
 seeding a PCG64 generator (NumPy NEP 19). :func:`rngs` gives the same

@@ -184,8 +184,6 @@ def test_evaluate_checks_every_model_before_scoring(tmp_path, trained_dir, capsy
     ("train", "--cases", "M4,XX"),
     ("tune", "--layers", ","),
     ("tune", "--multipliers", "x"),
-    ("evaluate", "--methods", "wls", "--jobs", "0"),
-    ("evaluate", "--methods", "wls", "--jobs", "-1"),
 ])
 def test_bad_input_fails_before_any_output(tmp_path, capsys, argv):
     code = run(argv[0], "--cases", "M4", "--repetitions", "1", "--out", str(tmp_path),
@@ -218,8 +216,8 @@ def test_config_file_overrides_flags(tmp_path, trained_dir):
     ("generate", {"repetitions": "x"}),
     ("generate", {"repetitions": 1.5}),
     ("generate", {"seed": True}),
-    ("evaluate", {"jobs": "two"}),
-    ("evaluate", {"jobs": "0"}),
+    ("evaluate", {"repetitions": "two"}),
+    ("evaluate", {"methods": 2}),
     ("evaluate", {"v_correction": "maybe"}),
     ("evaluate", {"cases": 4}),
     ("generate", {"out": 5}),
@@ -235,6 +233,27 @@ def test_bad_config_value_fails_before_any_output(tmp_path, capsys, command, ove
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_unknown_config_key_fails_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    out = tmp_path / "out"
+    code = run("evaluate", "--methods", "wls", "--config", str(cfg), "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: config file sets unknown keys ['jobs']\n"
+    assert not out.exists()
+
+
+def test_evaluate_header_hash_is_pinned(tmp_path):
+    """A fixed evaluate run's config hash, pinned: a change to which settings
+    are hashed, or how, changes every output header."""
+    out = tmp_path / "pinned"
+    assert run("evaluate", "--cases", "M4", "--methods", "wls", "--repetitions", "1",
+               "--seed", "5", "--out", str(out)) == EXIT_OK
+    for name in ("M4_wls.csv", "summary.csv", "summary.txt"):
+        assert (out / name).read_text().startswith("# config_hash=74acf47631a8\n")
+    assert json.loads((out / "M4_stats.json").read_text())["config_hash"] == "74acf47631a8"
 
 
 def test_config_strings_go_through_flag_types(tmp_path):

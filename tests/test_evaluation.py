@@ -253,19 +253,30 @@ def test_sota_extreme_tuples_shape():
     assert tuples[1] == (1.0, 1.0, 0.9)
 
 
-def test_parallel_jobs_match_serial(setup):
+@pytest.mark.parametrize("case_id, methods", [
+    ("M4", (METHOD_ANN, METHOD_WLS)),
+    ("F1*", (METHOD_WLS,)),  # zeroed reading plus correction
+    ("T5", (METHOD_WLS,)),  # per-sample impedances
+], ids=["M4", "F1star", "T5"])
+def test_shared_pairs_match_across_batch_sizes(setup, case_id, methods):
+    """Noise and T5 factors are keyed by (config, scenario), so a pair's row
+    does not depend on which other pairs share its batch."""
     grid, catalog, scenarios, models = setup
-    few = scenarios[:6]
-    serial = run_test_case(catalog.case("M4"), grid, few, catalog.switch_configs,
-                           models=models, meas_seed=3, jobs=1)
-    parallel = run_test_case(catalog.case("M4"), grid, few, catalog.switch_configs,
-                             models=models, meas_seed=3, jobs=2)
-    # each worker batches its own round-robin share of the pairs
-    for method in (METHOD_ANN, METHOD_WLS):
-        for field in ("v_err_max_pct", "loading_err_max_pp", "failed_structurally",
-                      "success_c1", "success_c2"):
-            assert np.array_equal(getattr(serial[method], field),
-                                  getattr(parallel[method], field)), (method, field)
+    tc = catalog.case(case_id)
+    small, large = (run_test_case(tc, grid, scenarios[:n], catalog.switch_configs,
+                                  models=models, methods=methods, meas_seed=3,
+                                  fault_seed=9)
+                    for n in (3, 6))
+    # rows of scenarios 0-2 under each config, config-major
+    shared = np.add.outer(6 * np.arange(len(catalog.switch_configs)), np.arange(3)).ravel()
+    for method in methods:
+        for field in ("v_err_max_pct", "loading_err_max_pp", "success_c1", "success_c2",
+                      "failed_structurally", "pf_diverged", "unseen_topology"):
+            a, b = getattr(small[method], field), getattr(large[method], field)
+            if a is None:
+                assert b is None
+                continue
+            assert a.tobytes() == b[shared].tobytes(), (method, field)
 
 
 def test_fault_targeting_nothing_fails_before_any_truth(setup, monkeypatch):

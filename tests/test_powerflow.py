@@ -196,7 +196,6 @@ def test_solve_truths_config_major_and_diverged_is_none(truth_inputs, solve_call
     view, loads = truth_inputs
     blocks = solve_truths([view, view], _stack(loads))
     assert [b.config for b in blocks] == [0, 1]
-    assert [b.rows.tolist() for b in blocks] == [[0, 1, 2], [3, 4, 5]]
     for block in blocks:
         assert block.scenario.tolist() == [0, 1, 2]
         assert block.diverged.tolist() == [False, True, False]
@@ -215,7 +214,7 @@ def test_solve_truths_second_pass_reads_cache(truth_inputs, solve_calls):
     assert n_known(cache) == 3
     second, = solve_truths([view], _stack(loads), cache=cache, tag="t")
     assert len(solve_calls) == 3  # diverged pair included
-    for name in ("rows", "scenario", "v", "th", "loading", "diverged"):
+    for name in ("scenario", "v", "th", "loading", "diverged"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
     assert _is_diverged(second, 1)
 
@@ -343,11 +342,9 @@ def test_failed_samples_leave_their_neighbours_unchanged(truth_inputs, two_bus):
         solve_pf(_cut_view(two_bus), loads[0])
 
     # the same through the truth layer, both failures in one call
-    good, cut = solve_truths([view, _cut_view(two_bus)], _stack(loads),
-                             pairs=[(0, 0), (0, 1), (1, 0), (0, 2)])
-    assert (good.rows.tolist(), cut.rows.tolist()) == ([0, 1, 3], [2])
+    good, cut = solve_truths([view, _cut_view(two_bus)], _stack(loads))
     assert good.diverged.tolist() == [False, True, False]
-    assert _is_diverged(good, 1) and _is_diverged(cut, 0)
+    assert _is_diverged(good, 1) and all(_is_diverged(cut, s) for s in range(3))
     assert _same_truth(good, 0, solve_pf(view, loads[0]))
     assert _same_truth(good, 2, solve_pf(view, loads[2]))
 
@@ -356,17 +353,16 @@ def test_mixed_config_pairs_keep_order_and_cache_keys(truth_inputs, solve_calls,
                                                       monkeypatch):
     view, loads = truth_inputs
     views = [view, view.with_scaled_impedance(np.array([1.5]))]
-    pairs = [(1, 2), (0, 0), (1, 0), (0, 2), (0, 1), (1, 1)]
     # Newton blocks of two two-bus samples: a block boundary mid-config
     monkeypatch.setattr(powerflow, "ELISION_ELEMENTS", 9)
     cache = TruthCache()
-    blocks = solve_truths(views, _stack(loads), pairs=np.array(pairs), cache=cache, tag="t")
+    blocks = solve_truths(views, _stack(loads), cache=cache, tag="t")
     assert [b.config for b in blocks] == [0, 1]
-    assert [b.rows.tolist() for b in blocks] == [[1, 3, 4], [0, 2, 5]]
-    assert [b.scenario.tolist() for b in blocks] == [[0, 2, 1], [2, 0, 1]]
+    assert [b.scenario.tolist() for b in blocks] == [[0, 1, 2], [0, 1, 2]]
+    # config-major: every pair of config 0, then every pair of config 1
+    assert [id(v) for v in solve_calls] == [id(views[0])] * 3 + [id(views[1])] * 3
     assert set(cache) == {("t", 0), ("t", 1)}
-    assert n_known(cache) == len(pairs)
-    assert len(solve_calls) == len(pairs)
+    assert n_known(cache) == 6
     for block in blocks:
         table = cache["t", block.config]
         for row, s in enumerate(block.scenario):
