@@ -464,16 +464,17 @@ def build_training_set(grid: GridModel, scenario_list, spec: MeasurementSpec,
     monitored = [ln.id for ln in grid.monitored_lines]
     views = [apply_switch_config(grid, config) for config in configs]
     injections = bus_injections(grid, *unit_powers(scenario_list))
-    sim = simulate_truths(solve_truths(views, injections), views, spec, seed)
-    ok = np.flatnonzero(~sim.diverged)
+    truths = solve_truths(views, injections)
+    readings = simulate_truths(truths, views, spec, seed)
+    ok = np.flatnonzero(~truths.diverged)
     if not ok.size:
         raise AnnError("every scenario diverged; no training data")
     bits = np.array([view.config for view in views], dtype=float)
     return TrainingData(
-        x=np.hstack([sim.values[ok], bits[sim.config[ok]]]), y_voltage=sim.v_mag[ok],
-        y_loading=sim.loading_pct[ok][:, monitored] / 100.0,
+        x=np.hstack([readings[ok], bits[truths.config[ok]]]), y_voltage=truths.v[ok],
+        y_loading=truths.loading[ok][:, monitored] / 100.0,
         spec_hash=spec.spec_hash, n_switch_bits=len(grid.switches),
-        skipped=int(sim.diverged.sum()),
+        skipped=int(truths.diverged.sum()),
         fingerprint=f"{grid_fingerprint(grid)}:{spec.spec_hash}:{ok.size}",
     )
 

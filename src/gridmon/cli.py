@@ -161,14 +161,16 @@ def cmd_generate(args) -> int:
     configs = load_catalog(grid).switch_configs
     views = [apply_switch_config(grid, config) for config in configs]
     # diverged pairs keep NaN rows
-    blocks = solve_truths(views, bus_injections(grid, *unit_powers(scenarios)))
-    skipped = sum(int(block.diverged.sum()) for block in blocks)
-    truths = {f"{name}_config{block.config}": getattr(block, field) for block in blocks
+    truths = solve_truths(views, bus_injections(grid, *unit_powers(scenarios)))
+    skipped = int(truths.diverged.sum())
+    n = len(scenarios)
+    arrays = {f"{name}_config{c}": getattr(truths, field)[c * n:(c + 1) * n]
+              for c in range(len(views))
               for name, field in (("v_mag", "v"), ("v_ang", "th"), ("loading", "loading"))}
     np.savez(out / TRUTH_FILE, config_hash=_config_hash(cfg), seed=cfg["seed"],
              grid_fingerprint=grid_fingerprint(grid), axes=cfg["axes"],
              repetitions=cfg["repetitions"], switch_configs=np.array(configs, dtype=bool),
-             **truths)
+             **arrays)
     print(f"generated {len(scenarios)} scenarios x {len(views)} "
           f"configs -> {out} (skipped {skipped} diverged power flows)")
     return _check_pf_budget(skipped, len(scenarios) * len(views))

@@ -7,11 +7,14 @@ fixed layouts (M0-M9, A0-A3); none is searched for at run time. Both
 estimators consume identical measurement vectors; errors are scored against
 the noise-free power flow truth. A pair whose truth power flow diverges is
 scored as failed for every method. A case runs in one process over its
-pairs, config-major. Each switch config's readings are one ``(B, m)``
+pairs, config-major, on arrays with one row per pair: the truths
+(``powerflow.Truths``), the readings, and each batched WLS estimate
+(``wls.Estimates``), whose pair counts when its status is converged and its
+voltages are finite. Each switch config's readings are one ``(B, m)``
 block: faults, voltage correction, ANN inputs and one batched WLS estimate
-act on the block, and per-pair results are arrays with one row per pair. A
-pair's noise and impedance factors are keyed by its (config, scenario), so
-its row does not depend on which other pairs share its block.
+act on the block. A pair's noise and impedance factors are keyed by its
+(config, scenario), so its row does not depend on which other pairs share
+its block.
 
 Error conventions: voltage error in percent of nominal (pu * 100), loading
 error in percentage points, both as the maximum over buses / monitored
@@ -37,7 +40,7 @@ from .measurements import (FaultInjection, MeasurementSpec, apply_faults,
 from .powerflow import solve_truths
 from .scenarios import bus_injections, unit_powers
 from .seeding import STREAM_FAULT, rngs
-from .wls import EstimatedState, estimate_batch
+from .wls import CONVERGED, estimate_batch
 
 METHOD_ANN = "ann"
 METHOD_WLS = "wls"
@@ -269,15 +272,17 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
     p_kw, q_kvar = unit_powers(scenarios)
     for f in deviations:
         p_kw, q_kvar = scale_powers_at(grid, f.buses, f.factor, p_kw, q_kvar)
-    sim = simulate_truths(solve_truths(truth_views, bus_injections(grid, p_kw, q_kvar),
-                                       cache=truth_cache, tag=perturb_tag,
-                                       sample_factors=sample_factors),
-                          truth_views, spec, meas_seed)
-    v_true = sim.v_mag
+    truths = solve_truths(truth_views, bus_injections(grid, p_kw, q_kvar),
+                          cache=truth_cache, tag=perturb_tag, sample_factors=sample_factors)
+    readings = simulate_truths(truths, truth_views, spec, meas_seed)
+    v_true, diverged, config = truths.v, truths.diverged, truths.config
     # not the identity in floating point; kept so the scores stay bitwise
-    l_true = sim.loading_pct[:, monitored] / 100.0 * 100.0
-    diverged = sim.diverged
-    n_pairs, n_meas = sim.values.shape
+    l_true = truths.loading[:, monitored] / 100.0 * 100.0
+    # the angles and every line's loading are not needed past here; freeing
+    # them, and the readings after the loop, keeps the ANN pass's peak memory
+    # down
+    del truths
+    n_pairs, n_meas = readings.shape
     x = np.full((n_pairs, n_meas + len(grid.switches)), np.nan) \
         if METHOD_ANN in methods else None
     wls_v = np.full((n_pairs, grid.n_bus), np.nan)
@@ -290,10 +295,10 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
     # non-finite state leaves the pair failed
     assumed = [_assumed_bits(tc, config) for config in configs]
     for cfg_idx, bits in enumerate(assumed):
-        rows = np.flatnonzero((sim.config == cfg_idx) & ~diverged)
+        rows = np.flatnonzero((config == cfg_idx) & ~diverged)
         if not rows.size:
             continue
-        values = sim.values[rows]
+        values = readings[rows]
         apply_faults(values, faults)
         if tc.correction:
             correct_rows(values, spec)
@@ -306,17 +311,12 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
             assumed_view = apply_switch_config(grid, bits)
         except IsolationError:
             continue
-        estimates = estimate_batch(assumed_view, values, spec, sd_overrides=sd_over)
-        for row, est in zip(rows, estimates):
-            if (isinstance(est, EstimatedState) and est.converged
-                    and np.all(np.isfinite(est.v_mag))):
-                wls_v[row] = est.v_mag
-                wls_loading[row] = est.loading_pct[monitored]
-                wls_failed[row] = False
-    # the readings and every line's loading are not needed past here; freeing
-    # them keeps the ANN pass's peak memory down
-    config = sim.config
-    del sim
+        est = estimate_batch(assumed_view, values, spec, sd_overrides=sd_over)
+        ok = (est.status == CONVERGED) & np.isfinite(est.v).all(axis=1)
+        wls_v[rows[ok]] = est.v[ok]
+        wls_loading[rows[ok]] = est.loading[ok][:, monitored]
+        wls_failed[rows[ok]] = False
+    del readings
 
     results: dict[str, EvalResult] = {}
     if METHOD_ANN in methods:
@@ -444,8 +444,8 @@ def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
     # measurement-only inputs on the unperturbed test truths, read from the cache
     views = [apply_switch_config(grid, config) for config in configs]
     injections = bus_injections(grid, *unit_powers(test_scenarios))
-    test = simulate_truths(solve_truths(views, injections, cache=truth_cache), views, spec,
-                           meas_seed)
+    test = solve_truths(views, injections, cache=truth_cache)
+    readings = simulate_truths(test, views, spec, meas_seed)
     ok = ~test.diverged
     arch = AnnArchitecture(n_in=n_meas, n_out=train_data.y_voltage.shape[1],
                            n_hidden_layers=1, hidden_size_override=2,
@@ -455,8 +455,8 @@ def compare_sota(grid: GridModel, tc: TestCase, axes, configs, test_scenarios,
                             seed=train_cfg.seed, batch_size=train_cfg.batch_size)
     small, _ = train(small, train_data.x[:, :n_meas], train_data.y_voltage, small_cfg,
                      standardize_targets=False)
-    v_est = ann_predict(small, test.values[ok])
-    v_err = np.abs(v_est - test.v_mag[ok]).max(axis=1) * 100.0
+    v_est = ann_predict(small, readings[ok])
+    v_err = np.abs(v_est - test.v[ok]).max(axis=1) * 100.0
     return SotaComparison(
         few_scenario_sr_c1=few_res.sr_c1,
         few_scenario_sr_c2=few_res.sr_c2,

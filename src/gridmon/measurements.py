@@ -13,8 +13,9 @@ per-unit current at the from end. Noise is relative to the reading.
 Readings are simulated as ``(B, m)`` arrays, one row per (switch config,
 scenario) pair: :func:`simulate_batch` reads B states of one switch view
 and draws each row's noise from its own stream, all B streams seeded in one
-``seeding.rngs`` call; :func:`simulate_truths` reads the truth blocks of
-``powerflow.solve_truths``, one batch per config. A case's faults are
+``seeding.rngs`` call; :func:`simulate_truths` reads the
+``powerflow.Truths`` of ``powerflow.solve_truths``, one batch per config,
+into one ``(N, m)`` array with the truths' rows. A case's faults are
 resolved against the spec once (:func:`resolve_faults`) and applied to such
 a block (:func:`apply_faults`).
 ``simulate`` and ``inject_fault`` are the one-vector calls, and
@@ -239,42 +240,28 @@ def simulate(solution: PfSolution, view: GridView, spec: MeasurementSpec,
                           spec_hash=spec.spec_hash)
 
 
-@dataclass(frozen=True)
-class SimulatedTruths:
-    """Truth blocks as arrays, one row per pair in block order; a diverged
-    pair's rows are NaN."""
+def simulate_truths(truths, views, spec: MeasurementSpec, seed: int) -> np.ndarray:
+    """Noisy readings ``(N, m)`` of the ``powerflow.Truths`` pairs over
+    ``views``, row for row, with pair (c, s)'s noise keyed ``(c, s)``; a
+    diverged pair's row is NaN.
 
-    config: np.ndarray  # (N,) switch config index
-    v_mag: np.ndarray  # (N, n_bus) pu
-    loading_pct: np.ndarray  # (N, n_line)
-    values: np.ndarray  # (N, m) noisy readings
-    diverged: np.ndarray  # (N,) bool
-
-
-def simulate_truths(blocks, views, spec: MeasurementSpec, seed: int) -> SimulatedTruths:
-    """Noisy readings of the pairs of the ``powerflow.solve_truths`` blocks
-    over ``views``, with pair (c, s)'s noise keyed ``(c, s)``.
-
-    Each block's converged pairs are simulated in one :func:`simulate_batch`;
-    a block solved under per-sample factors runs on one view stacking its
-    pairs' impedance scales. The blocks' rows are stacked in order.
+    Each config's converged pairs are simulated in one
+    :func:`simulate_batch`; under per-sample factors it runs on one view
+    stacking those pairs' impedance scales.
     """
-    values = []
-    for block in blocks:
-        part = np.full((len(block.scenario), len(spec.entries)), np.nan)
-        ok = ~block.diverged
-        if ok.any():
-            view = views[block.config]
-            if block.scale is not None:
-                view = view.with_scaled_impedance(block.scale[ok])
-            keys = np.column_stack([np.full(ok.sum(), block.config), block.scenario[ok]])
-            part[ok] = simulate_batch(view, block.v[ok], block.th[ok], spec, seed, keys)
-        values.append(part)
-    return SimulatedTruths(
-        config=np.concatenate([np.full(len(b.scenario), b.config) for b in blocks]),
-        v_mag=np.concatenate([b.v for b in blocks]),
-        loading_pct=np.concatenate([b.loading for b in blocks]),
-        values=np.concatenate(values), diverged=np.concatenate([b.diverged for b in blocks]))
+    n_scenarios = len(truths.config) // len(views)
+    values = np.full((len(truths.config), len(spec.entries)), np.nan)
+    for cfg_idx, view in enumerate(views):
+        first = cfg_idx * n_scenarios
+        scs = np.flatnonzero(~truths.diverged[first:first + n_scenarios])
+        if not scs.size:
+            continue
+        rows = first + scs
+        if truths.scale is not None:
+            view = view.with_scaled_impedance(truths.scale[rows])
+        keys = np.column_stack([np.full(scs.size, cfg_idx), scs])
+        values[rows] = simulate_batch(view, truths.v[rows], truths.th[rows], spec, seed, keys)
+    return values
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,18 @@ line flows derive from the view's branch admittance model
 There is one Newton-Raphson. It solves B power flows of one view at once on
 ``(B, n_bus)`` states, with the view's one ``Ybus`` or, under a per-sample
 impedance scale, its stacked ``(B, n_bus, n_bus)`` one. A sample leaves the
-iteration when it converges, and a diverged or singular sample fails alone.
-:func:`solve_pf_batch` returns one ``PfSolution`` (or ``PowerFlowError``)
-per sample and :func:`solve_pf` is its B = 1 call; :func:`solve_flows`
-returns the same states as arrays.
+iteration when it converges, and a diverged or singular sample fails alone:
+each sample's outcome is a status code (``CONVERGED``, ``SINGULAR_JACOBIAN``,
+``NO_CONVERGENCE``) next to its iteration count and mismatch norm.
+:func:`solve_flows` returns the states as arrays. :func:`solve_pf` is the
+one-sample call, and the only code that builds a ``PfSolution`` or raises a
+``PowerFlowError``.
 
 :func:`solve_truths` is the truth layer of every command. It solves the
 (switch config, scenario) pairs of a set of scenarios, given as one stacked
-``InjectionSet``, and returns one :class:`TruthBlock` of arrays per switch
-config: ``v``, ``th``, ``loading`` and ``diverged``, and under a per-sample
-impedance scale each pair's row of the scale. A cache (such as
+``InjectionSet``, and returns one :class:`Truths` record of stacked arrays,
+config-major: ``config``, ``v``, ``th``, ``loading`` and ``diverged``, and
+under a per-sample impedance scale each pair's row of the scale. A cache (such as
 ``evaluation.TruthCache``) keeps one :class:`TruthTable` per (perturbation,
 config), with one row per scenario.
 
@@ -49,6 +51,10 @@ ELISION_ELEMENTS = 16384  # complex128 elements in 256 KiB, see above
 # bundled feeder) solved truths about a tenth faster than 32 but raised the
 # peak RSS of a WLS catalog run by about 0.45 MB
 NEWTON_BLOCK = 32
+# each sample's outcome in a Newton-Raphson
+CONVERGED = 0
+SINGULAR_JACOBIAN = 1
+NO_CONVERGENCE = 2
 
 
 class PowerFlowError(Exception):
@@ -86,37 +92,38 @@ def solve_pf(view: GridView, injections: InjectionSet) -> PfSolution:
     The slack bus is held at 1.0 pu, 0 rad. Convergence requires the active
     and reactive power mismatch at every PQ bus to drop below ``MISMATCH_TOL``
     within ``MAX_ITERATIONS`` Newton steps. This is the one-sample call of
-    :func:`solve_pf_batch`; a diverged sample raises its PowerFlowError.
+    the batched Newton-Raphson; a diverged sample raises its PowerFlowError.
     """
-    solution = solve_pf_batch(view, [injections])[0]
-    if isinstance(solution, PowerFlowError):
-        raise solution
-    return solution
-
-
-def solve_pf_batch(view: GridView, injections) -> list[PfSolution | PowerFlowError]:
-    """Solve B power flows of one view in one Newton-Raphson.
-
-    ``injections`` holds the B InjectionSets. Under a per-sample impedance
-    scale ``(B, n_line)`` row b of the scale is sample b's network. Entry b
-    of the result is sample b's solution, or the PowerFlowError that ended
-    its iteration: a singular Jacobian or no convergence fails that sample
-    only. Each sample's result is bitwise the same in any batch.
-    """
-    p, q = _schedule(view, list(injections))
-    results = []
-    for _, block_view, solved in _newton_blocks(view, p, q):
-        results += _solutions(block_view, *solved)
-    return results
+    p = np.asarray(injections.p_pu, dtype=float)[None]
+    q = np.asarray(injections.q_pu, dtype=float)[None]
+    _check_schedule(view, p, q)
+    (_, block_view, (v, th, s_slack, iterations, mismatch, status)), = \
+        _newton_blocks(view, p, q)
+    if status[0] == SINGULAR_JACOBIAN:
+        raise PowerFlowError(f"singular Jacobian at iteration {iterations[0] + 1}",
+                             mismatch[0])
+    if status[0] == NO_CONVERGENCE:
+        raise PowerFlowError(f"no convergence after {MAX_ITERATIONS} iterations "
+                             f"(mismatch {mismatch[0]:.3e})", mismatch[0])
+    flows = line_flows(block_view, v, th)
+    s_base_kw = view.grid.s_base_mva * 1e3
+    return PfSolution(v_mag_pu=v[0], v_ang_rad=th[0],
+                      i_line_amps=(flows.i_from_pu * block_view.branches.i_base_from)[0],
+                      loading_pct=flows.loading_pct[0],
+                      p_slack_kw=float(s_slack[0].real) * s_base_kw,
+                      q_slack_kvar=float(s_slack[0].imag) * s_base_kw,
+                      iterations=int(iterations[0]), max_mismatch=float(mismatch[0]))
 
 
 def solve_flows(view: GridView, p: np.ndarray, q: np.ndarray):
     """Solve the B power flows of scheduled injections ``p``/``q`` ``(B,
-    n_bus)`` as :func:`solve_pf_batch` does, as arrays.
+    n_bus)`` in one Newton-Raphson, as arrays.
 
-    Returns ``v`` and ``th`` ``(B, n_bus)``, the loading ``(B, n_line)`` in
-    percent and the diverged mask ``(B,)``; a diverged sample's rows are NaN.
-    Each row is bitwise the fields of that sample's ``PfSolution``.
+    Under a per-sample impedance scale ``(B, n_line)`` row b of the scale is
+    sample b's network. Returns ``v`` and ``th`` ``(B, n_bus)``, the loading
+    ``(B, n_line)`` in percent and the diverged mask ``(B,)``: a singular
+    Jacobian or no convergence fails that sample only, and its rows are NaN.
+    Each row is bitwise the fields of that sample's :func:`solve_pf`.
     """
     _check_schedule(view, p, q)
     n_samples = len(p)
@@ -124,8 +131,8 @@ def solve_flows(view: GridView, p: np.ndarray, q: np.ndarray):
     th = np.full((n_samples, view.n_bus), np.nan)
     loading = np.full((n_samples, len(view.grid.lines)), np.nan)
     diverged = np.zeros(n_samples, dtype=bool)
-    for start, block_view, (vb, thb, _, _, _, errors) in _newton_blocks(view, p, q):
-        ok = np.array([err is None for err in errors])
+    for start, block_view, (vb, thb, _, _, _, status) in _newton_blocks(view, p, q):
+        ok = status == CONVERGED
         diverged[start + np.flatnonzero(~ok)] = True
         if ok.all():
             rows = slice(start, start + len(ok))
@@ -136,18 +143,6 @@ def solve_flows(view: GridView, p: np.ndarray, q: np.ndarray):
             v[rows], th[rows] = vb, thb
             loading[rows] = line_flows(block_view, vb, thb).loading_pct
     return v, th, loading, diverged
-
-
-def _schedule(view: GridView, injections) -> tuple[np.ndarray, np.ndarray]:
-    """The scheduled injections as ``(B, n_bus)`` arrays, checked."""
-    n = view.grid.n_bus
-    for inj in injections:
-        if len(inj.p_pu) != n or len(inj.q_pu) != n:
-            raise ValueError("injection vectors must have one entry per bus")
-    p = np.array([inj.p_pu for inj in injections], dtype=float).reshape(-1, n)
-    q = np.array([inj.q_pu for inj in injections], dtype=float).reshape(-1, n)
-    _check_schedule(view, p, q)
-    return p, q
 
 
 def _check_schedule(view: GridView, p: np.ndarray, q: np.ndarray) -> None:
@@ -180,7 +175,9 @@ def _newton(ybus, slack, pq, p, q):
 
     A sample leaves the live set at the iteration where it converges, so its
     state stays as it was then. Returns the states, the slack injections,
-    the iteration counts, the last mismatch norms and each sample's error.
+    the Newton steps taken, the last mismatch norms and each sample's status
+    code: ``CONVERGED``, ``SINGULAR_JACOBIAN`` (at step ``iterations + 1``)
+    or ``NO_CONVERGENCE``.
     """
     n_samples, n = p.shape
     m = len(pq)
@@ -189,7 +186,7 @@ def _newton(ybus, slack, pq, p, q):
     s_slack = np.zeros(n_samples, dtype=complex)
     iterations = np.zeros(n_samples, dtype=int)
     mismatch = np.full(n_samples, np.inf)
-    errors: list[PowerFlowError | None] = [None] * n_samples
+    status = np.full(n_samples, NO_CONVERGENCE)
     p, q = p[:, pq], q[:, pq]
     live = np.arange(n_samples)
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -204,6 +201,7 @@ def _newton(ybus, slack, pq, p, q):
         if done.any():
             iterations[live[done]] = iteration - 1
             s_slack[live[done]] = s_calc[done, slack]
+            status[live[done]] = CONVERGED
             go = ~done
             live = live[go]
             if not live.size:
@@ -220,19 +218,15 @@ def _newton(ybus, slack, pq, p, q):
         del ds_dth, ds_dv  # not held through the solve: a lower peak memory
         step, singular = solve_samples(jac, np.concatenate([dp, dq], axis=1))
         if singular.any():
-            for b in live[singular]:
-                errors[b] = PowerFlowError(f"singular Jacobian at iteration {iteration}",
-                                           mismatch[b])
+            iterations[live[singular]] = iteration - 1
+            status[live[singular]] = SINGULAR_JACOBIAN
             live, step = live[~singular], step[~singular]
             if ybus.ndim == 3:
                 ybus = ybus[~singular]
         th[live[:, None], pq] += step[:, :m]
         v[live[:, None], pq] += step[:, m:]
-    for b in live:
-        errors[b] = PowerFlowError(
-            f"no convergence after {MAX_ITERATIONS} iterations "
-            f"(mismatch {mismatch[b]:.3e})", mismatch[b])
-    return v, th, s_slack, iterations, mismatch, errors
+    iterations[live] = MAX_ITERATIONS
+    return v, th, s_slack, iterations, mismatch, status
 
 
 def solve_samples(a, rhs):
@@ -251,29 +245,6 @@ def solve_samples(a, rhs):
         except np.linalg.LinAlgError:
             singular[b] = True
     return x, singular
-
-
-def _solutions(view, v, th, s_slack, iterations, mismatch, errors):
-    """One PfSolution per converged sample, its error otherwise."""
-    ok = [b for b, err in enumerate(errors) if err is None]
-    if not ok:
-        return list(errors)
-    flows = line_flows(view.take(ok), v[ok], th[ok])
-    i_line = flows.i_from_pu * view.branches.i_base_from
-    s_base_kw = view.grid.s_base_mva * 1e3
-    results: list[PfSolution | PowerFlowError] = list(errors)
-    for row, b in enumerate(ok):
-        results[b] = PfSolution(
-            v_mag_pu=v[b].copy(),
-            v_ang_rad=th[b].copy(),
-            i_line_amps=i_line[row],
-            loading_pct=flows.loading_pct[row],
-            p_slack_kw=float(s_slack[b].real) * s_base_kw,
-            q_slack_kvar=float(s_slack[b].imag) * s_base_kw,
-            iterations=int(iterations[b]),
-            max_mismatch=float(mismatch[b]),
-        )
-    return results
 
 
 @dataclass(frozen=True)
@@ -316,21 +287,20 @@ def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
 
 # the truth records are named tuples: a frozen dataclass would add about a
 # millisecond each to every command's start-up
-class TruthBlock(NamedTuple):
-    """The truths of one switch config's pairs, one row per pair.
+class Truths(NamedTuple):
+    """The truths of (switch config, scenario) pairs, config-major: row
+    ``c * n_scenarios + s`` is pair (c, s).
 
-    ``scenario`` are the pairs' scenario indices. A diverged pair's state
-    rows are NaN. ``scale`` is each pair's impedance scale under per-sample
-    factors, else None.
+    A diverged pair's state rows are NaN. ``scale`` is each pair's
+    impedance scale under per-sample factors, else None.
     """
 
-    config: int
-    scenario: np.ndarray  # (B,)
-    v: np.ndarray  # (B, n_bus) pu
-    th: np.ndarray  # (B, n_bus) rad
-    loading: np.ndarray  # (B, n_line) percent
-    diverged: np.ndarray  # (B,) bool
-    scale: np.ndarray | None = None  # (B, n_line)
+    config: np.ndarray  # (N,) switch config index
+    v: np.ndarray  # (N, n_bus) pu
+    th: np.ndarray  # (N, n_bus) rad
+    loading: np.ndarray  # (N, n_line) percent
+    diverged: np.ndarray  # (N,) bool
+    scale: np.ndarray | None = None  # (N, n_line)
 
 
 class TruthTable(NamedTuple):
@@ -353,13 +323,12 @@ class TruthTable(NamedTuple):
 
 
 def solve_truths(views, injections: InjectionSet, *, cache=None, tag=(),
-                 sample_factors=None) -> list[TruthBlock]:
+                 sample_factors=None) -> Truths:
     """Noise-free truths of every (switch config, scenario) pair.
 
     ``views[c]`` is the network of config ``c`` and row s of the stacked
     ``injections`` ``(n_scenarios, n_bus)`` the bus injections of scenario
-    s. Returns one :class:`TruthBlock` per config, in config order, with one
-    row per scenario: the pairs config-major.
+    s. Returns the :class:`Truths` of the pairs, config-major.
 
     ``sample_factors(c, scenarios)`` gives the ``(B, n_line)`` line
     impedance scale of config c's pairs, and such truths are never
@@ -373,25 +342,27 @@ def solve_truths(views, injections: InjectionSet, *, cache=None, tag=(),
     p_all, q_all = injections.p_pu, injections.q_pu
     scs = np.arange(len(p_all))
     memo = cache if sample_factors is None else None
-    blocks = []
+    tables, scales = [], []
     for cfg_idx, view in enumerate(views):
         table = memo.get((tag, cfg_idx)) if memo is not None else None
         if table is None:
             table = TruthTable.empty(len(scs), view.n_bus, len(view.grid.lines))
             if memo is not None:
                 memo[tag, cfg_idx] = table
-        scale = None
         if sample_factors is not None:
             todo = scs
-            scale = np.asarray(sample_factors(cfg_idx, scs), dtype=float)
+            scales.append(np.asarray(sample_factors(cfg_idx, scs), dtype=float))
+            view = view.with_scaled_impedance(scales[-1])
         else:
             todo = scs[~table.known]
         if todo.size:
-            solve_view = view if scale is None else view.with_scaled_impedance(scale)
             (table.v[todo], table.th[todo], table.loading[todo],
-             table.diverged[todo]) = solve_flows(solve_view, p_all[todo], q_all[todo])
+             table.diverged[todo]) = solve_flows(view, p_all[todo], q_all[todo])
             table.known[todo] = True
-        blocks.append(TruthBlock(config=cfg_idx, scenario=scs, v=table.v[scs],
-                                 th=table.th[scs], loading=table.loading[scs],
-                                 diverged=table.diverged[scs], scale=scale))
-    return blocks
+        tables.append(table)
+    return Truths(config=np.repeat(np.arange(len(views)), len(scs)),
+                  v=np.concatenate([t.v for t in tables]),
+                  th=np.concatenate([t.th for t in tables]),
+                  loading=np.concatenate([t.loading for t in tables]),
+                  diverged=np.concatenate([t.diverged for t in tables]),
+                  scale=np.concatenate(scales) if scales else None)

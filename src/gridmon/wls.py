@@ -19,7 +19,11 @@ and the view alone, so it is laid out once per batch; values z and weights
 W are ``(B, m)`` arrays. A sample stops iterating when no state update
 exceeds ``STATE_UPDATE_TOLERANCE`` (converged) or after ``MAX_ITERATIONS``
 steps (flagged non-converged), and a singular gain matrix or a non-finite
-step fails that sample alone. :func:`estimate` is its B = 1 call.
+step fails that sample alone. It returns one :class:`Estimates` record of
+arrays, each sample's outcome a status code (``CONVERGED``,
+``ITERATION_LIMIT``, ``SINGULAR_GAIN``, ``NON_FINITE_STEP``).
+:func:`estimate` is its B = 1 call, and the only code that builds an
+``EstimatedState`` or raises an ``ObservabilityError``.
 
 The measurement functions h(x) and their Jacobian H(x) are row selections of
 the stacked bus and line quantities and their voltage derivatives, all
@@ -40,6 +44,7 @@ for M8's, and never more than 64.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +64,13 @@ PSEUDO_SD_FLOOR_PU = 1e-3  # 1 kW on the 1 MVA base
 # zeros where no unit or an open line is metered, so theirs stay as read.
 READING_FLOOR_PU = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
 SD_FLOOR_PU = 1e-6
+# each sample's outcome in a Gauss-Newton
+CONVERGED = 0
+ITERATION_LIMIT = 1
+SINGULAR_GAIN = 2
+NON_FINITE_STEP = 3
+FAILURE_MESSAGES = {SINGULAR_GAIN: "singular gain matrix",
+                    NON_FINITE_STEP: "non-finite state update"}
 
 
 class ObservabilityError(Exception):
@@ -87,6 +99,24 @@ class EstimatedState:
     iterations: int
     objective: float
     objective_history: tuple[float, ...] = ()
+
+
+class Estimates(NamedTuple):
+    """The estimates of B measurement vectors, row b for sample b.
+
+    A sample that failed (``SINGULAR_GAIN`` or ``NON_FINITE_STEP``) has NaN
+    state, loading and objective rows. ``objectives[b]`` holds the objective
+    at the start of each iteration, then the final one at column
+    ``iterations[b]``, and NaN after its last entry.
+    """
+
+    v: np.ndarray  # (B, n_bus) pu
+    th: np.ndarray  # (B, n_bus) rad
+    loading: np.ndarray  # (B, n_line) percent, derived on the assumed model
+    status: np.ndarray  # (B,) CONVERGED, ITERATION_LIMIT, SINGULAR_GAIN or NON_FINITE_STEP
+    iterations: np.ndarray  # (B,)
+    objective: np.ndarray  # (B,)
+    objectives: np.ndarray  # (B, MAX_ITERATIONS + 1)
 
 
 def build_pseudo(grid: GridModel, ms: MeasurementSet, spec: MeasurementSpec) -> PseudoSet:
@@ -277,27 +307,28 @@ def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
     """
     if spec.spec_hash != ms.spec_hash:
         raise ValueError("measurement set does not belong to this spec")
-    result = estimate_batch(view, ms.values[None], spec, sd_overrides)[0]
-    if isinstance(result, ObservabilityError):
-        raise result
-    return result
+    est = estimate_batch(view, ms.values[None], spec, sd_overrides)
+    status, iterations = int(est.status[0]), int(est.iterations[0])
+    if status in FAILURE_MESSAGES:
+        raise ObservabilityError(FAILURE_MESSAGES[status])
+    return EstimatedState(v_mag=est.v[0], v_ang=est.th[0], loading_pct=est.loading[0],
+                          converged=status == CONVERGED, iterations=iterations,
+                          objective=float(est.objective[0]),
+                          objective_history=tuple(est.objectives[0, :iterations + 1].tolist()))
 
 
 def estimate_batch(view: GridView, values: np.ndarray, spec: MeasurementSpec,
-                   sd_overrides: dict[int, float] | None = None
-                   ) -> list[EstimatedState | ObservabilityError]:
+                   sd_overrides: dict[int, float] | None = None) -> Estimates:
     """Gauss-Newton WLS estimates of B measurement vectors ``(B, m)`` of one
     spec on one assumed view.
 
-    Entry b of the result is sample b's state, flagged converged=False when
-    it used up ``MAX_ITERATIONS``, or the ObservabilityError that ended its
-    iteration: a singular gain matrix or a non-finite step fails that sample
-    only. Each sample's result is bitwise the same in any batch.
+    Row b of the result is sample b's outcome: ``ITERATION_LIMIT`` when it
+    used up ``MAX_ITERATIONS``, and a singular gain matrix or a non-finite
+    step fails that sample only. Each sample's result is bitwise the same in
+    any batch.
     """
     grid = view.grid
     values = np.asarray(values, dtype=float)
-    if not len(values):
-        return []
     pseudo = pseudo_batch(grid, values, spec)
     # the row layout depends on the spec and the view alone: the spec's
     # entries, then the substitutes, less injection rows at buses cut off
@@ -323,15 +354,24 @@ def estimate_batch(view: GridView, values: np.ndarray, spec: MeasurementSpec,
     per_sample = max(max(len(grid.lines), grid.n_bus) * grid.n_bus,
                      len(pos) * index.n_state // 2)
     block = max(1, (ELISION_ELEMENTS - 1) // per_sample)
-    results = []
-    for start in range(0, len(values), block):
+    n_samples = len(values)
+    out = Estimates(v=np.full((n_samples, grid.n_bus), np.nan),
+                    th=np.full((n_samples, grid.n_bus), np.nan),
+                    loading=np.full((n_samples, len(grid.lines)), np.nan),
+                    status=np.full(n_samples, ITERATION_LIMIT),
+                    iterations=np.zeros(n_samples, dtype=int),
+                    objective=np.full(n_samples, np.nan),
+                    objectives=np.full((n_samples, MAX_ITERATIONS + 1), np.nan))
+    for start in range(0, n_samples, block):
         rows = slice(start, start + block)
-        results += _gauss_newton(view, pos, index, z[rows], weights[rows])
-    return results
+        _gauss_newton(view, pos, index, z[rows], weights[rows],
+                      Estimates(*(field[rows] for field in out)))
+    return out
 
 
-def _gauss_newton(view, pos, index, z, weights):
-    """Gauss-Newton from a flat start on the rows of ``z``/``weights``.
+def _gauss_newton(view, pos, index, z, weights, out: Estimates) -> None:
+    """Gauss-Newton from a flat start on the rows of ``z``/``weights``,
+    written into the rows of ``out`` (an :class:`Estimates` of views).
 
     A sample leaves the live set at the iteration where its step falls below
     ``STATE_UPDATE_TOLERANCE`` or where it fails, so its state stays as it
@@ -343,18 +383,13 @@ def _gauss_newton(view, pos, index, z, weights):
     n_ang = len(index.non_slack)
     v = np.ones((n_samples, n))
     th = np.zeros((n_samples, n))
-    converged = np.zeros(n_samples, dtype=bool)
-    iterations = np.zeros(n_samples, dtype=int)
-    history: list[list[float]] = [[] for _ in range(n_samples)]
-    results: list[EstimatedState | ObservabilityError | None] = [None] * n_samples
+    status, iterations, objectives = out.status, out.iterations, out.objectives
     live = np.arange(n_samples)
     for iteration in range(1, MAX_ITERATIONS + 1):
         iterations[live] = iteration
         h, jac = measurement_model(view, pos, v[live], th[live], index)
         residual = z[live] - h
-        for b, objective in zip(live.tolist(),
-                                np.add.reduce(weights[live] * residual**2, 1).tolist()):
-            history[b].append(objective)
+        objectives[live, iteration - 1] = np.add.reduce(weights[live] * residual**2, 1)
         wjac = jac * weights[live][..., None]
         gain = np.swapaxes(jac, 1, 2) @ wjac
         rhs = (np.swapaxes(wjac, 1, 2) @ residual[..., None])[..., 0]
@@ -363,30 +398,23 @@ def _gauss_newton(view, pos, index, z, weights):
         step, singular = solve_samples(gain, rhs)
         del gain
         non_finite = ~singular & ~np.all(np.isfinite(step), axis=1)
-        for b in live[singular]:
-            results[b] = ObservabilityError("singular gain matrix")
-        for b in live[non_finite]:
-            results[b] = ObservabilityError("non-finite state update")
+        status[live[singular]] = SINGULAR_GAIN
+        status[live[non_finite]] = NON_FINITE_STEP
         ok = ~(singular | non_finite)
         live, step = live[ok], step[ok]
         th[live[:, None], index.non_slack] += step[:, :n_ang]
         v[live[:, None], index.mag_buses] += step[:, n_ang:]
         done = np.abs(step).max(axis=1) < STATE_UPDATE_TOLERANCE
-        converged[live[done]] = True
+        status[live[done]] = CONVERGED
         live = live[~done]
         if not live.size:
             break
 
-    ok = [b for b, res in enumerate(results) if res is None]
-    if not ok:
-        return results
+    ok = np.flatnonzero((status == CONVERGED) | (status == ITERATION_LIMIT))
+    if not ok.size:
+        return
     h, _ = measurement_model(view, pos, v[ok], th[ok], index)
-    objectives = np.add.reduce(weights[ok] * (z[ok] - h) ** 2, 1).tolist()
-    loading_pct = line_flows(view, v[ok], th[ok]).loading_pct
-    for row, (b, objective) in enumerate(zip(ok, objectives)):
-        results[b] = EstimatedState(v_mag=v[b].copy(), v_ang=th[b].copy(),
-                                    loading_pct=loading_pct[row],
-                                    converged=bool(converged[b]),
-                                    iterations=int(iterations[b]), objective=objective,
-                                    objective_history=tuple(history[b] + [objective]))
-    return results
+    out.objective[ok] = objectives[ok, iterations[ok]] = np.add.reduce(
+        weights[ok] * (z[ok] - h) ** 2, 1)
+    out.v[ok], out.th[ok] = v[ok], th[ok]
+    out.loading[ok] = line_flows(view, v[ok], th[ok]).loading_pct

@@ -9,7 +9,7 @@ from gridmon.measurements import (FaultInjection, MeasurementError,
                                   make_spec, resolve_faults, scale_unit_powers,
                                   simulate, simulate_batch, simulate_truths,
                                   stacked_positions, true_values)
-from gridmon.powerflow import solve_pf, solve_pf_batch, solve_truths
+from gridmon.powerflow import solve_pf, solve_truths
 from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
 from gridmon.seeding import STREAM_MEASUREMENT, rng
 
@@ -231,7 +231,7 @@ def config0_truths(cigre):
     """All 1,100 default-axes scenarios solved on config 0."""
     view = apply_switch_config(cigre, CONFIG_0)
     inj = [injections(cigre, sc) for sc in generate_set(DEFAULT_AXES, cigre, 1, 5)]
-    return view, inj, solve_pf_batch(view, inj)
+    return view, inj, [solve_pf(view, i) for i in inj]
 
 
 def _bits(a):
@@ -278,18 +278,19 @@ def test_simulate_truths_per_sample_rows_equal_per_pair_simulate(cigre, config0_
     factors = 1.0 / gen.uniform(0.8, 1.2, (n, len(cigre.lines)))
     stacked = powerflow.InjectionSet(np.array([i.p_pu for i in inj[:n]]),
                                      np.array([i.q_pu for i in inj[:n]]))
-    blocks = solve_truths([view], stacked,
+    truths = solve_truths([view], stacked,
                           sample_factors=lambda c, scenarios: factors[scenarios])
     spec = m4_spec(cigre)
-    sim = simulate_truths(blocks, [view], spec, 4)
-    assert not sim.diverged.any()
-    assert blocks[0].scale.tobytes() == factors.tobytes()
-    for s, row in enumerate(sim.values):
+    readings = simulate_truths(truths, [view], spec, 4)
+    assert readings.shape == (n, len(spec.entries))
+    assert not truths.diverged.any()
+    assert truths.scale.tobytes() == factors.tobytes()
+    for s, row in enumerate(readings):
         pair_view = view.with_scaled_impedance(factors[s])
         sol = solve_pf(pair_view, inj[s])
         assert _bits(row) == _bits(simulate(sol, pair_view, spec, 4, noise_key=(0, s)).values)
-        assert _bits(sim.v_mag[s]) == _bits(sol.v_mag_pu)
-        assert _bits(sim.loading_pct[s]) == _bits(sol.loading_pct)
+        assert _bits(truths.v[s]) == _bits(sol.v_mag_pu)
+        assert _bits(truths.loading[s]) == _bits(sol.loading_pct)
 
 
 def test_resolved_faults_on_a_block_equal_per_vector_injection(cigre, cigre_solution):

@@ -179,42 +179,41 @@ def solve_calls(monkeypatch):
     return calls
 
 
-def _same_truth(block, row, sol):
-    """Row ``row`` of a truth block is bitwise the PfSolution ``sol``."""
-    return (block.v[row].tobytes() == sol.v_mag_pu.tobytes()
-            and block.th[row].tobytes() == sol.v_ang_rad.tobytes()
-            and block.loading[row].tobytes() == sol.loading_pct.tobytes()
-            and not block.diverged[row])
+def _same_truth(truths, row, sol):
+    """Row ``row`` of the truths is bitwise the PfSolution ``sol``."""
+    return (truths.v[row].tobytes() == sol.v_mag_pu.tobytes()
+            and truths.th[row].tobytes() == sol.v_ang_rad.tobytes()
+            and truths.loading[row].tobytes() == sol.loading_pct.tobytes()
+            and not truths.diverged[row])
 
 
-def _is_diverged(block, row):
-    return bool(block.diverged[row] and np.isnan(block.v[row]).all()
-                and np.isnan(block.th[row]).all() and np.isnan(block.loading[row]).all())
+def _is_diverged(truths, row):
+    return bool(truths.diverged[row] and np.isnan(truths.v[row]).all()
+                and np.isnan(truths.th[row]).all() and np.isnan(truths.loading[row]).all())
 
 
 def test_solve_truths_config_major_and_diverged_is_none(truth_inputs, solve_calls):
     view, loads = truth_inputs
-    blocks = solve_truths([view, view], _stack(loads))
-    assert [b.config for b in blocks] == [0, 1]
-    for block in blocks:
-        assert block.scenario.tolist() == [0, 1, 2]
-        assert block.diverged.tolist() == [False, True, False]
-        assert _is_diverged(block, 1)
-        assert _same_truth(block, 0, solve_pf(view, loads[0]))
-        assert block.scale is None
+    truths = solve_truths([view, view], _stack(loads))
+    assert truths.config.tolist() == [0, 0, 0, 1, 1, 1]
+    assert truths.diverged.tolist() == [False, True, False] * 2
+    for first in (0, 3):
+        assert _is_diverged(truths, first + 1)
+        assert _same_truth(truths, first, solve_pf(view, loads[0]))
+    assert truths.scale is None
     assert len(solve_calls) == 6
 
 
 def test_solve_truths_second_pass_reads_cache(truth_inputs, solve_calls):
     view, loads = truth_inputs
     cache = TruthCache()
-    first, = solve_truths([view], _stack(loads), cache=cache, tag="t")
+    first = solve_truths([view], _stack(loads), cache=cache, tag="t")
     assert len(solve_calls) == 3
     assert list(cache) == [("t", 0)]
     assert n_known(cache) == 3
-    second, = solve_truths([view], _stack(loads), cache=cache, tag="t")
+    second = solve_truths([view], _stack(loads), cache=cache, tag="t")
     assert len(solve_calls) == 3  # diverged pair included
-    for name in ("scenario", "v", "th", "loading", "diverged"):
+    for name in ("config", "v", "th", "loading", "diverged"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
     assert _is_diverged(second, 1)
 
@@ -227,11 +226,11 @@ def test_solve_truths_never_memoises_per_sample_impedances(truth_inputs, solve_c
         return 1.0 + 0.1 * np.asarray(scenarios, dtype=float)[:, None]
 
     for _ in range(2):
-        block, = solve_truths([view], _stack(loads), cache=cache, sample_factors=factors)
+        truths = solve_truths([view], _stack(loads), cache=cache, sample_factors=factors)
     assert len(solve_calls) == 6
     assert len(cache) == 0
-    assert block.scale.tobytes() == factors(0, [0, 1, 2]).tobytes()
-    assert _same_truth(block, 2, solve_pf(_reference_view(view, [1.0 + 0.1 * 2]), loads[2]))
+    assert truths.scale.tobytes() == factors(0, [0, 1, 2]).tobytes()
+    assert _same_truth(truths, 2, solve_pf(_reference_view(view, [1.0 + 0.1 * 2]), loads[2]))
 
 
 def _reference_view(view, factors):
@@ -245,11 +244,25 @@ def _reference_view(view, factors):
     return apply_switch_config(replace(grid, lines=lines), view.config)
 
 
-def _same_bits(a, b):
-    """Every PfSolution field of ``a`` and ``b`` is bitwise equal."""
-    return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
-               for f in ("v_mag_pu", "v_ang_rad", "i_line_amps", "loading_pct",
-                         "p_slack_kw", "q_slack_kvar", "iterations", "max_mismatch"))
+def _newton_rows(view, loads):
+    """What the batched Newton-Raphson returns for ``loads``, stacked over its
+    blocks: states, slack injections, steps, mismatch norms and status."""
+    stacked = _stack(loads)
+    blocks = powerflow._newton_blocks(view, stacked.p_pu, stacked.q_pu)
+    return [np.concatenate(part) for part in zip(*(solved for _, _, solved in blocks))]
+
+
+def _same_newton_row(solved, b, sol, view):
+    """Row b of :func:`_newton_rows` output is bitwise the PfSolution ``sol``:
+    state, slack injection, iteration count and mismatch norm."""
+    v, th, s_slack, iterations, mismatch, status = solved
+    s_base_kw = view.grid.s_base_mva * 1e3
+    return (status[b] == powerflow.CONVERGED
+            and v[b].tobytes() == sol.v_mag_pu.tobytes()
+            and th[b].tobytes() == sol.v_ang_rad.tobytes()
+            and float(s_slack[b].real) * s_base_kw == sol.p_slack_kw
+            and float(s_slack[b].imag) * s_base_kw == sol.q_slack_kvar
+            and iterations[b] == sol.iterations and mismatch[b] == sol.max_mismatch)
 
 
 @pytest.fixture(scope="module")
@@ -266,34 +279,34 @@ def cigre_batch(cigre):
 def test_batched_truths_bitwise_equal_per_pair_solves(cigre_batch):
     view, inj = cigre_batch
     single = [solve_pf(view, i) for i in inj]
-    batch = powerflow.solve_pf_batch(view, inj)
-    block, = solve_truths([view], _stack(inj))
-    assert block.scenario.tolist() == list(range(len(inj)))
-    assert all(_same_bits(a, b) for a, b in zip(single, batch))
-    assert all(_same_truth(block, s, sol) for s, sol in enumerate(single))
+    solved = _newton_rows(view, inj)
+    truths = solve_truths([view], _stack(inj))
+    assert truths.config.tolist() == [0] * len(inj)
+    assert all(_same_newton_row(solved, s, sol, view) for s, sol in enumerate(single))
+    assert all(_same_truth(truths, s, sol) for s, sol in enumerate(single))
     stacked = _stack(inj)
     v, th, loading, diverged = powerflow.solve_flows(view, stacked.p_pu, stacked.q_pu)
     assert not diverged.any()
     assert (v.tobytes(), th.tobytes(), loading.tobytes()) == (
-        block.v.tobytes(), block.th.tobytes(), block.loading.tobytes())
+        truths.v.tobytes(), truths.th.tobytes(), truths.loading.tobytes())
 
 
 def test_batched_per_sample_impedances_bitwise_equal(cigre_batch):
     view, inj = cigre_batch
     gen = np.random.default_rng(11)
     factors = 1.0 / gen.uniform(0.9, 1.1, (len(inj), len(view.grid.lines)))
-    block, = solve_truths([view], _stack(inj),
+    truths = solve_truths([view], _stack(inj),
                           sample_factors=lambda c, scenarios: factors[scenarios])
-    assert block.scale.tobytes() == factors.tobytes()
+    assert truths.scale.tobytes() == factors.tobytes()
+    assert truths.config.tolist() == [0] * len(inj)
     stacked = view.with_scaled_impedance(factors[:16]).branches
     for s in range(len(inj)):
-        assert block.scenario[s] == s
         reference = _reference_view(view, factors[s])
         if s < 16:
             for name in ("ybus", "yf", "yt"):
                 expected = getattr(reference.branches, name).tobytes()
                 assert getattr(stacked, name)[s].tobytes() == expected
-        assert _same_truth(block, s, solve_pf(reference, inj[s]))
+        assert _same_truth(truths, s, solve_pf(reference, inj[s]))
 
 
 def test_truths_under_a_power_deviation_equal_per_pair_solves(cigre):
@@ -308,14 +321,13 @@ def test_truths_under_a_power_deviation_equal_per_pair_solves(cigre):
     p_kw, q_kvar = unit_powers(scenarios)
     for buses, factor in (((4,), 0.7), ((5, 9, 10), 1.3)):
         p_kw, q_kvar = scale_powers_at(cigre, buses, factor, p_kw, q_kvar)
-    blocks = solve_truths(views, bus_injections(cigre, p_kw, q_kvar))
-    assert [b.config for b in blocks] == [0, 1]
-    for block in blocks:
-        for row, s in enumerate(block.scenario):
-            actual = scale_unit_powers(scenarios[s], cigre, (4,), 0.7)
-            actual = scale_unit_powers(actual, cigre, (5, 9, 10), 1.3)
-            assert _same_truth(block, row,
-                               solve_pf(views[block.config], injections(cigre, actual)))
+    truths = solve_truths(views, bus_injections(cigre, p_kw, q_kvar))
+    pairs = [(c, s) for c in range(2) for s in range(len(scenarios))]
+    assert truths.config.tolist() == [c for c, _ in pairs]
+    for row, (c, s) in enumerate(pairs):
+        actual = scale_unit_powers(scenarios[s], cigre, (4,), 0.7)
+        actual = scale_unit_powers(actual, cigre, (5, 9, 10), 1.3)
+        assert _same_truth(truths, row, solve_pf(views[c], injections(cigre, actual)))
 
 
 def _cut_view(two_bus):
@@ -331,22 +343,26 @@ def test_failed_samples_leave_their_neighbours_unchanged(truth_inputs, two_bus):
     # one Newton-Raphson over a stacked Ybus whose third sample has its line cut
     ybus = np.stack([view.branches.ybus] * 2 + [_cut_view(two_bus).branches.ybus]
                     + [view.branches.ybus])
-    p, q = powerflow._schedule(view, [loads[0], loads[1], loads[0], loads[2]])
-    batch = powerflow._solutions(view, *powerflow._newton(ybus, 0, np.array([1]), p, q))
-    assert str(batch[1]).startswith("no convergence after 30 iterations")
-    assert str(batch[2]) == "singular Jacobian at iteration 1"
-    assert isinstance(batch[1], PowerFlowError) and isinstance(batch[2], PowerFlowError)
-    assert _same_bits(batch[0], solve_pf(view, loads[0]))
-    assert _same_bits(batch[3], solve_pf(view, loads[2]))
-    with pytest.raises(PowerFlowError, match="singular Jacobian at iteration 1"):
+    stacked = _stack([loads[0], loads[1], loads[0], loads[2]])
+    solved = powerflow._newton(ybus, 0, np.array([1]), stacked.p_pu, stacked.q_pu)
+    status, iterations = solved[5], solved[3]
+    assert status.tolist() == [powerflow.CONVERGED, powerflow.NO_CONVERGENCE,
+                               powerflow.SINGULAR_JACOBIAN, powerflow.CONVERGED]
+    assert iterations[1] == powerflow.MAX_ITERATIONS and iterations[2] == 0
+    assert _same_newton_row(solved, 0, solve_pf(view, loads[0]), view)
+    assert _same_newton_row(solved, 3, solve_pf(view, loads[2]), view)
+    # the one-sample call raises what the status codes name
+    with pytest.raises(PowerFlowError, match="^no convergence after 30 iterations"):
+        solve_pf(view, loads[1])
+    with pytest.raises(PowerFlowError, match="^singular Jacobian at iteration 1$"):
         solve_pf(_cut_view(two_bus), loads[0])
 
     # the same through the truth layer, both failures in one call
-    good, cut = solve_truths([view, _cut_view(two_bus)], _stack(loads))
-    assert good.diverged.tolist() == [False, True, False]
-    assert _is_diverged(good, 1) and all(_is_diverged(cut, s) for s in range(3))
-    assert _same_truth(good, 0, solve_pf(view, loads[0]))
-    assert _same_truth(good, 2, solve_pf(view, loads[2]))
+    truths = solve_truths([view, _cut_view(two_bus)], _stack(loads))
+    assert truths.diverged.tolist() == [False, True, False] + [True] * 3
+    assert all(_is_diverged(truths, row) for row in (1, 3, 4, 5))
+    assert _same_truth(truths, 0, solve_pf(view, loads[0]))
+    assert _same_truth(truths, 2, solve_pf(view, loads[2]))
 
 
 def test_mixed_config_pairs_keep_order_and_cache_keys(truth_inputs, solve_calls,
@@ -356,18 +372,17 @@ def test_mixed_config_pairs_keep_order_and_cache_keys(truth_inputs, solve_calls,
     # Newton blocks of two two-bus samples: a block boundary mid-config
     monkeypatch.setattr(powerflow, "ELISION_ELEMENTS", 9)
     cache = TruthCache()
-    blocks = solve_truths(views, _stack(loads), cache=cache, tag="t")
-    assert [b.config for b in blocks] == [0, 1]
-    assert [b.scenario.tolist() for b in blocks] == [[0, 1, 2], [0, 1, 2]]
+    truths = solve_truths(views, _stack(loads), cache=cache, tag="t")
+    pairs = [(c, s) for c in range(2) for s in range(3)]
+    assert truths.config.tolist() == [c for c, _ in pairs]
     # config-major: every pair of config 0, then every pair of config 1
     assert [id(v) for v in solve_calls] == [id(views[0])] * 3 + [id(views[1])] * 3
     assert set(cache) == {("t", 0), ("t", 1)}
     assert n_known(cache) == 6
-    for block in blocks:
-        table = cache["t", block.config]
-        for row, s in enumerate(block.scenario):
-            assert table.v[s].tobytes() == block.v[row].tobytes()
-            if s == 1:
-                assert _is_diverged(block, row) and table.diverged[s]
-            else:
-                assert _same_truth(block, row, solve_pf(views[block.config], loads[s]))
+    for row, (c, s) in enumerate(pairs):
+        table = cache["t", c]
+        assert table.v[s].tobytes() == truths.v[row].tobytes()
+        if s == 1:
+            assert _is_diverged(truths, row) and table.diverged[s]
+        else:
+            assert _same_truth(truths, row, solve_pf(views[c], loads[s]))

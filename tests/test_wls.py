@@ -8,6 +8,7 @@ from gridmon.measurements import (BUS_KINDS, KIND_CODE, MeasurementSet,
                                   stacked_positions)
 from gridmon.powerflow import ELISION_ELEMENTS, solve_pf
 from gridmon.scenarios import injections
+from gridmon import wls
 from gridmon.wls import (MAX_ITERATIONS, ObservabilityError, build_pseudo, estimate,
                          estimate_batch, pseudo_batch)
 
@@ -183,22 +184,58 @@ def test_batch_is_bitwise_per_sample_estimates(cigre, cigre_case):
         sets[b] = sets[b].replaced(values)
 
     batch = estimate_batch(view, np.array([ms.values for ms in sets]), spec)
-    assert len(batch) == len(sets)
-    assert isinstance(batch[6], ObservabilityError)
+    assert len(batch.status) == len(sets)
+    assert batch.status[6] == wls.NON_FINITE_STEP
+    assert np.isnan(batch.v[6]).all() and np.isnan(batch.objective[6])
     with pytest.raises(ObservabilityError):
         estimate(view, sets[6], spec)
-    for b, (ms, est) in enumerate(zip(sets, batch)):
+    for b, ms in enumerate(sets):
         if b == 6:
             continue
         single = estimate(view, ms, spec)
-        for field in ("v_mag", "v_ang", "loading_pct"):
-            got, want = getattr(est, field), getattr(single, field)
+        for field, name in (("v", "v_mag"), ("th", "v_ang"), ("loading", "loading_pct")):
+            got, want = getattr(batch, field)[b], getattr(single, name)
             assert got.tobytes() == want.tobytes(), (b, field)
-        assert (est.converged, est.iterations, est.objective, est.objective_history) == (
+        n = batch.iterations[b]
+        history = batch.objectives[b]
+        assert np.isnan(history[n + 1:]).all() and not np.isnan(history[:n + 1]).any(), b
+        assert (batch.status[b] == wls.CONVERGED, n, float(batch.objective[b]),
+                tuple(history[:n + 1].tolist())) == (
             single.converged, single.iterations, single.objective,
             single.objective_history), b
-        assert est.converged == (b not in (5, 66)), b
-    assert batch[5].iterations == batch[66].iterations == MAX_ITERATIONS
+        assert batch.status[b] == (wls.ITERATION_LIMIT if b in (5, 66) else wls.CONVERGED), b
+    assert batch.iterations[5] == batch.iterations[66] == MAX_ITERATIONS
+
+
+def test_each_status_code_maps_to_its_one_sample_outcome(cigre, cigre_case, two_bus):
+    """A batch reaches every status code; ``estimate`` flags the iteration
+    limit and raises the two failures with their own messages."""
+    view, _, sol = cigre_case
+    spec = load_catalog(cigre).case("M4").spec(cigre)
+    v8 = spec.index_of("v_bus", 8)
+    sets = [simulate(sol, view, spec, seed=seed) for seed in range(3)]
+    for b, reading in ((1, 0.0), (2, np.nan)):
+        values = sets[b].values.copy()
+        values[v8] = reading
+        sets[b] = sets[b].replaced(values)
+    batch = estimate_batch(view, np.array([ms.values for ms in sets]), spec)
+    assert batch.status.tolist() == [wls.CONVERGED, wls.ITERATION_LIMIT,
+                                     wls.NON_FINITE_STEP]
+    assert estimate(view, sets[0], spec).converged
+    assert not estimate(view, sets[1], spec).converged
+    with pytest.raises(ObservabilityError, match="^non-finite state update$"):
+        estimate(view, sets[2], spec)
+
+    # no voltage anchor anywhere: the two-bus gain matrix is singular
+    view2 = apply_switch_config(two_bus, ())
+    sol2 = solve_pf(view2, injections(two_bus, flat_scenario(two_bus, load=0.5)))
+    spec2 = make_spec(two_bus, s_buses=[1])
+    ms2 = simulate(sol2, view2, spec2, seed=1)
+    single = estimate_batch(view2, ms2.values[None], spec2)
+    assert single.status.tolist() == [wls.SINGULAR_GAIN]
+    assert single.iterations.tolist() == [1]
+    with pytest.raises(ObservabilityError, match="^singular gain matrix$"):
+        estimate(view2, ms2, spec2)
 
 
 # the second layout adds flows on 6-7 and a current on 11-4, both open in CONFIG_0
