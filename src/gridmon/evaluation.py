@@ -276,8 +276,7 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
                           cache=truth_cache, tag=perturb_tag, sample_factors=sample_factors)
     readings = simulate_truths(truths, truth_views, spec, meas_seed)
     v_true, diverged, config = truths.v, truths.diverged, truths.config
-    # not the identity in floating point; kept so the scores stay bitwise
-    l_true = truths.loading[:, monitored] / 100.0 * 100.0
+    l_true = truths.loading[:, monitored]
     # the angles and every line's loading are not needed past here; freeing
     # them, and the readings after the loop, keeps the ANN pass's peak memory
     # down
