@@ -9,9 +9,10 @@ All three solve their truths through ``powerflow.solve_truths``. A diverged
 (switch config, scenario) pair is skipped by ``generate`` (NaN truth rows)
 and ``train`` and scored as failed by ``evaluate``; each command checks its
 diverged pairs against ``PF_FAILURE_BUDGET`` after writing all its outputs.
-``evaluate`` takes its unperturbed truths from the ``truth_cache.npz`` that
-``generate`` wrote to the same ``--out``, when the file was solved for the
-same grid content, axes, repetitions, seed and switch configs.
+``generate`` writes each switch config's truths to ``truth_cache.npz`` next
+to their ``powerflow.truth_keys`` key, and ``evaluate`` loads the file in its
+own ``--out`` into its truth cache under those keys: a truth it reads is one
+solved from the same grid content, switch config and injections.
 
 Every output embeds the config hash and master seed; reruns with identical
 configs reproduce identical CSV bodies. Exit codes: 0 success, 2 validation
@@ -35,10 +36,9 @@ from .ann import (AnnError, TrainConfig, build_training_set, load_model,
                   save_model, train_monitor_pair)
 from .evaluation import (METHOD_ANN, METHOD_WLS, EvaluationError, TruthCache,
                          error_stats, load_catalog, run_test_case)
-from .grid import (GridError, apply_switch_config, grid_fingerprint, load_bundled,
-                   load_grid)
+from .grid import GridError, apply_switch_config, load_bundled, load_grid
 from .measurements import MeasurementError
-from .powerflow import PowerFlowError, TruthTable, solve_truths
+from .powerflow import PowerFlowError, TruthTable, solve_truths, truth_keys
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError, generate_set,
                         bus_injections, unit_powers)
 from .seeding import seed_sequence
@@ -158,48 +158,40 @@ def cmd_generate(args) -> int:
                (np.column_stack((sc.p_kw, sc.q_kvar)).ravel().tolist()
                 for sc in scenarios))
 
-    configs = load_catalog(grid).switch_configs
-    views = [apply_switch_config(grid, config) for config in configs]
+    views = [apply_switch_config(grid, config)
+             for config in load_catalog(grid).switch_configs]
+    injections = bus_injections(grid, *unit_powers(scenarios))
     # diverged pairs keep NaN rows
-    truths = solve_truths(views, bus_injections(grid, *unit_powers(scenarios)))
+    truths = solve_truths(views, injections)
     skipped = int(truths.diverged.sum())
     n = len(scenarios)
     arrays = {f"{name}_config{c}": getattr(truths, field)[c * n:(c + 1) * n]
               for c in range(len(views))
               for name, field in (("v_mag", "v"), ("v_ang", "th"), ("loading", "loading"))}
+    keys = {f"key_config{c}": key for c, key in enumerate(truth_keys(views, injections))}
     np.savez(out / TRUTH_FILE, config_hash=_config_hash(cfg), seed=cfg["seed"],
-             grid_fingerprint=grid_fingerprint(grid), axes=cfg["axes"],
-             repetitions=cfg["repetitions"], switch_configs=np.array(configs, dtype=bool),
-             **arrays)
+             **arrays, **keys)
     print(f"generated {len(scenarios)} scenarios x {len(views)} "
           f"configs -> {out} (skipped {skipped} diverged power flows)")
     return _check_pf_budget(skipped, len(scenarios) * len(views))
 
 
-def _generated_truths(out: Path, cfg: dict, grid, configs, n_scenarios: int) -> TruthCache:
-    """A truth cache seeded with the unperturbed truths that ``generate``
-    wrote to ``out``, if it ran on the same grid content, axes, repetitions,
-    seed and switch configs; else an empty one."""
+def _generated_truths(out: Path, grid, n_configs: int, n_scenarios: int) -> TruthCache:
+    """A truth cache holding the truths that ``generate`` wrote to ``out``,
+    each under the key it was written with; an empty one when the file is
+    missing, unreadable or holds tables of the wrong shape."""
     cache = TruthCache()
     try:
         with np.load(out / TRUTH_FILE) as data:
-            if (str(data["grid_fingerprint"]) != grid_fingerprint(grid)
-                    or str(data["axes"]) != cfg["axes"]
-                    or int(data["repetitions"]) != cfg["repetitions"]
-                    or int(data["seed"]) != cfg["seed"]
-                    or not np.array_equal(data["switch_configs"],
-                                          np.array(configs, dtype=bool))):
-                return cache
             tables = {}
-            for c in range(len(configs)):
+            for c in range(n_configs):
                 v, th, loading = (data[f"{name}_config{c}"]
                                   for name in ("v_mag", "v_ang", "loading"))
                 if (v.shape != th.shape or v.shape != (n_scenarios, grid.n_bus)
                         or loading.shape != (n_scenarios, len(grid.lines))):
                     return cache
-                tables[(), c] = TruthTable(v=v, th=th, loading=loading,
-                                           diverged=np.isnan(v).any(axis=1),
-                                           known=np.ones(n_scenarios, dtype=bool))
+                tables[str(data[f"key_config{c}"])] = TruthTable(
+                    v=v, th=th, loading=loading, diverged=np.isnan(v).any(axis=1))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return cache
     cache.update(tables)
@@ -293,7 +285,7 @@ def cmd_evaluate(args) -> int:
         models_by_layout[spec_hash] = {kind: load_model(path, expect_spec_hash=spec_hash)
                                        for kind, path in paths.items()}
 
-    cache = _generated_truths(out, cfg, grid, catalog.switch_configs, len(scenarios))
+    cache = _generated_truths(out, grid, len(catalog.switch_configs), len(scenarios))
     summary_rows = []
     header = _header_lines(cfg)
     diverged = 0

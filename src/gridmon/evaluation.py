@@ -188,8 +188,9 @@ class EvalResult:
 
 
 class TruthCache(dict):
-    """Power-flow truths, one ``powerflow.TruthTable`` per (perturbation tag,
-    config); filled and read by :func:`powerflow.solve_truths`."""
+    """Power-flow truths, one ``powerflow.TruthTable`` per solved switch
+    config under the key ``powerflow.truth_keys`` computes from what it is
+    solved from; filled and read by :func:`powerflow.solve_truths`."""
 
 
 def _truth_rx_factors(tc: TestCase, grid: GridModel, fault_seed: int,
@@ -253,10 +254,6 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
     faults = resolve_faults(tc.faults, spec)
     deviations = [f for f in tc.faults if f.kind == "power_deviation"]
     sd_over = assumed_sd_overrides(tc.faults, spec) or None
-    # each deviation keyed by its own buses and factor, in the order applied
-    perturb_tag = (tc.rx_model_factor, tc.rx_lines,
-                   tuple((f.buses, f.factor) for f in deviations)) \
-        if (tc.rx_model_factor or deviations) else ()
 
     truth_views = [apply_switch_config(grid, config) for config in configs]
     sample_factors = None
@@ -273,7 +270,7 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
     for f in deviations:
         p_kw, q_kvar = scale_powers_at(grid, f.buses, f.factor, p_kw, q_kvar)
     truths = solve_truths(truth_views, bus_injections(grid, p_kw, q_kvar),
-                          cache=truth_cache, tag=perturb_tag, sample_factors=sample_factors)
+                          cache=truth_cache, sample_factors=sample_factors)
     readings = simulate_truths(truths, truth_views, spec, meas_seed)
     v_true, diverged, config = truths.v, truths.diverged, truths.config
     l_true = truths.loading[:, monitored]
@@ -284,9 +281,10 @@ def run_test_case(tc: TestCase, grid: GridModel, scenarios, configs,
     n_pairs, n_meas = readings.shape
     x = np.full((n_pairs, n_meas + len(grid.switches)), np.nan) \
         if METHOD_ANN in methods else None
-    wls_v = np.full((n_pairs, grid.n_bus), np.nan)
-    wls_loading = np.full((n_pairs, len(monitored)), np.nan)
-    wls_failed = np.ones(n_pairs, dtype=bool)
+    if METHOD_WLS in methods:
+        wls_v = np.full((n_pairs, grid.n_bus), np.nan)
+        wls_loading = np.full((n_pairs, len(monitored)), np.nan)
+        wls_failed = np.ones(n_pairs, dtype=bool)
 
     # one block of readings per switch config: faults, correction, ANN inputs
     # and one batched estimate on the assumed view; an isolating assumed

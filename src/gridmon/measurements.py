@@ -25,7 +25,7 @@ a block (:func:`apply_faults`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -359,13 +359,6 @@ def assumed_sd_overrides(faults, spec: MeasurementSpec) -> dict[int, float]:
     return {i: float(fault.assumed_sd_pct)
             for fault in faults if fault.kind == "wrong_assumed_sd"
             for i in _targets(fault, spec).tolist()}
-
-
-def scale_unit_powers(scenario, grid: GridModel, buses, factor: float):
-    """Scenario with every unit at the given buses scaled by ``factor``
-    (power_deviation faults perturb reality this way before the power flow)."""
-    p, q = scale_powers_at(grid, buses, factor, scenario.p_kw, scenario.q_kvar)
-    return replace(scenario, p_kw=p, q_kvar=q)
 
 
 def scale_powers_at(grid: GridModel, buses, factor: float, p_kw: np.ndarray,

@@ -21,8 +21,10 @@ one-sample call, and the only code that builds a ``PfSolution`` or raises a
 ``InjectionSet``, and returns one :class:`Truths` record of stacked arrays,
 config-major: ``config``, ``v``, ``th``, ``loading`` and ``diverged``, and
 under a per-sample impedance scale each pair's row of the scale. A cache (such as
-``evaluation.TruthCache``) keeps one :class:`TruthTable` per (perturbation,
-config), with one row per scenario.
+``evaluation.TruthCache``) keeps one :class:`TruthTable` per solved config,
+with one row per scenario, under a key that :func:`truth_keys` works out from
+what the truths are solved from: the grid's content, the config's switch bits
+and impedance scale, and the injections. No caller names a truth.
 
 Each sample's result is bitwise the same in any batch: every step is
 elementwise per sample or one BLAS/LAPACK call per sample. One numpy
@@ -37,12 +39,13 @@ samples.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridView, dsbus_dv
+from .grid import GridView, dsbus_dv, grid_fingerprint
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 30
@@ -304,25 +307,38 @@ class Truths(NamedTuple):
 
 
 class TruthTable(NamedTuple):
-    """The memoised truths of one (perturbation, switch config), row s for
-    scenario s; ``known`` marks the solved rows, divergences included."""
+    """The memoised truths of one switch config, row s for scenario s: what
+    :func:`solve_flows` returns for that config."""
 
     v: np.ndarray  # (n_scenarios, n_bus)
     th: np.ndarray
     loading: np.ndarray  # (n_scenarios, n_line)
     diverged: np.ndarray  # (n_scenarios,) bool
-    known: np.ndarray  # (n_scenarios,) bool
-
-    @classmethod
-    def empty(cls, n_scenarios: int, n_bus: int, n_line: int) -> TruthTable:
-        return cls(v=np.full((n_scenarios, n_bus), np.nan),
-                   th=np.full((n_scenarios, n_bus), np.nan),
-                   loading=np.full((n_scenarios, n_line), np.nan),
-                   diverged=np.zeros(n_scenarios, dtype=bool),
-                   known=np.zeros(n_scenarios, dtype=bool))
 
 
-def solve_truths(views, injections: InjectionSet, *, cache=None, tag=(),
+def truth_keys(views, injections: InjectionSet) -> list[str]:
+    """The cache key of each view's truths: a digest of what they are solved
+    from, the grid's content, the view's switch config and impedance scale,
+    and the bytes of every scenario's injections.
+
+    The views share one grid; it and the injections are hashed once.
+    """
+    base = hashlib.blake2b(grid_fingerprint(views[0].grid).encode(), digest_size=16)
+    # the sample count fixes the length of every field but the optional scale
+    base.update(np.int64(len(injections.p_pu)).tobytes())
+    base.update(injections.p_pu.tobytes())
+    base.update(injections.q_pu.tobytes())
+    keys = []
+    for view in views:
+        key = base.copy()
+        key.update(bytes(view.config))
+        if view.impedance_scale is not None:
+            key.update(view.impedance_scale.tobytes())
+        keys.append(key.hexdigest())
+    return keys
+
+
+def solve_truths(views, injections: InjectionSet, *, cache=None,
                  sample_factors=None) -> Truths:
     """Noise-free truths of every (switch config, scenario) pair.
 
@@ -333,32 +349,25 @@ def solve_truths(views, injections: InjectionSet, *, cache=None, tag=(),
     ``sample_factors(c, scenarios)`` gives the ``(B, n_line)`` line
     impedance scale of config c's pairs, and such truths are never
     memoised. Otherwise a ``cache`` (a dict such as
-    ``evaluation.TruthCache``) keeps one :class:`TruthTable` under
-    ``(tag, c)``, with ``tag`` naming a fixed perturbation, and only the
-    scenarios it does not know yet are solved. Each config's pairs are
-    solved in one :func:`solve_flows` call, whose Newton-Raphson takes them
+    ``evaluation.TruthCache``) keeps one :class:`TruthTable` per config
+    under its :func:`truth_keys` key. Each config's pairs are solved in one
+    :func:`solve_flows` call, whose Newton-Raphson takes them
     ``NEWTON_BLOCK`` at a time.
     """
     p_all, q_all = injections.p_pu, injections.q_pu
     scs = np.arange(len(p_all))
     memo = cache if sample_factors is None else None
+    keys = truth_keys(views, injections) if memo is not None else None
     tables, scales = [], []
     for cfg_idx, view in enumerate(views):
-        table = memo.get((tag, cfg_idx)) if memo is not None else None
-        if table is None:
-            table = TruthTable.empty(len(scs), view.n_bus, len(view.grid.lines))
-            if memo is not None:
-                memo[tag, cfg_idx] = table
         if sample_factors is not None:
-            todo = scs
             scales.append(np.asarray(sample_factors(cfg_idx, scs), dtype=float))
             view = view.with_scaled_impedance(scales[-1])
-        else:
-            todo = scs[~table.known]
-        if todo.size:
-            (table.v[todo], table.th[todo], table.loading[todo],
-             table.diverged[todo]) = solve_flows(view, p_all[todo], q_all[todo])
-            table.known[todo] = True
+        table = memo.get(keys[cfg_idx]) if memo is not None else None
+        if table is None:
+            table = TruthTable(*solve_flows(view, p_all, q_all))
+            if memo is not None:
+                memo[keys[cfg_idx]] = table
         tables.append(table)
     return Truths(config=np.repeat(np.arange(len(views)), len(scs)),
                   v=np.concatenate([t.v for t in tables]),

@@ -79,6 +79,6 @@ def flat_scenario(grid, load=1.0, dg=0.0):
 
 
 def n_known(cache):
-    """The (tag, config, scenario) truths a truth cache holds, divergences
-    included."""
-    return sum(int(table.known.sum()) for table in cache.values())
+    """The (config, scenario) truths a truth cache holds, divergences
+    included: the rows of its tables."""
+    return sum(len(table.diverged) for table in cache.values())

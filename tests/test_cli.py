@@ -51,21 +51,24 @@ def test_generate_writes_scenarios_and_truths(tmp_path):
 
 def test_generate_truth_file_holds_each_pairs_state(tmp_path):
     from gridmon.evaluation import load_catalog
-    from gridmon.grid import apply_switch_config, grid_fingerprint
-    from gridmon.powerflow import solve_pf
-    from gridmon.scenarios import injections
+    from gridmon.grid import apply_switch_config
+    from gridmon.powerflow import solve_pf, truth_keys
+    from gridmon.scenarios import bus_injections, injections, unit_powers
 
     out = tmp_path / "gen"
     assert run("generate", "--repetitions", "1", "--seed", "3", "--out", str(out)) == EXIT_OK
     grid = load_bundled("cigre_mv_mod")
     configs = load_catalog(grid).switch_configs
     scenarios = generate_set(DEFAULT_AXES, grid, 1, derive_seed(3, SEED_TEST_SCENARIOS))
+    views = [apply_switch_config(grid, config) for config in configs]
+    keys = truth_keys(views, bus_injections(grid, *unit_powers(scenarios)))
     with np.load(out / "truth_cache.npz") as data:
-        assert (str(data["grid_fingerprint"]), str(data["axes"]), int(data["repetitions"]),
-                int(data["seed"])) == (grid_fingerprint(grid), "default", 1, 3)
-        assert np.array_equal(data["switch_configs"], np.array(configs, dtype=bool))
+        assert set(data.files) == {"config_hash", "seed"} | {
+            f"{name}_config{c}" for c in range(len(configs))
+            for name in ("v_mag", "v_ang", "loading", "key")}
+        assert [str(data[f"key_config{c}"]) for c in range(len(configs))] == keys
         for c, s in ((0, 0), (1, 517), (3, 1099)):
-            sol = solve_pf(apply_switch_config(grid, configs[c]), injections(grid, scenarios[s]))
+            sol = solve_pf(views[c], injections(grid, scenarios[s]))
             assert data[f"v_mag_config{c}"][s].tobytes() == sol.v_mag_pu.tobytes()
             assert data[f"v_ang_config{c}"][s].tobytes() == sol.v_ang_rad.tobytes()
             assert data[f"loading_config{c}"][s].tobytes() == sol.loading_pct.tobytes()
@@ -79,15 +82,19 @@ def _rewrite_truth_file(path, **fields):
 
 def test_evaluate_reuses_generated_truths_only_when_they_match(tmp_path, monkeypatch):
     """``evaluate`` into generate's directory solves none of M4's truths;
-    without the file, or with one from another seed, axes or grid, it solves
-    them all. Every output is byte-identical."""
+    without the file, with one from another seed, or with its keys
+    rewritten, it solves them all. Every output is byte-identical."""
     from gridmon import powerflow
 
-    for name, seed in (("same", 5), ("seed", 6), ("axes", 5), ("grid", 5)):
+    for name, seed in (("same", 5), ("seed", 6), ("keys", 5), ("zero", 5)):
         assert run("generate", "--repetitions", "1", "--seed", str(seed),
                    "--out", str(tmp_path / name)) == EXIT_OK
-    _rewrite_truth_file(tmp_path / "axes" / "truth_cache.npz", axes="five")
-    _rewrite_truth_file(tmp_path / "grid" / "truth_cache.npz", grid_fingerprint="0" * 16)
+    # the seed-5 tables under the seed-6 file's keys, and under made-up ones
+    with np.load(tmp_path / "seed" / "truth_cache.npz") as data:
+        other = {k: data[k] for k in data.files if k.startswith("key_")}
+    _rewrite_truth_file(tmp_path / "keys" / "truth_cache.npz", **other)
+    _rewrite_truth_file(tmp_path / "zero" / "truth_cache.npz",
+                        **{k: "0" * 32 for k in other})
     solved = []
     real = powerflow.solve_flows
 
@@ -97,7 +104,7 @@ def test_evaluate_reuses_generated_truths_only_when_they_match(tmp_path, monkeyp
 
     monkeypatch.setattr(powerflow, "solve_flows", counting)
     outputs = {}
-    for name in ("same", "none", "seed", "axes", "grid"):
+    for name in ("same", "none", "seed", "keys", "zero"):
         solved.clear()
         assert run("evaluate", "--cases", "M4", "--methods", "wls", "--repetitions", "1",
                    "--seed", "5", "--out", str(tmp_path / name)) == EXIT_OK

@@ -212,6 +212,24 @@ def test_truth_cache_shared_across_cases(setup):
                           res_b[METHOD_WLS].v_err_max_pct)
 
 
+def test_truth_cache_keys_each_scenario_list_by_its_injections(setup):
+    """Two scenario lists of one length share no truths through a cache."""
+    grid, catalog, _, _ = setup
+    scenarios = generate_set(DEFAULT_AXES, grid, 1, seed=31)
+    m4 = catalog.case("M4")
+    kwargs = dict(methods=(METHOD_WLS,), meas_seed=3)
+    cache = TruthCache()
+    run_test_case(m4, grid, scenarios[:4], catalog.switch_configs, truth_cache=cache,
+                  **kwargs)
+    shared = run_test_case(m4, grid, scenarios[4:8], catalog.switch_configs,
+                           truth_cache=cache, **kwargs)[METHOD_WLS]
+    alone = run_test_case(m4, grid, scenarios[4:8], catalog.switch_configs,
+                          **kwargs)[METHOD_WLS]
+    for field in ("v_err_max_pct", "loading_err_max_pp", "success_c1", "success_c2",
+                  "failed_structurally"):
+        assert getattr(shared, field).tobytes() == getattr(alone, field).tobytes(), field
+
+
 def test_truth_cache_keys_each_deviation_by_its_own_factor(setup):
     from dataclasses import replace
 

@@ -6,11 +6,12 @@ from gridmon.grid import apply_switch_config
 from gridmon.measurements import (FaultInjection, MeasurementError,
                                   MeasurementSpec, accuracy_to_sd, apply_faults,
                                   assumed_sd_overrides, inject_fault,
-                                  make_spec, resolve_faults, scale_unit_powers,
+                                  make_spec, resolve_faults, scale_powers_at,
                                   simulate, simulate_batch, simulate_truths,
                                   stacked_positions, true_values)
 from gridmon.powerflow import solve_pf, solve_truths
-from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
+from gridmon.scenarios import (DEFAULT_AXES, bus_injections, generate_set,
+                               injections)
 from gridmon.seeding import STREAM_MEASUREMENT, rng
 
 from conftest import flat_scenario
@@ -178,8 +179,9 @@ def test_power_deviation_restores_stale_reading(cigre):
     # actual power at bus 4 is 70 % of what the meter reports
     view = apply_switch_config(cigre, CONFIG_0)
     scenario = flat_scenario(cigre, load=0.6, dg=0.5)
-    actual = scale_unit_powers(scenario, cigre, buses=(4,), factor=0.7)
-    sol = solve_pf(view, injections(cigre, actual))
+    actual = bus_injections(cigre, *scale_powers_at(cigre, (4,), 0.7, scenario.p_kw,
+                                                    scenario.q_kvar))
+    sol = solve_pf(view, actual)
     ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
     out = inject_fault(ms, FaultInjection(kind="power_deviation", buses=(4,),
                                           factor=0.7), spec)
@@ -189,17 +191,17 @@ def test_power_deviation_restores_stale_reading(cigre):
         original.p_pu[4], abs=1e-7)
     # actual injected power is 70 % of the reported value
     assert 0.7 * out.values[spec.index_of("p_bus", 4)] == pytest.approx(
-        injections(cigre, actual).p_pu[4], abs=1e-7)
+        actual.p_pu[4], abs=1e-7)
 
 
 def test_power_deviation_composition(cigre):
     scenario = flat_scenario(cigre, load=0.6, dg=0.5)
-    both = scale_unit_powers(
-        scale_unit_powers(scenario, cigre, buses=(4,), factor=0.7),
-        cigre, buses=(5, 9, 10), factor=1.3)
+    p_kw, _ = scale_powers_at(
+        cigre, (5, 9, 10), 1.3,
+        *scale_powers_at(cigre, (4,), 0.7, scenario.p_kw, scenario.q_kvar))
     for idx, unit in enumerate(cigre.units):
         factor = 0.7 if unit.bus == 4 else 1.3 if unit.bus in (5, 9, 10) else 1.0
-        assert both.p_kw[idx] == pytest.approx(scenario.p_kw[idx] * factor)
+        assert p_kw[idx] == pytest.approx(scenario.p_kw[idx] * factor)
 
 
 def test_wrong_assumed_sd_leaves_values(cigre, cigre_solution):

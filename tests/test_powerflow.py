@@ -7,7 +7,7 @@ from gridmon import powerflow
 from gridmon.evaluation import TruthCache
 from gridmon.grid import apply_switch_config, build_admittance
 from gridmon.powerflow import (InjectionSet, PowerFlowError, line_flows, solve_pf,
-                               solve_truths)
+                               solve_truths, truth_keys)
 from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
 
 from conftest import flat_scenario, n_known
@@ -207,15 +207,39 @@ def test_solve_truths_config_major_and_diverged_is_none(truth_inputs, solve_call
 def test_solve_truths_second_pass_reads_cache(truth_inputs, solve_calls):
     view, loads = truth_inputs
     cache = TruthCache()
-    first = solve_truths([view], _stack(loads), cache=cache, tag="t")
+    first = solve_truths([view], _stack(loads), cache=cache)
     assert len(solve_calls) == 3
-    assert list(cache) == [("t", 0)]
+    assert list(cache) == truth_keys([view], _stack(loads))
     assert n_known(cache) == 3
-    second = solve_truths([view], _stack(loads), cache=cache, tag="t")
+    second = solve_truths([view], _stack(loads), cache=cache)
     assert len(solve_calls) == 3  # diverged pair included
     for name in ("config", "v", "th", "loading", "diverged"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
     assert _is_diverged(second, 1)
+
+
+def test_truth_keys_follow_what_truths_are_solved_from(cigre):
+    """A truth key changes with the grid's content, the switch config, the
+    impedance scale and the injections, and with nothing else."""
+    from dataclasses import replace
+
+    scenarios = generate_set(DEFAULT_AXES, cigre, 1, 7)
+    inj = _stack([injections(cigre, sc) for sc in scenarios[:4]])
+    views = [apply_switch_config(cigre, CONFIG_0),
+             apply_switch_config(cigre, (True, False, True, False, True, False))]
+    views.append(views[0].with_scaled_impedance(np.full(len(cigre.lines), 1.1)))
+    keys = truth_keys(views, inj)
+    assert len(set(keys)) == 3
+    # the same content in new objects
+    copy = _stack([injections(cigre, sc) for sc in scenarios[:4]])
+    assert truth_keys([apply_switch_config(replace(cigre), CONFIG_0)], copy) == keys[:1]
+    # another scenario list of the same length
+    other = _stack([injections(cigre, sc) for sc in scenarios[4:8]])
+    assert not set(truth_keys(views, other)) & set(keys)
+    # one line's resistance
+    lines = (replace(cigre.lines[0], r_ohm=1.01 * cigre.lines[0].r_ohm),) + cigre.lines[1:]
+    assert truth_keys([apply_switch_config(replace(cigre, lines=lines), CONFIG_0)],
+                      inj) != keys[:1]
 
 
 def test_solve_truths_never_memoises_per_sample_impedances(truth_inputs, solve_calls):
@@ -312,7 +336,7 @@ def test_batched_per_sample_impedances_bitwise_equal(cigre_batch):
 def test_truths_under_a_power_deviation_equal_per_pair_solves(cigre):
     """Unit powers scaled at some buses, stacked, give each pair the truth of
     its own deviated scenario."""
-    from gridmon.measurements import scale_powers_at, scale_unit_powers
+    from gridmon.measurements import scale_powers_at
     from gridmon.scenarios import bus_injections, unit_powers
 
     scenarios = generate_set(DEFAULT_AXES, cigre, 1, 7)[::25]
@@ -325,9 +349,9 @@ def test_truths_under_a_power_deviation_equal_per_pair_solves(cigre):
     pairs = [(c, s) for c in range(2) for s in range(len(scenarios))]
     assert truths.config.tolist() == [c for c, _ in pairs]
     for row, (c, s) in enumerate(pairs):
-        actual = scale_unit_powers(scenarios[s], cigre, (4,), 0.7)
-        actual = scale_unit_powers(actual, cigre, (5, 9, 10), 1.3)
-        assert _same_truth(truths, row, solve_pf(views[c], injections(cigre, actual)))
+        p, q = scale_powers_at(cigre, (4,), 0.7, scenarios[s].p_kw, scenarios[s].q_kvar)
+        p, q = scale_powers_at(cigre, (5, 9, 10), 1.3, p, q)
+        assert _same_truth(truths, row, solve_pf(views[c], bus_injections(cigre, p, q)))
 
 
 def _cut_view(two_bus):
@@ -372,15 +396,16 @@ def test_mixed_config_pairs_keep_order_and_cache_keys(truth_inputs, solve_calls,
     # Newton blocks of two two-bus samples: a block boundary mid-config
     monkeypatch.setattr(powerflow, "ELISION_ELEMENTS", 9)
     cache = TruthCache()
-    truths = solve_truths(views, _stack(loads), cache=cache, tag="t")
+    truths = solve_truths(views, _stack(loads), cache=cache)
     pairs = [(c, s) for c in range(2) for s in range(3)]
     assert truths.config.tolist() == [c for c, _ in pairs]
     # config-major: every pair of config 0, then every pair of config 1
     assert [id(v) for v in solve_calls] == [id(views[0])] * 3 + [id(views[1])] * 3
-    assert set(cache) == {("t", 0), ("t", 1)}
+    keys = truth_keys(views, _stack(loads))
+    assert list(cache) == keys and keys[0] != keys[1]
     assert n_known(cache) == 6
     for row, (c, s) in enumerate(pairs):
-        table = cache["t", c]
+        table = cache[keys[c]]
         assert table.v[s].tobytes() == truths.v[row].tobytes()
         if s == 1:
             assert _is_diverged(truths, row) and table.diverged[s]
