@@ -38,7 +38,7 @@ from .evaluation import (METHOD_ANN, METHOD_WLS, EvaluationError, TruthCache,
                          error_stats, load_catalog, run_test_case)
 from .grid import GridError, apply_switch_config, load_bundled, load_grid
 from .measurements import MeasurementError
-from .powerflow import PowerFlowError, TruthTable, solve_truths, truth_keys
+from .powerflow import TruthTable, solve_truths, truth_keys
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError, generate_set,
                         bus_injections, unit_powers)
 from .seeding import seed_sequence
@@ -445,9 +445,6 @@ def main(argv=None) -> int:
             EvaluationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except PowerFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -491,7 +491,8 @@ def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, buses=None):
     ``ybus`` shared ``(n, n)`` or stacked ``(B, n, n)``. With ``buses`` the
     derivatives keep only those rows and columns. Every entry is an
     elementwise product or a per-state matrix-vector product, so a state's
-    values do not depend on the stack it is in.
+    values do not depend on the stack it is in (each complex product with a
+    computed right operand names it first: see :mod:`powerflow`).
     """
     unit = np.exp(1j * th)
     vc = v * unit
@@ -511,7 +512,8 @@ def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, buses=None):
     ds_dv = y * ub[..., None, :]
     np.multiply(vb[..., None], np.conj(ds_dv, out=ds_dv), out=ds_dv)
     ds_dv[..., diag, diag] += np.conj(ib) * ub
-    return vc * np.conj(i_bus), ds_dth, ds_dv
+    conj_i = np.conj(i_bus)
+    return vc * conj_i, ds_dth, ds_dv
 
 
 def dsf_dv(branches: BranchModel, v: np.ndarray, th: np.ndarray, lines=None):
@@ -527,10 +529,11 @@ def dsf_dv(branches: BranchModel, v: np.ndarray, th: np.ndarray, lines=None):
     i_f = (branches.yf @ vc[..., None])[..., 0]
     yf, cf, f_bus = branches.yf, branches.cf, branches.f_bus
     if lines is not None:
-        yf, cf, f_bus, i_f = yf[lines], cf[lines], f_bus[lines], i_f[..., lines]
-    v_f = vc[..., f_bus]
-    at_from = np.conj(i_f)[..., None] * cf
+        yf, cf, f_bus, i_f = yf[..., lines, :], cf[lines], f_bus[lines], i_f[..., lines]
+    v_f, conj_f = vc[..., f_bus], np.conj(i_f)
+    at_from = conj_f[..., None] * cf
     vc, unit = vc[..., None, :], unit[..., None, :]
-    ds_dth = 1j * (at_from * vc - v_f[..., None] * np.conj(yf * vc))
-    ds_dv = v_f[..., None] * np.conj(yf * unit) + at_from * unit
-    return v_f * np.conj(i_f), ds_dth, ds_dv
+    conj_yv, conj_yu = np.conj(yf * vc), np.conj(yf * unit)
+    ds_dth = 1j * (at_from * vc - v_f[..., None] * conj_yv)
+    ds_dv = v_f[..., None] * conj_yu + at_from * unit
+    return v_f * conj_f, ds_dth, ds_dv

@@ -5,7 +5,7 @@ locations, standard deviations). The layout is versioned through a content
 hash; estimators refuse vectors whose hash does not match their own. The
 spec keeps its hash, kind codes and locations once computed, and
 ``stacked_positions`` maps them onto the stacked bus and line quantities
-that the simulator and WLS read.
+of :func:`measured_values`, the one h(x) of the simulator and WLS.
 
 Value conventions: v_bus in pu, p/q in pu (MW on a 1 MVA base), i_line as
 per-unit current at the from end. Noise is relative to the reading.
@@ -30,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridModel, GridView, build_admittance
-from .powerflow import ELISION_ELEMENTS, PfSolution, line_flows
+from .grid import GridModel, GridView
+from .powerflow import ELISION_ELEMENTS, PfSolution
 from .seeding import STREAM_MEASUREMENT, rngs
 
 BUS_KINDS = ("v_bus", "p_bus", "q_bus")
@@ -175,15 +175,18 @@ def stacked_positions(kind_code: np.ndarray, location: np.ndarray,
     return stacked_starts(n_bus, n_line)[kind_code] + location
 
 
-def _readings(view: GridView, v: np.ndarray, th: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Noise-free readings at stacked positions ``pos`` for ``(B, n_bus)``
-    states, row b on row b of a per-sample view."""
+def measured_values(view: GridView, v: np.ndarray, th: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """h(x): noise-free readings at stacked positions ``pos`` of ``([B,] n_bus)``
+    states, row b on row b of a per-sample view, with ``S_bus = V conj(Ybus
+    V)``, ``S_f = V_f conj(Yf V)`` and ``|I_f| = |Yf V|``."""
+    net = view.branches
     vc = v * np.exp(1j * th)
-    s_bus = vc * np.conj((build_admittance(view) @ vc[..., None])[..., 0])
-    flows = line_flows(view, v, th)
-    stacked = np.concatenate([v, s_bus.real, s_bus.imag, flows.p_from_pu,
-                              flows.q_from_pu, flows.i_from_pu], axis=-1)
-    return stacked[..., pos]
+    i_bus = (net.ybus @ vc[..., None])[..., 0]
+    i_f = (net.yf @ vc[..., None])[..., 0]
+    conj_bus, conj_f = np.conj(i_bus), np.conj(i_f)  # named: see :mod:`powerflow`
+    s_bus, s_f = vc * conj_bus, vc[..., net.f_bus] * conj_f
+    stacked = [v, s_bus.real, s_bus.imag, s_f.real, s_f.imag, np.abs(i_f)]
+    return np.concatenate(stacked, axis=-1)[..., pos]
 
 
 def _positions(view: GridView, spec: MeasurementSpec) -> np.ndarray:
@@ -193,8 +196,8 @@ def _positions(view: GridView, spec: MeasurementSpec) -> np.ndarray:
 
 def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> np.ndarray:
     """Noise-free measurement vector for a converged state."""
-    return _readings(view, solution.v_mag_pu[None], solution.v_ang_rad[None],
-                     _positions(view, spec))[0]
+    return measured_values(view, solution.v_mag_pu[None], solution.v_ang_rad[None],
+                           _positions(view, spec))[0]
 
 
 def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: MeasurementSpec,
@@ -207,10 +210,10 @@ def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: Measurem
     STREAM_MEASUREMENT, *noise_keys[b])`` for keys ``(B, k)``, and the B
     generators are seeded in one ``seeding.rngs`` call. Each row is bitwise
     the same in any batch: every step is elementwise or one matrix-vector
-    product per state.
+    product per state (see :mod:`powerflow`).
     The batch runs in blocks whose complex arrays stay under
-    ``ELISION_ELEMENTS`` elements (see :mod:`powerflow`), the ``(B, n_line,
-    n_bus)`` branch matrices of a per-sample view included.
+    ``ELISION_ELEMENTS`` elements, the ``(B, n_line, n_bus)`` branch
+    matrices of a per-sample view included; the blocks bound memory.
     """
     pos = _positions(view, spec)
     sd = spec.sd_vector() / 100.0
@@ -224,7 +227,7 @@ def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: Measurem
     values = np.empty((len(v), len(pos)))
     for start in range(0, len(v), block):
         rows = slice(start, start + block)
-        truth = _readings(view.take(rows), v[rows], th[rows], pos)
+        truth = measured_values(view.take(rows), v[rows], th[rows], pos)
         values[rows] = truth * (1.0 + sd * noise[rows])
     return values
 

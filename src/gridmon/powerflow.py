@@ -27,14 +27,14 @@ what the truths are solved from: the grid's content, the config's switch bits
 and impedance scale, and the injections. No caller names a truth.
 
 Each sample's result is bitwise the same in any batch: every step is
-elementwise per sample or one BLAS/LAPACK call per sample. One numpy
-behaviour bounds the batch. From 256 KiB (16,384 complex elements) numpy
-reuses a temporary operand in place, and a complex product such as
-``a * np.conj(b)`` then rounds differently in the last bit; one unchunked
-batch of 1,100 samples x 15 buses moved 405 samples by up to 4e-14 pu. So
-a batch is solved in blocks whose largest complex array, ``B x n_bus x
-n_bus``, stays under ``ELISION_ELEMENTS``, and of at most ``NEWTON_BLOCK``
-samples.
+elementwise per sample or one BLAS/LAPACK call per sample. From 256 KiB
+(16,384 complex elements) numpy reuses a temporary operand in place, and a
+complex product whose right operand is a temporary, such as ``a *
+np.conj(b)``, then rounds differently in the last bit; so every such
+product takes a named operand (``t = np.conj(b); a * t``). A batch is
+solved in blocks whose largest complex array, ``B x n_bus x n_bus``, stays
+under ``ELISION_ELEMENTS``, and of at most ``NEWTON_BLOCK`` samples; the
+blocks bound memory, not rounding.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ from .grid import GridView, dsbus_dv, grid_fingerprint
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 30
-ELISION_ELEMENTS = 16384  # complex128 elements in 256 KiB, see above
-# samples per Newton block at most; blocks of 72 (the elision bound on the
-# bundled feeder) solved truths about a tenth faster than 32 but raised the
+ELISION_ELEMENTS = 16384  # complex128 elements in 256 KiB, the block bound
+# samples per Newton block at most; blocks of 72 (the ELISION_ELEMENTS bound on
+# the bundled feeder) solved truths about a tenth faster than 32 but raised the
 # peak RSS of a WLS catalog run by about 0.45 MB
 NEWTON_BLOCK = 32
 # each sample's outcome in a Newton-Raphson
@@ -160,7 +160,7 @@ def _check_schedule(view: GridView, p: np.ndarray, q: np.ndarray) -> None:
 
 
 def _newton_blocks(view: GridView, p: np.ndarray, q: np.ndarray):
-    """Yield, for each block of the rows of ``p``/``q`` under the elision
+    """Yield, for each block of the rows of ``p``/``q`` under the block
     bound, its first row, its view and what :func:`_newton` returns for it."""
     n, slack = view.grid.n_bus, view.grid.slack_bus
     pq = np.array([i for i in range(n) if i != slack and i not in view.dead_buses],
@@ -278,8 +278,8 @@ def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
     vc = v * np.exp(1j * th)
     i_f = (net.yf @ vc[..., None])[..., 0]
     i_t = (net.yt @ vc[..., None])[..., 0]
-    s_f = vc[..., net.f_bus] * np.conj(i_f)
-    s_t = vc[..., net.t_bus] * np.conj(i_t)
+    conj_f, conj_t = np.conj(i_f), np.conj(i_t)
+    s_f, s_t = vc[..., net.f_bus] * conj_f, vc[..., net.t_bus] * conj_t
     i_f, i_t = np.abs(i_f), np.abs(i_t)
     worst = np.maximum(i_f * net.i_base_from, i_t * net.i_base_to)
     return LineFlows(p_from_pu=s_f.real, q_from_pu=s_f.imag,

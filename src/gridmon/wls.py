@@ -25,10 +25,10 @@ arrays, each sample's outcome a status code (``CONVERGED``,
 :func:`estimate` is its B = 1 call, and the only code that builds an
 ``EstimatedState`` or raises an ``ObservabilityError``.
 
-The measurement functions h(x) and their Jacobian H(x) are row selections of
-the stacked bus and line quantities and their voltage derivatives, all
-derived from the view's branch admittance model; line quantities are
-evaluated only for the lines that rows read.
+The measurement functions h(x) are the simulator's own
+(``measurements.measured_values``). Their Jacobian H(x) is a row selection
+of the voltage derivatives of the stacked quantities, derived from the
+view's branch admittance model for the lines that rows read.
 
 Each sample's result is bitwise the same in any batch: every step is
 elementwise per sample or one BLAS/LAPACK call per sample on a C-ordered
@@ -50,7 +50,7 @@ import numpy as np
 
 from .grid import GridModel, GridView, dsbus_dv, dsf_dv
 from .measurements import (BUS_KINDS, KIND_CODE, MeasurementSet, MeasurementSpec,
-                           stacked_positions, stacked_starts)
+                           measured_values, stacked_positions, stacked_starts)
 from .powerflow import ELISION_ELEMENTS, line_flows, solve_samples
 
 MAX_ITERATIONS = 10
@@ -257,8 +257,9 @@ def measurement_model(view: GridView, pos: np.ndarray, v: np.ndarray, th: np.nda
     ``h`` and the C-contiguous Jacobian take their leading shape. ``pos`` are
     the rows' positions in the stacked quantities ``[V; P_bus; Q_bus; P_f;
     Q_f; |I_f|]`` (see ``stacked_positions``); the Jacobian columns follow
-    ``index``. Only the lines that rows read are evaluated. Out-of-service
-    line flows are identically zero.
+    ``index``. ``h`` is ``measurements.measured_values``; the Jacobian
+    evaluates only the lines that rows read. Out-of-service line flows are
+    identically zero.
     """
     n = view.n_bus
     net = view.branches
@@ -267,34 +268,29 @@ def measurement_model(view: GridView, pos: np.ndarray, v: np.ndarray, th: np.nda
     at = pos - start[kind]  # bus or line id, then index into ``lines``
     on_line = kind >= len(BUS_KINDS)
     lines, at[on_line] = np.unique(at[on_line], return_inverse=True)
-    s_bus, dsbus_th, dsbus_v = dsbus_dv(net.ybus, v, th)
+    _, dsbus_th, dsbus_v = dsbus_dv(net.ybus, v, th)
     s_f, dsf_th, dsf_v = dsf_dv(net, v, th, lines)
-    # current magnitude |I_f| = |S_f| / V_f; the floor keeps H finite at zero flow
-    v_f = v[..., net.f_bus[lines]]
-    s_mag = np.abs(s_f)
-    i_mag = s_mag / v_f
+    # d|I_f| through |I_f| = |S_f| / V_f; the floor keeps H finite at zero flow
+    v_f, s_mag = v[..., net.f_bus[lines]], np.abs(s_f)
     denom = (np.maximum(s_mag, 1e-9) * v_f)[..., None]
     di_dth = (np.conj(s_f)[..., None] * dsf_th).real / denom
     di_dv = ((np.conj(s_f)[..., None] * dsf_v).real / denom
-             - (i_mag / v_f)[..., None] * net.cf[lines])
+             - (s_mag / v_f / v_f)[..., None] * net.cf[lines])
 
     # row by row into a C-ordered Jacobian: the layout a one-sample estimate
     # has, so BLAS takes the same path through every sample's
-    quantities = ((v, None, np.eye(n)), (s_bus.real, dsbus_th.real, dsbus_v.real),
-                  (s_bus.imag, dsbus_th.imag, dsbus_v.imag),
-                  (s_f.real, dsf_th.real, dsf_v.real), (s_f.imag, dsf_th.imag, dsf_v.imag),
-                  (i_mag, di_dth, di_dv))
+    derivatives = ((None, np.eye(n)), (dsbus_th.real, dsbus_v.real),
+                   (dsbus_th.imag, dsbus_v.imag), (dsf_th.real, dsf_v.real),
+                   (dsf_th.imag, dsf_v.imag), (di_dth, di_dv))
     n_ang = len(index.non_slack)
-    h = np.empty(v.shape[:-1] + (len(pos),))
-    jac = np.zeros(h.shape + (index.n_state,))
-    for code, (value, d_th, d_v) in enumerate(quantities):
+    jac = np.zeros(v.shape[:-1] + (len(pos), index.n_state))
+    for code, (d_th, d_v) in enumerate(derivatives):
         rows = np.flatnonzero(kind == code)
-        h[..., rows] = value[..., at[rows]]
         row_at = at[rows][:, None]
         if d_th is not None:
             jac[..., rows, :n_ang] = d_th[..., row_at, index.non_slack]
         jac[..., rows, n_ang:] = d_v[..., row_at, index.mag_buses]
-    return h, jac
+    return measured_values(view, v, th, pos), jac
 
 
 def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
@@ -348,9 +344,9 @@ def estimate_batch(view: GridView, values: np.ndarray, spec: MeasurementSpec,
     weights = 1.0 / sd_abs[:, keep] ** 2
     index = StateIndex.for_view(view)
     # a block's arrays stay under 256 KiB (ELISION_ELEMENTS complex
-    # elements): the complex (B, n_bus, n_bus) and (B, n_line, n_bus)
-    # derivatives, so that their products round as in a one-sample estimate,
-    # and the float (B, m, n_state) Jacobian, which sets the working set
+    # elements), to bound memory: the complex (B, n_bus, n_bus) and
+    # (B, n_line, n_bus) derivatives and the float (B, m, n_state) Jacobian,
+    # which sets the working set
     per_sample = max(max(len(grid.lines), grid.n_bus) * grid.n_bus,
                      len(pos) * index.n_state // 2)
     block = max(1, (ELISION_ELEMENTS - 1) // per_sample)

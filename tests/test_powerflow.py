@@ -333,6 +333,48 @@ def test_batched_per_sample_impedances_bitwise_equal(cigre_batch):
         assert _same_truth(truths, s, solve_pf(reference, inj[s]))
 
 
+def _state_calls(n_bus, n_line):
+    """Each state function under test as ``call(view, v, th)`` returning its
+    arrays, with the subsets that the Newton-Raphson and WLS pass."""
+    from gridmon.grid import dsbus_dv, dsf_dv
+    from gridmon.measurements import measured_values
+
+    pq, lines = np.arange(1, n_bus), np.arange(0, n_line, 2)
+    every = np.arange(3 * n_bus + 3 * n_line)
+    return {
+        "dsbus_dv": lambda view, v, th: dsbus_dv(view.branches.ybus, v, th),
+        "dsbus_dv_buses": lambda view, v, th: dsbus_dv(view.branches.ybus, v, th, pq),
+        "dsf_dv": lambda view, v, th: dsf_dv(view.branches, v, th),
+        "dsf_dv_lines": lambda view, v, th: dsf_dv(view.branches, v, th, lines),
+        "line_flows": lambda view, v, th: tuple(vars(line_flows(view, v, th)).values()),
+        "measured_values": lambda view, v, th: (measured_values(view, v, th, every),),
+    }
+
+
+@pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per_sample"])
+@pytest.mark.parametrize("name", ["dsbus_dv", "dsbus_dv_buses", "dsf_dv", "dsf_dv_lines",
+                                  "line_flows", "measured_values"])
+def test_state_functions_bitwise_free_of_the_stack_size(cigre, name, per_sample):
+    """1,100 states in one call equal the same states in 32-state slices in
+    every output. The single call passes the 16,384 complex elements from
+    which numpy reuses a temporary operand in place, where a complex product
+    with a temporary right operand rounds differently."""
+    n_states, n_line = 1100, len(cigre.lines)
+    assert n_states * cigre.n_bus > powerflow.ELISION_ELEMENTS
+    gen = np.random.default_rng(7)
+    v = 1.0 + 0.02 * gen.standard_normal((n_states, cigre.n_bus))
+    th = 0.01 * gen.standard_normal((n_states, cigre.n_bus))
+    view = apply_switch_config(cigre, CONFIG_0)
+    if per_sample:
+        view = view.with_scaled_impedance(gen.uniform(0.8, 1.2, (n_states, n_line)))
+    call = _state_calls(cigre.n_bus, n_line)[name]
+    whole = call(view, v, th)
+    parts = [call(view.take(slice(s, s + 32)), v[s:s + 32], th[s:s + 32])
+             for s in range(0, n_states, 32)]
+    for k, out in enumerate(whole):
+        assert out.tobytes() == np.concatenate([p[k] for p in parts]).tobytes(), k
+
+
 def test_truths_under_a_power_deviation_equal_per_pair_solves(cigre):
     """Unit powers scaled at some buses, stacked, give each pair the truth of
     its own deviated scenario."""

@@ -288,6 +288,36 @@ def test_jacobian_matches_finite_differences(cigre, cigre_case, s_lines, i_lines
     assert np.max(np.abs(jac - numeric)) < 1e-5
 
 
+@pytest.fixture(scope="module")
+def config0_states(cigre):
+    """The truths of 200 default-axes scenarios (seed 5) on config 0."""
+    from gridmon.powerflow import solve_truths
+    from gridmon.scenarios import DEFAULT_AXES, bus_injections, generate_set, unit_powers
+
+    view = apply_switch_config(cigre, load_catalog(cigre).switch_configs[0])
+    scenarios = generate_set(DEFAULT_AXES, cigre, 1, 5)[:200]
+    truths = solve_truths([view], bus_injections(cigre, *unit_powers(scenarios)))
+    assert not truths.diverged.any()
+    return view, truths.v, truths.th
+
+
+@pytest.mark.parametrize("case_id", [f"M{k}" for k in range(10)] + [f"A{k}" for k in range(4)])
+def test_h_at_the_true_state_is_the_noise_free_reading(cigre, config0_states, case_id):
+    """WLS models the instruments that made the readings: its h(x) at the
+    true states equals the noise-free simulated readings bitwise, currents
+    (the A layouts) included."""
+    from gridmon.measurements import simulate_batch
+    from gridmon.wls import StateIndex, measurement_model
+
+    view, v, th = config0_states
+    spec = noiseless_spec(load_catalog(cigre).case(case_id).spec(cigre))
+    keys = np.column_stack([np.zeros(len(v), dtype=int), np.arange(len(v))])
+    readings = simulate_batch(view, v, th, spec, 5, keys)
+    pos = stacked_positions(spec.kind_code, spec.location, cigre.n_bus, len(cigre.lines))
+    h, _ = measurement_model(view, pos, v, th, StateIndex.for_view(view))
+    assert h.tobytes() == readings.tobytes()
+
+
 @pytest.fixture
 def dead_end():
     """Slack, a load bus, and a unit-less bus behind a switch on line 1-2."""
