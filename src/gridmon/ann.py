@@ -454,17 +454,20 @@ class TrainingData:
 
 
 def build_training_set(grid: GridModel, scenario_list, spec: MeasurementSpec,
-                       configs, seed: int) -> TrainingData:
+                       configs, seed: int, truth_cache=None) -> TrainingData:
     """Run the truth pipeline over scenarios x switch configs.
 
     Features are the noisy measurement vector plus switch bits; targets are
     noise-free voltages (pu) and loading fractions of monitored lines.
     Rows are config-major; diverging power flows are skipped and counted.
+    The truths are read from and kept in ``truth_cache`` (an
+    ``evaluation.TruthCache``) when one is given, so layouts trained on the
+    same scenarios solve them once.
     """
     monitored = [ln.id for ln in grid.monitored_lines]
     views = [apply_switch_config(grid, config) for config in configs]
     injections = bus_injections(grid, *unit_powers(scenario_list))
-    truths = solve_truths(views, injections)
+    truths = solve_truths(views, injections, cache=truth_cache)
     readings = simulate_truths(truths, views, spec, seed)
     ok = np.flatnonzero(~truths.diverged)
     if not ok.size:

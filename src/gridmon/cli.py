@@ -12,7 +12,10 @@ diverged pairs against ``PF_FAILURE_BUDGET`` after writing all its outputs.
 ``generate`` writes each switch config's truths to ``truth_cache.npz`` next
 to their ``powerflow.truth_keys`` key, and ``evaluate`` loads the file in its
 own ``--out`` into its truth cache under those keys: a truth it reads is one
-solved from the same grid content, switch config and injections.
+solved from the same grid content, switch config and injections. ``train``
+solves its truths once for all its layouts, and ``train`` and ``tune``
+train their independent monitor pairs side by side, one worker per CPU the
+process may use (see :mod:`gridmon.pool`).
 
 Every output embeds the config hash and master seed; reruns with identical
 configs reproduce identical CSV bodies. Exit codes: 0 success, 2 validation
@@ -38,6 +41,7 @@ from .evaluation import (METHOD_ANN, METHOD_WLS, EvaluationError, TruthCache,
                          error_stats, load_catalog, run_test_case)
 from .grid import GridError, apply_switch_config, load_bundled, load_grid
 from .measurements import MeasurementError
+from .pool import map_tasks
 from .powerflow import TruthTable, solve_truths, truth_keys
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, ScenarioError, generate_set,
                         bus_injections, unit_powers)
@@ -217,27 +221,38 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(max_epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                             patience=cfg["patience"], seed=ann_seed)
 
-    trained: set[str] = set()
-    history_rows = []
-    total_skipped = 0
-    total_rows = 0
+    # one task per layout, on the first case that reads it
+    layouts = {}
     for tc in cases:
+        layouts.setdefault(tc.spec(grid).spec_hash, tc)
+    # every layout reads the same truths: solved once, before any worker starts
+    truth_cache = TruthCache()
+    solve_truths([apply_switch_config(grid, config) for config in catalog.switch_configs],
+                 bus_injections(grid, *unit_powers(scenarios)), cache=truth_cache)
+
+    def train_layout(tc):
         spec = tc.spec(grid)
-        if spec.spec_hash in trained:
-            continue
         data = build_training_set(grid, scenarios, spec, catalog.switch_configs,
-                                  noise_seed)
-        total_skipped += data.skipped
-        total_rows += data.x.shape[0] + data.skipped
+                                  noise_seed, truth_cache=truth_cache)
         models, histories = train_monitor_pair(grid, data, train_cfg)
         for kind, model in models.items():
             save_model(model, _model_paths(out, spec.spec_hash)[kind])
-            h = histories[kind]
-            history_rows.append((tc.id, spec.spec_hash, kind, h.best_epoch,
+        return data.skipped, data.x.shape[0] + data.skipped, histories
+
+    history_rows = []
+    total_skipped = 0
+    total_rows = 0
+    # wider inputs make wider nets, which take longer
+    results = map_tasks(train_layout, layouts.values(),
+                        cost=lambda tc: len(tc.spec(grid).entries))
+    for (spec_hash, tc), (skipped, rows, histories) in zip(layouts.items(), results):
+        total_skipped += skipped
+        total_rows += rows
+        for kind, h in histories.items():
+            history_rows.append((tc.id, spec_hash, kind, h.best_epoch,
                                  h.stopped_epoch, float(min(h.val_loss)),
                                  round(h.wall_seconds, 3)))
-        trained.add(spec.spec_hash)
-        print(f"trained {tc.id} (layout {spec.spec_hash}): "
+        print(f"trained {tc.id} (layout {spec_hash}): "
               f"voltage best epoch {histories['voltage'].best_epoch}, "
               f"loading best epoch {histories['loading'].best_epoch}")
     _write_csv(out / "training_history.csv", _header_lines(cfg),

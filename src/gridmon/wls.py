@@ -409,7 +409,7 @@ def _gauss_newton(view, pos, index, z, weights, out: Estimates) -> None:
     ok = np.flatnonzero((status == CONVERGED) | (status == ITERATION_LIMIT))
     if not ok.size:
         return
-    h, _ = measurement_model(view, pos, v[ok], th[ok], index)
+    h = measured_values(view, v[ok], th[ok], pos)
     out.objective[ok] = objectives[ok, iterations[ok]] = np.add.reduce(
         weights[ok] * (z[ok] - h) ** 2, 1)
     out.v[ok], out.th[ok] = v[ok], th[ok]
