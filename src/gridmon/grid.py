@@ -5,8 +5,10 @@ WLS estimation) work on a :class:`GridView`, i.e. a grid plus one concrete
 switch configuration and an optional line impedance scale. Each view
 builds its branch admittance model once (:class:`BranchModel`: the from/to
 branch matrices ``Yf``/``Yt`` and the bus matrix ``Ybus``, as in MATPOWER's
-``makeYbus``, stacked per sample under a per-sample scale) and keeps it; bus
-injections, line flows and their voltage derivatives all derive from it.
+``makeYbus``, stacked per sample under a per-sample scale) and keeps it.
+The voltages and currents of states on it come from one pass,
+:class:`StatePass` (``exp(j th)``, ``V``, ``Ybus V`` and ``Yf V``); bus
+injections, line flows and their voltage derivatives all read that pass.
 Per-unit convention: ``s_base_mva`` from the grid file (bundled grids use
 1 MVA), voltage base is each bus's ``base_kv``.
 """
@@ -403,8 +405,7 @@ class GridView:
         net = self.__dict__.get("branches")
         if net is not None:
             # fills the cached property, as its first use would
-            view.__dict__["branches"] = replace(net, ybus=net.ybus[rows], yf=net.yf[rows],
-                                                yt=net.yt[rows])
+            view.__dict__["branches"] = net.take(rows)
         return view
 
 
@@ -451,6 +452,13 @@ class BranchModel:
     i_base_to: np.ndarray  # current base at the to end, A
     rating_amps: np.ndarray
 
+    def take(self, rows) -> BranchModel:
+        """The matrices of the samples ``rows`` of a stacked model; a shared
+        model serves every sample and returns itself."""
+        if self.ybus.ndim < 3:
+            return self
+        return replace(self, ybus=self.ybus[rows], yf=self.yf[rows], yt=self.yt[rows])
+
 
 def _build_branches(view: GridView) -> BranchModel:
     lines = view.grid.line_table
@@ -478,7 +486,40 @@ def build_admittance(view: GridView) -> np.ndarray:
     return view.branches.ybus
 
 
-def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, buses=None):
+class StatePass:
+    """The voltages and currents of one state ``(n,)`` or a stack ``(B, n)``
+    on ``net``, shared or stacked: ``unit = exp(j th)``, ``vc = V = v unit``,
+    ``i_bus = Ybus V`` and ``i_f = Yf V``. Every state function reads them
+    here, and each is computed once per pass; a current on first use, since
+    the Newton-Raphson reads only ``Ybus V`` and the line flows only ``Yf
+    V``. Each is elementwise or one matrix-vector product per state, so a
+    state's values do not depend on its stack."""
+
+    def __init__(self, net: BranchModel, v: np.ndarray, th: np.ndarray):
+        self.net, self.v = net, v
+        self.unit = np.exp(1j * th)
+        self.vc = v * self.unit
+
+    @cached_property
+    def i_bus(self) -> np.ndarray:
+        return (self.net.ybus @ self.vc[..., None])[..., 0]
+
+    @cached_property
+    def i_f(self) -> np.ndarray:
+        return (self.net.yf @ self.vc[..., None])[..., 0]
+
+
+def from_end_flows(state: StatePass, lines=None):
+    """``V_f``, ``conj(I_f)`` and the flows ``S_f = V_f conj(I_f)`` out of the
+    from end of every line, or of ``lines``, at the states of ``state``."""
+    f_bus, i_f = state.net.f_bus, state.i_f
+    if lines is not None:
+        f_bus, i_f = f_bus[lines], i_f[..., lines]
+    v_f, conj_f = state.vc[..., f_bus], np.conj(i_f)  # named: see :mod:`powerflow`
+    return v_f, conj_f, v_f * conj_f
+
+
+def dsbus_dv(state: StatePass, buses=None):
     """Bus injections ``S = V conj(Ybus V)`` and their derivatives.
 
     Polar form of MATPOWER's ``dSbus_dV``: returns ``(s_bus, ds_dth,
@@ -487,20 +528,18 @@ def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, buses=None):
     the state variable ``v`` itself, so ``dV/dv = exp(j th)`` holds also at
     an iterate with ``v < 0`` (MATPOWER's ``V / |V|`` would flip its sign).
 
-    ``v`` and ``th`` are one state ``(n,)`` or a stack ``(B, n)``, with
-    ``ybus`` shared ``(n, n)`` or stacked ``(B, n, n)``. With ``buses`` the
-    derivatives keep only those rows and columns. Every entry is an
-    elementwise product or a per-state matrix-vector product, so a state's
-    values do not depend on the stack it is in (each complex product with a
-    computed right operand names it first: see :mod:`powerflow`).
+    ``state`` is the :class:`StatePass` of one state ``(n,)`` or a stack
+    ``(B, n)``, with ``Ybus`` shared ``(n, n)`` or stacked ``(B, n, n)``.
+    With ``buses`` the derivatives keep only those rows and columns. Every
+    entry is an elementwise product or a per-state matrix-vector product, so
+    a state's values do not depend on the stack it is in (each complex
+    product with a computed right operand names it first: see
+    :mod:`powerflow`).
     """
-    unit = np.exp(1j * th)
-    vc = v * unit
-    i_bus = (ybus @ vc[..., None])[..., 0]
-    y, vb, ub, ib = ybus, vc, unit, i_bus
+    y, vb, ub, ib = state.net.ybus, state.vc, state.unit, state.i_bus
     if buses is not None:
-        y = ybus[..., buses[:, None], buses]
-        vb, ub, ib = vc[..., buses], unit[..., buses], i_bus[..., buses]
+        y = y[..., buses[:, None], buses]
+        vb, ub, ib = vb[..., buses], ub[..., buses], ib[..., buses]
     diag = np.arange(vb.shape[-1])
     # j V conj(diag(I) - Y diag(V)) and V conj(Y diag(unit)) + diag(conj(I) unit),
     # each built in one array
@@ -512,28 +551,27 @@ def dsbus_dv(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, buses=None):
     ds_dv = y * ub[..., None, :]
     np.multiply(vb[..., None], np.conj(ds_dv, out=ds_dv), out=ds_dv)
     ds_dv[..., diag, diag] += np.conj(ib) * ub
-    conj_i = np.conj(i_bus)
-    return vc * conj_i, ds_dth, ds_dv
+    conj_i = np.conj(state.i_bus)
+    return state.vc * conj_i, ds_dth, ds_dv
 
 
-def dsf_dv(branches: BranchModel, v: np.ndarray, th: np.ndarray, lines=None):
-    """From-end line flows ``S_f = V_f conj(Yf V)`` and their derivatives.
+def dsf_dv(state: StatePass, lines=None):
+    """From-end line flows ``S_f`` (:func:`from_end_flows`) and their
+    derivatives.
 
     Polar form of MATPOWER's ``dSbr_dV`` for the from end, laid out as in
-    :func:`dsbus_dv` with one row per line, for one state ``(n,)`` or a
-    stack ``(B, n)``. With ``lines`` the flows and derivatives keep only
-    those rows.
+    :func:`dsbus_dv` with one row per line, for the :class:`StatePass` of
+    one state ``(n,)`` or a stack ``(B, n)``. With ``lines`` the flows and
+    derivatives keep only those rows.
     """
-    unit = np.exp(1j * th)
-    vc = v * unit
-    i_f = (branches.yf @ vc[..., None])[..., 0]
-    yf, cf, f_bus = branches.yf, branches.cf, branches.f_bus
+    net = state.net
+    yf, cf = net.yf, net.cf
     if lines is not None:
-        yf, cf, f_bus, i_f = yf[..., lines, :], cf[lines], f_bus[lines], i_f[..., lines]
-    v_f, conj_f = vc[..., f_bus], np.conj(i_f)
+        yf, cf = yf[..., lines, :], cf[lines]
+    v_f, conj_f, s_f = from_end_flows(state, lines)
     at_from = conj_f[..., None] * cf
-    vc, unit = vc[..., None, :], unit[..., None, :]
+    vc, unit = state.vc[..., None, :], state.unit[..., None, :]
     conj_yv, conj_yu = np.conj(yf * vc), np.conj(yf * unit)
     ds_dth = 1j * (at_from * vc - v_f[..., None] * conj_yv)
     ds_dv = v_f[..., None] * conj_yu + at_from * unit
-    return v_f * conj_f, ds_dth, ds_dv
+    return s_f, ds_dth, ds_dv

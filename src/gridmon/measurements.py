@@ -5,7 +5,9 @@ locations, standard deviations). The layout is versioned through a content
 hash; estimators refuse vectors whose hash does not match their own. The
 spec keeps its hash, kind codes and locations once computed, and
 ``stacked_positions`` maps them onto the stacked bus and line quantities
-of :func:`measured_values`, the one h(x) of the simulator and WLS.
+of :func:`measured_values`, the one h(x) of the simulator and WLS. It
+reads the voltages and currents of one ``grid.StatePass``, the pass WLS
+also takes its Jacobian from.
 
 Value conventions: v_bus in pu, p/q in pu (MW on a 1 MVA base), i_line as
 per-unit current at the from end. Noise is relative to the reading.
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridModel, GridView
+from .grid import GridModel, GridView, StatePass, from_end_flows
 from .powerflow import ELISION_ELEMENTS, PfSolution
 from .seeding import STREAM_MEASUREMENT, rngs
 
@@ -175,17 +177,15 @@ def stacked_positions(kind_code: np.ndarray, location: np.ndarray,
     return stacked_starts(n_bus, n_line)[kind_code] + location
 
 
-def measured_values(view: GridView, v: np.ndarray, th: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """h(x): noise-free readings at stacked positions ``pos`` of ``([B,] n_bus)``
-    states, row b on row b of a per-sample view, with ``S_bus = V conj(Ybus
-    V)``, ``S_f = V_f conj(Yf V)`` and ``|I_f| = |Yf V|``."""
-    net = view.branches
-    vc = v * np.exp(1j * th)
-    i_bus = (net.ybus @ vc[..., None])[..., 0]
-    i_f = (net.yf @ vc[..., None])[..., 0]
-    conj_bus, conj_f = np.conj(i_bus), np.conj(i_f)  # named: see :mod:`powerflow`
-    s_bus, s_f = vc * conj_bus, vc[..., net.f_bus] * conj_f
-    stacked = [v, s_bus.real, s_bus.imag, s_f.real, s_f.imag, np.abs(i_f)]
+def measured_values(state: StatePass, pos: np.ndarray) -> np.ndarray:
+    """h(x): noise-free readings at stacked positions ``pos`` of the
+    ``([B,] n_bus)`` states of a ``grid.StatePass``, row b on row b of a
+    stacked branch model, with ``S_bus = V conj(Ybus V)``, ``S_f = V_f
+    conj(Yf V)`` and ``|I_f| = |Yf V|``."""
+    conj_bus = np.conj(state.i_bus)  # named: see :mod:`powerflow`
+    s_bus = state.vc * conj_bus
+    _, _, s_f = from_end_flows(state)
+    stacked = [state.v, s_bus.real, s_bus.imag, s_f.real, s_f.imag, np.abs(state.i_f)]
     return np.concatenate(stacked, axis=-1)[..., pos]
 
 
@@ -196,8 +196,8 @@ def _positions(view: GridView, spec: MeasurementSpec) -> np.ndarray:
 
 def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> np.ndarray:
     """Noise-free measurement vector for a converged state."""
-    return measured_values(view, solution.v_mag_pu[None], solution.v_ang_rad[None],
-                           _positions(view, spec))[0]
+    state = StatePass(view.branches, solution.v_mag_pu[None], solution.v_ang_rad[None])
+    return measured_values(state, _positions(view, spec))[0]
 
 
 def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: MeasurementSpec,
@@ -227,7 +227,7 @@ def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: Measurem
     values = np.empty((len(v), len(pos)))
     for start in range(0, len(v), block):
         rows = slice(start, start + block)
-        truth = measured_values(view.take(rows), v[rows], th[rows], pos)
+        truth = measured_values(StatePass(view.take(rows).branches, v[rows], th[rows]), pos)
         values[rows] = truth * (1.0 + sd * noise[rows])
     return values
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridView, dsbus_dv, grid_fingerprint
+from .grid import GridView, StatePass, dsbus_dv, from_end_flows, grid_fingerprint
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 30
@@ -108,7 +108,7 @@ def solve_pf(view: GridView, injections: InjectionSet) -> PfSolution:
     if status[0] == NO_CONVERGENCE:
         raise PowerFlowError(f"no convergence after {MAX_ITERATIONS} iterations "
                              f"(mismatch {mismatch[0]:.3e})", mismatch[0])
-    flows = line_flows(block_view, v, th)
+    flows = line_flows(StatePass(block_view.branches, v, th))
     s_base_kw = view.grid.s_base_mva * 1e3
     return PfSolution(v_mag_pu=v[0], v_ang_rad=th[0],
                       i_line_amps=(flows.i_from_pu * block_view.branches.i_base_from)[0],
@@ -144,7 +144,7 @@ def solve_flows(view: GridView, p: np.ndarray, q: np.ndarray):
             block_view, vb, thb = block_view.take(ok), vb[ok], thb[ok]
         if len(vb):
             v[rows], th[rows] = vb, thb
-            loading[rows] = line_flows(block_view, vb, thb).loading_pct
+            loading[rows] = line_flows(StatePass(block_view.branches, vb, thb)).loading_pct
     return v, th, loading, diverged
 
 
@@ -169,12 +169,12 @@ def _newton_blocks(view: GridView, p: np.ndarray, q: np.ndarray):
     for start in range(0, len(p), block):
         rows = slice(start, start + block)
         block_view = view.take(rows)
-        yield start, block_view, _newton(block_view.branches.ybus, slack, pq,
-                                         p[rows], q[rows])
+        yield start, block_view, _newton(block_view.branches, slack, pq, p[rows], q[rows])
 
 
-def _newton(ybus, slack, pq, p, q):
-    """Newton-Raphson on the rows of ``p``/``q`` from a flat start.
+def _newton(net, slack, pq, p, q):
+    """Newton-Raphson on the rows of ``p``/``q`` from a flat start, on the
+    branch model ``net``, shared or stacked one matrix per row.
 
     A sample leaves the live set at the iteration where it converges, so its
     state stays as it was then. Returns the states, the slack injections,
@@ -193,7 +193,7 @@ def _newton(ybus, slack, pq, p, q):
     p, q = p[:, pq], q[:, pq]
     live = np.arange(n_samples)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        s_calc, ds_dth, ds_dv = dsbus_dv(ybus, v[live], th[live], pq)
+        s_calc, ds_dth, ds_dv = dsbus_dv(StatePass(net, v[live], th[live]), pq)
         dp = p[live] - s_calc.real[:, pq]
         dq = q[live] - s_calc.imag[:, pq]
         dp_max, dq_max = np.abs(dp).max(axis=1), np.abs(dq).max(axis=1)
@@ -210,8 +210,7 @@ def _newton(ybus, slack, pq, p, q):
             if not live.size:
                 break
             ds_dth, ds_dv, dp, dq = ds_dth[go], ds_dv[go], dp[go], dq[go]
-            if ybus.ndim == 3:
-                ybus = ybus[go]
+            net = net.take(go)
         # rows: P then Q mismatch; columns: angle then magnitude, PQ buses only
         jac = np.empty((live.size, 2 * m, 2 * m))
         jac[:, :m, :m] = ds_dth.real
@@ -224,8 +223,7 @@ def _newton(ybus, slack, pq, p, q):
             iterations[live[singular]] = iteration - 1
             status[live[singular]] = SINGULAR_JACOBIAN
             live, step = live[~singular], step[~singular]
-            if ybus.ndim == 3:
-                ybus = ybus[~singular]
+            net = net.take(~singular)
         th[live[:, None], pq] += step[:, :m]
         v[live[:, None], pq] += step[:, m:]
     iterations[live] = MAX_ITERATIONS
@@ -267,20 +265,19 @@ class LineFlows:
         return self.p_from_pu + self.p_to_pu
 
 
-def line_flows(view: GridView, v: np.ndarray, th: np.ndarray) -> LineFlows:
-    """Per-line flows at both ends for the voltage state ``v``, ``th``.
+def line_flows(state: StatePass) -> LineFlows:
+    """Per-line flows at both ends of the states of a ``grid.StatePass``.
 
-    ``v`` and ``th`` are one state ``(n_bus,)`` or a stack ``(B, n_bus)``;
-    under a per-sample impedance scale row b of the scale is state b's
+    The pass is of one state ``(n_bus,)`` or a stack ``(B, n_bus)``; under a
+    per-sample impedance scale row b of its branch model is state b's
     network. The flows take the states' leading shape.
     """
-    net = view.branches
-    vc = v * np.exp(1j * th)
-    i_f = (net.yf @ vc[..., None])[..., 0]
+    net, vc = state.net, state.vc
+    _, _, s_f = from_end_flows(state)
     i_t = (net.yt @ vc[..., None])[..., 0]
-    conj_f, conj_t = np.conj(i_f), np.conj(i_t)
-    s_f, s_t = vc[..., net.f_bus] * conj_f, vc[..., net.t_bus] * conj_t
-    i_f, i_t = np.abs(i_f), np.abs(i_t)
+    conj_t = np.conj(i_t)
+    s_t = vc[..., net.t_bus] * conj_t
+    i_f, i_t = np.abs(state.i_f), np.abs(i_t)
     worst = np.maximum(i_f * net.i_base_from, i_t * net.i_base_to)
     return LineFlows(p_from_pu=s_f.real, q_from_pu=s_f.imag,
                      p_to_pu=s_t.real, q_to_pu=s_t.imag,

@@ -14,21 +14,23 @@ rating and tan phi per unit) for B measurement vectors ``(B, m)`` at once by
 There is one Gauss-Newton, :func:`estimate_batch`. It estimates B
 measurement vectors ``(B, m)`` of one spec on one assumed view at once, on
 ``(B, n_bus)`` states. The row layout (the spec's entries, then the
-substitutes, less the rows at buses cut off the slack) depends on the spec
-and the view alone, so it is laid out once per batch; values z and weights
-W are ``(B, m)`` arrays. A sample stops iterating when no state update
-exceeds ``STATE_UPDATE_TOLERANCE`` (converged) or after ``MAX_ITERATIONS``
-steps (flagged non-converged), and a singular gain matrix or a non-finite
-step fails that sample alone. It returns one :class:`Estimates` record of
+substitutes, less the rows at buses cut off the slack) and the state
+columns depend on the spec and the view alone, so they are laid out once
+per batch as one :class:`RowPlan`; values z and weights W are ``(B, m)``
+arrays. A sample stops iterating when no state update exceeds
+``STATE_UPDATE_TOLERANCE`` (converged) or after ``MAX_ITERATIONS`` steps
+(flagged non-converged), and a singular gain matrix or a non-finite step
+fails that sample alone. It returns one :class:`Estimates` record of
 arrays, each sample's outcome a status code (``CONVERGED``,
 ``ITERATION_LIMIT``, ``SINGULAR_GAIN``, ``NON_FINITE_STEP``).
 :func:`estimate` is its B = 1 call, and the only code that builds an
 ``EstimatedState`` or raises an ``ObservabilityError``.
 
 The measurement functions h(x) are the simulator's own
-(``measurements.measured_values``). Their Jacobian H(x) is a row selection
-of the voltage derivatives of the stacked quantities, derived from the
-view's branch admittance model for the lines that rows read.
+(``measurements.measured_values``). Their Jacobian H(x) is the plan's
+selection of the voltage derivatives of the stacked quantities, for the
+lines that rows read. Each step makes one ``grid.StatePass`` of its
+states, and h and H both read it.
 
 Each sample's result is bitwise the same in any batch: every step is
 elementwise per sample or one BLAS/LAPACK call per sample on a C-ordered
@@ -48,9 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridModel, GridView, dsbus_dv, dsf_dv
-from .measurements import (BUS_KINDS, KIND_CODE, MeasurementSet, MeasurementSpec,
-                           measured_values, stacked_positions, stacked_starts)
+from .grid import GridModel, GridView, StatePass, dsbus_dv, dsf_dv
+from .measurements import (ALL_KINDS, BUS_KINDS, KIND_CODE, MeasurementSet,
+                           MeasurementSpec, measured_values, stacked_positions)
 from .powerflow import ELISION_ELEMENTS, line_flows, solve_samples
 
 MAX_ITERATIONS = 10
@@ -226,71 +228,83 @@ def pseudo_batch(grid: GridModel, values: np.ndarray, spec: MeasurementSpec) -> 
                      fallback=np.repeat(fallback[buses], 2))
 
 
-@dataclass(frozen=True)
-class StateIndex:
-    """Column layout of the WLS state vector: angles of reachable non-slack
-    buses first, then magnitudes of all reachable buses (read-only arrays)."""
+class RowPlan(NamedTuple):
+    """The read-only layout of h(x) and H(x), which depends on the rows and
+    the view alone.
 
-    non_slack: np.ndarray
-    mag_buses: np.ndarray
+    The Jacobian's columns are the angles of reachable non-slack buses, then
+    the magnitudes of all reachable buses. ``kinds[k]`` holds the rows of
+    kind k (``ALL_KINDS`` order) and, as a column, each row's bus id or its
+    index into ``lines``, the lines that rows read. ``identity`` is the
+    voltage rows' magnitude block, a row selection of the identity.
+    """
 
-    @classmethod
-    def for_view(cls, view: GridView) -> StateIndex:
-        live = np.ones(view.grid.n_bus, dtype=bool)
-        live[sorted(view.dead_buses)] = False
-        mag_buses = np.flatnonzero(live)
-        non_slack = mag_buses[mag_buses != view.grid.slack_bus]
-        for a in (non_slack, mag_buses):
-            a.setflags(write=False)
-        return cls(non_slack=non_slack, mag_buses=mag_buses)
+    pos: np.ndarray  # each row's position in the stacked quantities
+    non_slack: np.ndarray  # the bus of each angle column
+    mag_buses: np.ndarray  # the bus of each magnitude column
+    lines: np.ndarray
+    kinds: tuple  # (rows, ids) per kind
+    identity: np.ndarray  # (voltage rows, magnitude columns)
 
     @property
     def n_state(self) -> int:
         return len(self.non_slack) + len(self.mag_buses)
 
+    @classmethod
+    def for_rows(cls, view: GridView, kind: np.ndarray, location: np.ndarray) -> RowPlan:
+        """The plan of rows given by kind codes into ``ALL_KINDS`` and their
+        bus or line ids."""
+        n, n_line = view.n_bus, len(view.grid.lines)
+        live = np.ones(n, dtype=bool)
+        live[sorted(view.dead_buses)] = False
+        mag_buses = np.flatnonzero(live)
+        non_slack = mag_buses[mag_buses != view.grid.slack_bus]
+        on_line = kind >= len(BUS_KINDS)
+        ids = np.array(location)
+        lines, ids[on_line] = np.unique(location[on_line], return_inverse=True)
+        rows = [np.flatnonzero(kind == code) for code in range(len(ALL_KINDS))]
+        kinds = tuple((r, ids[r][:, None]) for r in rows)
+        plan = cls(pos=stacked_positions(kind, location, n, n_line), non_slack=non_slack,
+                   mag_buses=mag_buses, lines=lines, kinds=kinds,
+                   identity=np.eye(n)[kinds[0][1], mag_buses])
+        for a in (plan.pos, non_slack, mag_buses, lines, plan.identity,
+                  *(a for pair in kinds for a in pair)):
+            a.setflags(write=False)
+        return plan
 
-def measurement_model(view: GridView, pos: np.ndarray, v: np.ndarray, th: np.ndarray,
-                      index: StateIndex):
+
+def measurement_model(view: GridView, plan: RowPlan, v: np.ndarray, th: np.ndarray):
     """Measurement functions h(x) and their Jacobian at the given states.
 
     ``v`` and ``th`` are one state ``(n_bus,)`` or a stack ``(B, n_bus)``;
-    ``h`` and the C-contiguous Jacobian take their leading shape. ``pos`` are
-    the rows' positions in the stacked quantities ``[V; P_bus; Q_bus; P_f;
-    Q_f; |I_f|]`` (see ``stacked_positions``); the Jacobian columns follow
-    ``index``. ``h`` is ``measurements.measured_values``; the Jacobian
+    ``h`` and the C-contiguous Jacobian take their leading shape, with rows
+    and columns laid out by ``plan``. Both read one ``grid.StatePass`` of
+    the states: ``h`` is ``measurements.measured_values``, and the Jacobian
     evaluates only the lines that rows read. Out-of-service line flows are
     identically zero.
     """
-    n = view.n_bus
     net = view.branches
-    start = stacked_starts(n, len(net.f_bus))
-    kind = np.searchsorted(start, pos, side="right") - 1
-    at = pos - start[kind]  # bus or line id, then index into ``lines``
-    on_line = kind >= len(BUS_KINDS)
-    lines, at[on_line] = np.unique(at[on_line], return_inverse=True)
-    _, dsbus_th, dsbus_v = dsbus_dv(net.ybus, v, th)
-    s_f, dsf_th, dsf_v = dsf_dv(net, v, th, lines)
+    state = StatePass(net, v, th)
+    _, dsbus_th, dsbus_v = dsbus_dv(state)
+    s_f, dsf_th, dsf_v = dsf_dv(state, plan.lines)
     # d|I_f| through |I_f| = |S_f| / V_f; the floor keeps H finite at zero flow
-    v_f, s_mag = v[..., net.f_bus[lines]], np.abs(s_f)
+    v_f, s_mag = v[..., net.f_bus[plan.lines]], np.abs(s_f)
     denom = (np.maximum(s_mag, 1e-9) * v_f)[..., None]
     di_dth = (np.conj(s_f)[..., None] * dsf_th).real / denom
     di_dv = ((np.conj(s_f)[..., None] * dsf_v).real / denom
-             - (s_mag / v_f / v_f)[..., None] * net.cf[lines])
+             - (s_mag / v_f / v_f)[..., None] * net.cf[plan.lines])
 
     # row by row into a C-ordered Jacobian: the layout a one-sample estimate
     # has, so BLAS takes the same path through every sample's
-    derivatives = ((None, np.eye(n)), (dsbus_th.real, dsbus_v.real),
-                   (dsbus_th.imag, dsbus_v.imag), (dsf_th.real, dsf_v.real),
-                   (dsf_th.imag, dsf_v.imag), (di_dth, di_dv))
-    n_ang = len(index.non_slack)
-    jac = np.zeros(v.shape[:-1] + (len(pos), index.n_state))
-    for code, (d_th, d_v) in enumerate(derivatives):
-        rows = np.flatnonzero(kind == code)
-        row_at = at[rows][:, None]
-        if d_th is not None:
-            jac[..., rows, :n_ang] = d_th[..., row_at, index.non_slack]
-        jac[..., rows, n_ang:] = d_v[..., row_at, index.mag_buses]
-    return measured_values(view, v, th, pos), jac
+    derivatives = ((dsbus_th.real, dsbus_v.real), (dsbus_th.imag, dsbus_v.imag),
+                   (dsf_th.real, dsf_v.real), (dsf_th.imag, dsf_v.imag), (di_dth, di_dv))
+    n_ang = len(plan.non_slack)
+    jac = np.zeros(v.shape[:-1] + (len(plan.pos), plan.n_state))
+    jac[..., plan.kinds[0][0], n_ang:] = plan.identity
+    for (rows, ids), (d_th, d_v) in zip(plan.kinds[1:], derivatives):
+        jac[..., rows, :n_ang] = d_th[..., ids, plan.non_slack]
+        jac[..., rows, n_ang:] = d_v[..., ids, plan.mag_buses]
+    return measured_values(state, plan.pos), jac
 
 
 def estimate(view: GridView, ms: MeasurementSet, spec: MeasurementSpec,
@@ -332,7 +346,7 @@ def estimate_batch(view: GridView, values: np.ndarray, spec: MeasurementSpec,
     kind = np.concatenate([spec.kind_code, pseudo.kind])
     location = np.concatenate([spec.location, pseudo.bus])
     keep = ~((kind < len(BUS_KINDS)) & np.isin(location, list(view.dead_buses)))
-    pos = stacked_positions(kind[keep], location[keep], grid.n_bus, len(grid.lines))
+    plan = RowPlan.for_rows(view, kind[keep], location[keep])
     sd_pct = spec.sd_vector()
     for i, sd in (sd_overrides or {}).items():
         sd_pct[i] = sd
@@ -342,13 +356,12 @@ def estimate_batch(view: GridView, values: np.ndarray, spec: MeasurementSpec,
                         SD_FLOOR_PU)
     z = z[:, keep]
     weights = 1.0 / sd_abs[:, keep] ** 2
-    index = StateIndex.for_view(view)
     # a block's arrays stay under 256 KiB (ELISION_ELEMENTS complex
     # elements), to bound memory: the complex (B, n_bus, n_bus) and
     # (B, n_line, n_bus) derivatives and the float (B, m, n_state) Jacobian,
     # which sets the working set
     per_sample = max(max(len(grid.lines), grid.n_bus) * grid.n_bus,
-                     len(pos) * index.n_state // 2)
+                     len(plan.pos) * plan.n_state // 2)
     block = max(1, (ELISION_ELEMENTS - 1) // per_sample)
     n_samples = len(values)
     out = Estimates(v=np.full((n_samples, grid.n_bus), np.nan),
@@ -360,12 +373,12 @@ def estimate_batch(view: GridView, values: np.ndarray, spec: MeasurementSpec,
                     objectives=np.full((n_samples, MAX_ITERATIONS + 1), np.nan))
     for start in range(0, n_samples, block):
         rows = slice(start, start + block)
-        _gauss_newton(view, pos, index, z[rows], weights[rows],
+        _gauss_newton(view, plan, z[rows], weights[rows],
                       Estimates(*(field[rows] for field in out)))
     return out
 
 
-def _gauss_newton(view, pos, index, z, weights, out: Estimates) -> None:
+def _gauss_newton(view, plan, z, weights, out: Estimates) -> None:
     """Gauss-Newton from a flat start on the rows of ``z``/``weights``,
     written into the rows of ``out`` (an :class:`Estimates` of views).
 
@@ -376,14 +389,14 @@ def _gauss_newton(view, pos, index, z, weights, out: Estimates) -> None:
     alone.
     """
     n_samples, n = len(z), view.n_bus
-    n_ang = len(index.non_slack)
+    n_ang = len(plan.non_slack)
     v = np.ones((n_samples, n))
     th = np.zeros((n_samples, n))
     status, iterations, objectives = out.status, out.iterations, out.objectives
     live = np.arange(n_samples)
     for iteration in range(1, MAX_ITERATIONS + 1):
         iterations[live] = iteration
-        h, jac = measurement_model(view, pos, v[live], th[live], index)
+        h, jac = measurement_model(view, plan, v[live], th[live])
         residual = z[live] - h
         objectives[live, iteration - 1] = np.add.reduce(weights[live] * residual**2, 1)
         wjac = jac * weights[live][..., None]
@@ -398,8 +411,8 @@ def _gauss_newton(view, pos, index, z, weights, out: Estimates) -> None:
         status[live[non_finite]] = NON_FINITE_STEP
         ok = ~(singular | non_finite)
         live, step = live[ok], step[ok]
-        th[live[:, None], index.non_slack] += step[:, :n_ang]
-        v[live[:, None], index.mag_buses] += step[:, n_ang:]
+        th[live[:, None], plan.non_slack] += step[:, :n_ang]
+        v[live[:, None], plan.mag_buses] += step[:, n_ang:]
         done = np.abs(step).max(axis=1) < STATE_UPDATE_TOLERANCE
         status[live[done]] = CONVERGED
         live = live[~done]
@@ -409,8 +422,10 @@ def _gauss_newton(view, pos, index, z, weights, out: Estimates) -> None:
     ok = np.flatnonzero((status == CONVERGED) | (status == ITERATION_LIMIT))
     if not ok.size:
         return
-    h = measured_values(view, v[ok], th[ok], pos)
+    # one pass of the final states for h and the loading
+    state = StatePass(view.branches, v[ok], th[ok])
+    h = measured_values(state, plan.pos)
     out.objective[ok] = objectives[ok, iterations[ok]] = np.add.reduce(
         weights[ok] * (z[ok] - h) ** 2, 1)
     out.v[ok], out.th[ok] = v[ok], th[ok]
-    out.loading[ok] = line_flows(view, v[ok], th[ok]).loading_pct
+    out.loading[ok] = line_flows(state).loading_pct

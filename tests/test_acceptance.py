@@ -15,7 +15,7 @@ from gridmon.ann import (AnnArchitecture, TrainConfig, build_training_set,
 from gridmon.correction import correct_voltages
 from gridmon.evaluation import (METHOD_ANN, METHOD_WLS, TruthCache, compare_sota,
                                 load_catalog, run_test_case)
-from gridmon.grid import apply_switch_config, load_bundled
+from gridmon.grid import StatePass, apply_switch_config, load_bundled
 from gridmon.measurements import (MeasurementSpec, MeasurementSet, make_spec, simulate_batch,
                                   true_values)
 from gridmon.powerflow import InjectionSet, line_flows, solve_pf, solve_truths
@@ -91,7 +91,7 @@ def test_criterion_1_power_flow_oracles(cigre):
 
         inj = injections(cigre, Scenario(p_kw, q_kvar, (), 0, 0, None))
         sol = solve_pf(view, inj)
-        flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
+        flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
         balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - flows.losses_pu.sum()
         worst = max(worst, abs(balance))
     elapsed = time.perf_counter() - start

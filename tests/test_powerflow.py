@@ -5,7 +5,7 @@ import pytest
 
 from gridmon import powerflow
 from gridmon.evaluation import TruthCache
-from gridmon.grid import apply_switch_config, build_admittance
+from gridmon.grid import StatePass, apply_switch_config, build_admittance
 from gridmon.powerflow import (InjectionSet, PowerFlowError, line_flows, solve_pf,
                                solve_truths, truth_keys)
 from gridmon.scenarios import DEFAULT_AXES, generate_set, injections
@@ -77,7 +77,7 @@ def test_power_balance_identity(cigre):
     scenario = flat_scenario(cigre, load=1.0, dg=0.5)
     inj = injections(cigre, scenario)
     sol = solve_pf(view, inj)
-    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
+    flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
     total_injection = inj.p_pu.sum() + sol.p_slack_kw / (cigre.s_base_mva * 1e3)
     assert abs(total_injection - flows.losses_pu.sum()) < 1e-8
 
@@ -85,14 +85,14 @@ def test_power_balance_identity(cigre):
 def test_losses_nonnegative_with_resistance(cigre):
     view = apply_switch_config(cigre, CONFIG_0)
     sol = solve_pf(view, injections(cigre, flat_scenario(cigre, load=0.7, dg=0.9)))
-    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
+    flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
     assert (flows.losses_pu >= -1e-12).all()
 
 
 def test_lossless_line_conserves_power(two_bus):
     view = apply_switch_config(two_bus, ())
     sol = solve_pf(view, InjectionSet(np.array([0.0, -0.1]), np.array([0.0, 0.0])))
-    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
+    flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
     assert flows.p_from_pu[0] == pytest.approx(-flows.p_to_pu[0], abs=1e-10)
 
 
@@ -102,7 +102,7 @@ def test_open_line_carries_nothing(three_bus):
     bare = replace(three_bus, units=(three_bus.units[0],))
     view = apply_switch_config(bare, (False,))
     sol = solve_pf(view, injections(bare, flat_scenario(bare, load=0.5)))
-    flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
+    flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
     assert sol.i_line_amps[1] == 0.0
     assert flows.p_from_pu[1] == 0.0 and flows.p_to_pu[1] == 0.0
     assert sol.loading_pct[1] == 0.0
@@ -145,7 +145,7 @@ def test_scenario_set_converges_and_balances(cigre):
     for sc in scenarios:
         inj = injections(cigre, sc)
         sol = solve_pf(view, inj)
-        flows = line_flows(view, sol.v_mag_pu, sol.v_ang_rad)
+        flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
         balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - flows.losses_pu.sum()
         assert abs(balance) < 1e-8
 
@@ -337,23 +337,45 @@ def _state_calls(n_bus, n_line):
     """Each state function under test as ``call(view, v, th)`` returning its
     arrays, with the subsets that the Newton-Raphson and WLS pass."""
     from gridmon.grid import dsbus_dv, dsf_dv
-    from gridmon.measurements import measured_values
+    from gridmon.measurements import KIND_CODE, measured_values
+    from gridmon.wls import RowPlan, measurement_model
 
     pq, lines = np.arange(1, n_bus), np.arange(0, n_line, 2)
     every = np.arange(3 * n_bus + 3 * n_line)
+    # V, bus P/Q, line P/Q and current rows, one line read both as flows and
+    # as a current
+    rows = [("v_bus", 0), ("v_bus", 6), ("p_bus", 4), ("q_bus", 4), ("p_bus", 7),
+            ("q_bus", 7), ("p_line", 1), ("q_line", 1), ("p_line", 8), ("q_line", 8),
+            ("i_line", 8), ("i_line", 11)]
+    kind = np.array([KIND_CODE[k] for k, _ in rows])
+    location = np.array([at for _, at in rows])
+
+    def on(view, v, th):
+        return StatePass(view.branches, v, th)
+
+    def pass_arrays(view, v, th):
+        state = on(view, v, th)
+        return state.unit, state.vc, state.i_bus, state.i_f
+
+    def model(view, v, th):
+        return measurement_model(view, RowPlan.for_rows(view, kind, location), v, th)
+
     return {
-        "dsbus_dv": lambda view, v, th: dsbus_dv(view.branches.ybus, v, th),
-        "dsbus_dv_buses": lambda view, v, th: dsbus_dv(view.branches.ybus, v, th, pq),
-        "dsf_dv": lambda view, v, th: dsf_dv(view.branches, v, th),
-        "dsf_dv_lines": lambda view, v, th: dsf_dv(view.branches, v, th, lines),
-        "line_flows": lambda view, v, th: tuple(vars(line_flows(view, v, th)).values()),
-        "measured_values": lambda view, v, th: (measured_values(view, v, th, every),),
+        "state_pass": pass_arrays,
+        "dsbus_dv": lambda view, v, th: dsbus_dv(on(view, v, th)),
+        "dsbus_dv_buses": lambda view, v, th: dsbus_dv(on(view, v, th), pq),
+        "dsf_dv": lambda view, v, th: dsf_dv(on(view, v, th)),
+        "dsf_dv_lines": lambda view, v, th: dsf_dv(on(view, v, th), lines),
+        "line_flows": lambda view, v, th: tuple(vars(line_flows(on(view, v, th))).values()),
+        "measured_values": lambda view, v, th: (measured_values(on(view, v, th), every),),
+        "measurement_model": model,
     }
 
 
 @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per_sample"])
-@pytest.mark.parametrize("name", ["dsbus_dv", "dsbus_dv_buses", "dsf_dv", "dsf_dv_lines",
-                                  "line_flows", "measured_values"])
+@pytest.mark.parametrize("name", ["state_pass", "dsbus_dv", "dsbus_dv_buses", "dsf_dv",
+                                  "dsf_dv_lines", "line_flows", "measured_values",
+                                  "measurement_model"])
 def test_state_functions_bitwise_free_of_the_stack_size(cigre, name, per_sample):
     """1,100 states in one call equal the same states in 32-state slices in
     every output. The single call passes the 16,384 complex elements from
@@ -406,11 +428,14 @@ def _cut_view(two_bus):
 
 def test_failed_samples_leave_their_neighbours_unchanged(truth_inputs, two_bus):
     view, loads = truth_inputs
-    # one Newton-Raphson over a stacked Ybus whose third sample has its line cut
-    ybus = np.stack([view.branches.ybus] * 2 + [_cut_view(two_bus).branches.ybus]
-                    + [view.branches.ybus])
+    # one Newton-Raphson over stacked matrices whose third sample has its line cut
+    from dataclasses import replace
+
+    nets = [view.branches] * 2 + [_cut_view(two_bus).branches] + [view.branches]
+    net = replace(view.branches, **{name: np.stack([getattr(n, name) for n in nets])
+                                    for name in ("ybus", "yf", "yt")})
     stacked = _stack([loads[0], loads[1], loads[0], loads[2]])
-    solved = powerflow._newton(ybus, 0, np.array([1]), stacked.p_pu, stacked.q_pu)
+    solved = powerflow._newton(net, 0, np.array([1]), stacked.p_pu, stacked.q_pu)
     status, iterations = solved[5], solved[3]
     assert status.tolist() == [powerflow.CONVERGED, powerflow.NO_CONVERGENCE,
                                powerflow.SINGULAR_JACOBIAN, powerflow.CONVERGED]

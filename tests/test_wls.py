@@ -249,19 +249,20 @@ def test_jacobian_matches_finite_differences(cigre, cigre_case, s_lines, i_lines
     spec = make_spec(cigre, v_buses=[0, 6], s_buses=[4, 7],
                      s_lines=s_lines, i_lines=i_lines)
     ms = simulate(sol, view, spec, seed=9)
-    from gridmon.wls import StateIndex, measurement_model
+    from gridmon.wls import RowPlan, measurement_model
 
     pseudo = build_pseudo(cigre, ms, spec)
     kind = np.concatenate([spec.kind_code, pseudo.kind])
     location = np.concatenate([spec.location, pseudo.bus])
-    pos = stacked_positions(kind, location, cigre.n_bus, len(cigre.lines))
-    index = StateIndex.for_view(view)
+    plan = RowPlan.for_rows(view, kind, location)
+    assert plan.pos.tolist() == stacked_positions(kind, location, cigre.n_bus,
+                                                  len(cigre.lines)).tolist()
 
     rng = np.random.default_rng(0)
     v = 1.0 + 0.02 * rng.normal(size=15)
     th = 0.01 * rng.normal(size=15)
     th[0] = 0.0
-    h, jac = measurement_model(view, pos, v, th, index)
+    h, jac = measurement_model(view, plan, v, th)
     open_ids = [cigre.line_by_name(name).id for name in open_lines]
     assert all(not view.line_in_service[lid] for lid in open_ids)
     on_open = np.flatnonzero((kind >= len(BUS_KINDS)) & np.isin(location, open_ids))
@@ -271,21 +272,51 @@ def test_jacobian_matches_finite_differences(cigre, cigre_case, s_lines, i_lines
 
     eps = 1e-7
     numeric = np.zeros_like(jac)
-    for col in range(index.n_state):
+    for col in range(plan.n_state):
         v_hi, th_hi = v.copy(), th.copy()
         v_lo, th_lo = v.copy(), th.copy()
-        if col < len(index.non_slack):
-            bus = index.non_slack[col]
+        if col < len(plan.non_slack):
+            bus = plan.non_slack[col]
             th_hi[bus] += eps
             th_lo[bus] -= eps
         else:
-            bus = index.mag_buses[col - len(index.non_slack)]
+            bus = plan.mag_buses[col - len(plan.non_slack)]
             v_hi[bus] += eps
             v_lo[bus] -= eps
-        h_hi, _ = measurement_model(view, pos, v_hi, th_hi, index)
-        h_lo, _ = measurement_model(view, pos, v_lo, th_lo, index)
+        h_hi, _ = measurement_model(view, plan, v_hi, th_hi)
+        h_lo, _ = measurement_model(view, plan, v_lo, th_lo)
         numeric[:, col] = (h_hi - h_lo) / (2 * eps)
     assert np.max(np.abs(jac - numeric)) < 1e-5
+
+
+def test_row_plan_rows_equal_one_state_calls(cigre):
+    """The plan, laid out once, places every row of a stack of states as a
+    one-state call places it: each state's h and Jacobian equal its own
+    call's bitwise, rows on an open line (6-7 in CONFIG_0) included."""
+    from gridmon.wls import RowPlan, measurement_model
+
+    view = apply_switch_config(cigre, CONFIG_0)
+    assert not view.line_in_service[cigre.line_by_name("6-7").id]
+    spec = make_spec(cigre, v_buses=[0, 6], s_buses=[4, 7], s_lines=["1-2", "6-7"],
+                     i_lines=["12-13", "6-7"])
+    # substitute-like P/Q rows at every other feeder bus, in the estimator's order
+    others = [b for b in range(1, cigre.n_bus) if b not in (4, 7)]
+    kind = np.concatenate([spec.kind_code, np.tile([KIND_CODE["p_bus"],
+                                                    KIND_CODE["q_bus"]], len(others))])
+    location = np.concatenate([spec.location, np.repeat(others, 2)])
+    plan = RowPlan.for_rows(view, kind, location)
+    gen = np.random.default_rng(3)
+    v = 1.0 + 0.02 * gen.standard_normal((9, cigre.n_bus))
+    th = 0.01 * gen.standard_normal((9, cigre.n_bus))
+    h, jac = measurement_model(view, plan, v, th)
+    assert jac.shape == (9, len(kind), plan.n_state) and jac.flags.c_contiguous
+    for b in range(len(v)):
+        h_b, jac_b = measurement_model(view, plan, v[b], th[b])
+        assert h[b].tobytes() == h_b.tobytes()
+        assert jac[b].tobytes() == jac_b.tobytes()
+    open_rows = np.flatnonzero((kind >= len(BUS_KINDS))
+                               & (location == cigre.line_by_name("6-7").id))
+    assert len(open_rows) == 3 and np.all(jac[:, open_rows] == 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -307,14 +338,14 @@ def test_h_at_the_true_state_is_the_noise_free_reading(cigre, config0_states, ca
     true states equals the noise-free simulated readings bitwise, currents
     (the A layouts) included."""
     from gridmon.measurements import simulate_batch
-    from gridmon.wls import StateIndex, measurement_model
+    from gridmon.wls import RowPlan, measurement_model
 
     view, v, th = config0_states
     spec = noiseless_spec(load_catalog(cigre).case(case_id).spec(cigre))
     keys = np.column_stack([np.zeros(len(v), dtype=int), np.arange(len(v))])
     readings = simulate_batch(view, v, th, spec, 5, keys)
-    pos = stacked_positions(spec.kind_code, spec.location, cigre.n_bus, len(cigre.lines))
-    h, _ = measurement_model(view, pos, v, th, StateIndex.for_view(view))
+    plan = RowPlan.for_rows(view, spec.kind_code, spec.location)
+    h, _ = measurement_model(view, plan, v, th)
     assert h.tobytes() == readings.tobytes()
 
 
