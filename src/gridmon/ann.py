@@ -16,7 +16,10 @@ a matching gradient buffer, and Adam updates the whole array in place in
 the same operation order as a per-array update. Early stopping is per net:
 a net that stops keeps its best weights and leaves the stack, and the
 others carry on. A single net (``train``) is a stack of one, so the weights
-of a pair are bitwise equal to training each net alone.
+of a pair are bitwise equal to training each net alone. That leaves
+``train_monitor_pair`` free to train a pair's nets side by side in forked
+workers when each has a CPU (``pool.map_tasks``), and as one stack where
+they share a core: in a pool worker or on one CPU.
 
 An epoch's train loss is taken from its own batches: each batch's output
 errors, before that batch's update, summed per output column and reported
@@ -33,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .grid import GridModel, apply_switch_config, grid_fingerprint
 from .measurements import MeasurementSpec, simulate_truths
 from .powerflow import solve_truths
@@ -487,11 +491,16 @@ def train_monitor_pair(grid: GridModel, data: TrainingData, cfg: TrainConfig,
     """Train the voltage and loading models from one training set.
 
     Both nets start from ``init_model(arch, cfg.seed)`` and draw the same
-    validation split and batch order; only their targets differ. Nets of one
-    shape (every bundled grid: as many monitored lines as buses) therefore
-    train as one stack of two, bitwise equal to two ``train`` calls; nets of
-    two shapes train as two stacks of one. Both histories' ``wall_seconds``
-    hold the pair's training time, so count it once per pair.
+    validation split and batch order; only their targets differ, so each
+    net's weights are bitwise those of a ``train`` call of its own. When
+    ``pool.n_workers`` gives each net a CPU, the two nets train side by
+    side, each a stack of one in a forked worker. Otherwise (one CPU, or a
+    pair that already trains in a pool worker) nets of one shape (every
+    bundled grid: as many monitored lines as buses) train in-process as one
+    stack of two, which on a shared core is faster than two stacks of one,
+    and nets of two shapes as two stacks of one. Both histories'
+    ``wall_seconds`` hold the pair's training time, so count it once per
+    pair.
     """
     n_in = data.x.shape[1]
     norm_mask = np.ones(n_in, dtype=bool)
@@ -502,8 +511,9 @@ def train_monitor_pair(grid: GridModel, data: TrainingData, cfg: TrainConfig,
     ) if data.n_switch_bits else frozenset()
 
     targets = {"voltage": data.y_voltage, "loading": data.y_loading}
+    split = pool.n_workers(len(targets)) == len(targets)  # a CPU for each net
     models = {}
-    stacks: dict[AnnArchitecture, list[str]] = {}
+    stacks: dict[AnnArchitecture | str, list[str]] = {}
     for kind, y in targets.items():
         arch = AnnArchitecture(n_in=n_in, n_out=y.shape[1],
                                **(arch_overrides or {}))
@@ -514,14 +524,21 @@ def train_monitor_pair(grid: GridModel, data: TrainingData, cfg: TrainConfig,
         model.train_fingerprint = data.fingerprint
         model.seen_patterns = patterns
         models[kind] = model
-        stacks.setdefault(arch, []).append(kind)
+        stacks.setdefault(kind if split else arch, []).append(kind)
+
+    def train_stack(kinds):
+        stack = [models[k] for k in kinds]
+        histories = _train_stack(stack, data.x, [targets[k] for k in kinds], cfg)
+        return dict(zip(kinds, stack)), dict(zip(kinds, histories))
 
     start = time.perf_counter()
-    histories = {}
-    for kinds in stacks.values():
-        histories.update(zip(kinds, _train_stack(
-            [models[k] for k in kinds], data.x, [targets[k] for k in kinds], cfg)))
+    # a worker trains a copy of its models: take back what each stack returns
+    trained = pool.map_tasks(train_stack, stacks.values(), cost=len)
     seconds = time.perf_counter() - start
+    histories = {}
+    for stack_models, stack_histories in trained:
+        models.update(stack_models)
+        histories.update(stack_histories)
     for history in histories.values():
         history.wall_seconds = seconds
     return models, histories

@@ -15,7 +15,8 @@ own ``--out`` into its truth cache under those keys: a truth it reads is one
 solved from the same grid content, switch config and injections. ``train``
 solves its truths once for all its layouts, and ``train`` and ``tune``
 train their independent monitor pairs side by side, one worker per CPU the
-process may use (see :mod:`gridmon.pool`).
+process may use (see :mod:`gridmon.pool`); a lone pair trains its two nets
+side by side.
 
 Every output embeds the config hash and master seed; reruns with identical
 configs reproduce identical CSV bodies. Exit codes: 0 success, 2 validation

@@ -519,11 +519,17 @@ def from_end_flows(state: StatePass, lines=None):
     return v_f, conj_f, v_f * conj_f
 
 
-def dsbus_dv(state: StatePass, buses=None):
-    """Bus injections ``S = V conj(Ybus V)`` and their derivatives.
+def bus_powers(state: StatePass) -> np.ndarray:
+    """The bus injections ``S = V conj(Ybus V)`` at the states of ``state``."""
+    conj_i = np.conj(state.i_bus)  # named: see :mod:`powerflow`
+    return state.vc * conj_i
 
-    Polar form of MATPOWER's ``dSbus_dV``: returns ``(s_bus, ds_dth,
-    ds_dv)``, where column k of ``ds_dth`` / ``ds_dv`` is the derivative
+
+def dsbus_dv(state: StatePass, buses=None):
+    """The derivatives of the bus injections (:func:`bus_powers`).
+
+    Polar form of MATPOWER's ``dSbus_dV``: returns ``(ds_dth, ds_dv)``,
+    where column k of ``ds_dth`` / ``ds_dv`` is the derivative
     with respect to the voltage angle / magnitude of bus k. The magnitude is
     the state variable ``v`` itself, so ``dV/dv = exp(j th)`` holds also at
     an iterate with ``v < 0`` (MATPOWER's ``V / |V|`` would flip its sign).
@@ -551,8 +557,7 @@ def dsbus_dv(state: StatePass, buses=None):
     ds_dv = y * ub[..., None, :]
     np.multiply(vb[..., None], np.conj(ds_dv, out=ds_dv), out=ds_dv)
     ds_dv[..., diag, diag] += np.conj(ib) * ub
-    conj_i = np.conj(state.i_bus)
-    return state.vc * conj_i, ds_dth, ds_dv
+    return ds_dth, ds_dv
 
 
 def dsf_dv(state: StatePass, lines=None):

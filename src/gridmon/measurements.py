@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridModel, GridView, StatePass, from_end_flows
+from .grid import GridModel, GridView, StatePass, bus_powers, from_end_flows
 from .powerflow import ELISION_ELEMENTS, PfSolution
 from .seeding import STREAM_MEASUREMENT, rngs
 
@@ -182,8 +182,7 @@ def measured_values(state: StatePass, pos: np.ndarray) -> np.ndarray:
     ``([B,] n_bus)`` states of a ``grid.StatePass``, row b on row b of a
     stacked branch model, with ``S_bus = V conj(Ybus V)``, ``S_f = V_f
     conj(Yf V)`` and ``|I_f| = |Yf V|``."""
-    conj_bus = np.conj(state.i_bus)  # named: see :mod:`powerflow`
-    s_bus = state.vc * conj_bus
+    s_bus = bus_powers(state)
     _, _, s_f = from_end_flows(state)
     stacked = [state.v, s_bus.real, s_bus.imag, s_f.real, s_f.imag, np.abs(state.i_f)]
     return np.concatenate(stacked, axis=-1)[..., pos]

@@ -45,7 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridView, StatePass, dsbus_dv, from_end_flows, grid_fingerprint
+from .grid import (GridView, StatePass, bus_powers, dsbus_dv, from_end_flows,
+                   grid_fingerprint)
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 30
@@ -193,7 +194,9 @@ def _newton(net, slack, pq, p, q):
     p, q = p[:, pq], q[:, pq]
     live = np.arange(n_samples)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        s_calc, ds_dth, ds_dv = dsbus_dv(StatePass(net, v[live], th[live]), pq)
+        state = StatePass(net, v[live], th[live])
+        s_calc = bus_powers(state)
+        ds_dth, ds_dv = dsbus_dv(state, pq)
         dp = p[live] - s_calc.real[:, pq]
         dq = q[live] - s_calc.imag[:, pq]
         dp_max, dq_max = np.abs(dp).max(axis=1), np.abs(dq).max(axis=1)

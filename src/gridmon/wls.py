@@ -285,7 +285,7 @@ def measurement_model(view: GridView, plan: RowPlan, v: np.ndarray, th: np.ndarr
     """
     net = view.branches
     state = StatePass(net, v, th)
-    _, dsbus_th, dsbus_v = dsbus_dv(state)
+    dsbus_th, dsbus_v = dsbus_dv(state)
     s_f, dsf_th, dsf_v = dsf_dv(state, plan.lines)
     # d|I_f| through |I_f| = |S_f| / V_f; the floor keeps H finite at zero flow
     v_f, s_mag = v[..., net.f_bus[plan.lines]], np.abs(s_f)

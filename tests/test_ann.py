@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -280,43 +281,56 @@ PAIR_RUNS = {
 }
 
 
+# one CPU: the pair trains in-process as one stack; two CPUs: each net in a
+# worker of its own
+AFFINITIES = ({0}, {0, 1})
+
+
 @pytest.mark.parametrize("name", sorted(PAIR_RUNS))
-def test_monitor_pair_matches_reference_bitwise(cigre_module, name):
+def test_monitor_pair_matches_reference_bitwise(cigre_module, name, monkeypatch):
     overrides, rows, cfg, n_loading = PAIR_RUNS[name]
     data = pair_data(rows, cfg.seed, n_loading)
-    models, histories = train_monitor_pair(cigre_module, data, cfg, arch_overrides=overrides)
-
+    references = {}
     for kind, y in (("voltage", data.y_voltage), ("loading", data.y_loading)):
-        got, history = models[kind], histories[kind]
-        assert got.arch == AnnArchitecture(n_in=6, n_out=y.shape[1], **overrides)
-        ref = init_model(got.arch, cfg.seed)
+        ref = init_model(AnnArchitecture(n_in=6, n_out=y.shape[1], **overrides), cfg.seed)
         ref.norm_mask = np.array([True] * 4 + [False] * 2)
-        weights, biases, out_mean, out_sd, train_loss, val_loss, best_epoch, stopped = \
-            reference_train(ref, data.x, y, cfg)
-        for a, b in zip(got.weights + got.biases + [got.out_mean, got.out_sd,
-                                                    got.norm_mean, got.norm_sd],
-                        weights + biases + [out_mean, out_sd, ref.norm_mean, ref.norm_sd]):
-            assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-        assert history.train_loss == train_loss
-        assert history.val_loss == val_loss
-        assert (history.best_epoch, history.stopped_epoch) == (best_epoch, stopped)
-    stops = {kind: h.stopped_epoch for kind, h in histories.items()}
-    if name == "loading_stops_first":
-        assert stops["loading"] < stops["voltage"] < cfg.max_epochs - 1
-    if name == "voltage_stops_first":
-        assert stops["voltage"] < stops["loading"] < cfg.max_epochs - 1
+        references[kind] = ref, reference_train(ref, data.x, y, cfg)
+
+    for cpus in AFFINITIES:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        models, histories = train_monitor_pair(cigre_module, data, cfg,
+                                               arch_overrides=overrides)
+        for kind, (ref, trained) in references.items():
+            got, history = models[kind], histories[kind]
+            assert got.arch == ref.arch
+            weights, biases, out_mean, out_sd, train_loss, val_loss, best_epoch, stopped = \
+                trained
+            for a, b in zip(got.weights + got.biases + [got.out_mean, got.out_sd,
+                                                        got.norm_mean, got.norm_sd],
+                            weights + biases + [out_mean, out_sd, ref.norm_mean, ref.norm_sd]):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert history.train_loss == train_loss
+            assert history.val_loss == val_loss
+            assert (history.best_epoch, history.stopped_epoch) == (best_epoch, stopped)
+        stops = {kind: h.stopped_epoch for kind, h in histories.items()}
+        if name == "loading_stops_first":
+            assert stops["loading"] < stops["voltage"] < cfg.max_epochs - 1
+        if name == "voltage_stops_first":
+            assert stops["voltage"] < stops["loading"] < cfg.max_epochs - 1
 
 
 @pytest.mark.parametrize("name", ["loading_stops_first", "voltage_stops_first"])
-def test_monitor_pair_histories_end_at_each_nets_stop(cigre_module, name):
+def test_monitor_pair_histories_end_at_each_nets_stop(cigre_module, name, monkeypatch):
     overrides, rows, cfg, n_loading = PAIR_RUNS[name]
-    _, histories = train_monitor_pair(cigre_module, pair_data(rows, cfg.seed, n_loading),
-                                      cfg, arch_overrides=overrides)
-    assert histories["voltage"].stopped_epoch != histories["loading"].stopped_epoch
-    for history in histories.values():
-        assert len(history.train_loss) == len(history.val_loss) == history.stopped_epoch + 1
-        assert np.isfinite(history.train_loss).all()
+    for cpus in AFFINITIES:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        _, histories = train_monitor_pair(cigre_module, pair_data(rows, cfg.seed, n_loading),
+                                          cfg, arch_overrides=overrides)
+        assert histories["voltage"].stopped_epoch != histories["loading"].stopped_epoch
+        for history in histories.values():
+            assert len(history.train_loss) == len(history.val_loss) == history.stopped_epoch + 1
+            assert np.isfinite(history.train_loss).all()
 
 
 def test_best_epoch_weights_are_returned():

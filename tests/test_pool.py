@@ -1,7 +1,7 @@
 import dataclasses
-import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from gridmon import pool
@@ -25,7 +25,8 @@ def two_cpus(monkeypatch):
 @pytest.fixture(autouse=True)
 def no_worker_outlives_a_call():
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _pid_and_square(x):
@@ -52,6 +53,64 @@ def test_one_cpu_runs_every_task_in_process(one_cpu):
 def test_worker_error_reaches_the_caller(two_cpus):
     with pytest.raises(AnnError, match="task 5 fails"):
         pool.map_tasks(_pid_and_square, range(8), cost=abs)
+
+
+def _exit_at_3(x):
+    if x == 3:
+        os._exit(3)
+    return x
+
+
+def test_dead_worker_is_an_error_not_a_hang(two_cpus):
+    """The worker that dies loses task 3 and every task it had run before;
+    the other worker's results arrive."""
+    with pytest.raises(pool.PoolError, match=r"^tasks \[(\d, )*3\] were lost: "
+                                              r"worker \d+ exited with status 3$"):
+        pool.map_tasks(_exit_at_3, range(6), cost=lambda x: -x)  # dealt 0, 1, ...
+
+
+def _inner_pids(x):
+    return pool.map_tasks(lambda y: (os.getpid(), y), range(3), cost=abs), os.getpid()
+
+
+def test_pools_do_not_nest(two_cpus):
+    outer = pool.map_tasks(_inner_pids, range(2), cost=abs)
+    for inner, worker in outer:
+        assert worker != os.getpid()
+        assert inner == [(worker, y) for y in range(3)]
+
+
+def test_a_lone_pair_deals_its_nets_and_a_pair_in_a_worker_stacks_them(
+        cigre, monkeypatch):
+    """On two CPUs a lone pair's nets are two tasks of one net each; on one
+    CPU, or when the pair itself trains in a worker, one stack of two."""
+    from gridmon import ann
+
+    dealt = []
+
+    def recording_map(fn, tasks, cost):
+        tasks = list(tasks)
+        dealt.append(tasks)
+        return map_tasks(fn, tasks, cost)
+
+    map_tasks = pool.map_tasks
+    monkeypatch.setattr(pool, "map_tasks", recording_map)
+    data = ann.TrainingData(x=np.arange(40.0).reshape(20, 2) % 7, y_voltage=np.ones((20, 3)),
+                            y_loading=np.ones((20, 3)), spec_hash="pair", n_switch_bits=0)
+    cfg = TrainConfig(max_epochs=2, seed=1)
+
+    def stacks(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        dealt.clear()
+        ann.train_monitor_pair(cigre, data, cfg)
+        return dealt[-1]
+
+    assert stacks({0, 1}) == [["voltage"], ["loading"]]
+    assert stacks({0}) == [["voltage", "loading"]]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    in_workers = map_tasks(lambda _: (stacks({0, 1}), os.getpid()), range(2), cost=abs)
+    assert [stacks for stacks, _ in in_workers] == [[["voltage", "loading"]]] * 2
+    assert os.getpid() not in {pid for _, pid in in_workers}
 
 
 @pytest.fixture(scope="module")

@@ -336,7 +336,7 @@ def test_batched_per_sample_impedances_bitwise_equal(cigre_batch):
 def _state_calls(n_bus, n_line):
     """Each state function under test as ``call(view, v, th)`` returning its
     arrays, with the subsets that the Newton-Raphson and WLS pass."""
-    from gridmon.grid import dsbus_dv, dsf_dv
+    from gridmon.grid import bus_powers, dsbus_dv, dsf_dv
     from gridmon.measurements import KIND_CODE, measured_values
     from gridmon.wls import RowPlan, measurement_model
 
@@ -362,6 +362,7 @@ def _state_calls(n_bus, n_line):
 
     return {
         "state_pass": pass_arrays,
+        "bus_powers": lambda view, v, th: (bus_powers(on(view, v, th)),),
         "dsbus_dv": lambda view, v, th: dsbus_dv(on(view, v, th)),
         "dsbus_dv_buses": lambda view, v, th: dsbus_dv(on(view, v, th), pq),
         "dsf_dv": lambda view, v, th: dsf_dv(on(view, v, th)),
@@ -373,8 +374,8 @@ def _state_calls(n_bus, n_line):
 
 
 @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per_sample"])
-@pytest.mark.parametrize("name", ["state_pass", "dsbus_dv", "dsbus_dv_buses", "dsf_dv",
-                                  "dsf_dv_lines", "line_flows", "measured_values",
+@pytest.mark.parametrize("name", ["state_pass", "bus_powers", "dsbus_dv", "dsbus_dv_buses",
+                                  "dsf_dv", "dsf_dv_lines", "line_flows", "measured_values",
                                   "measurement_model"])
 def test_state_functions_bitwise_free_of_the_stack_size(cigre, name, per_sample):
     """1,100 states in one call equal the same states in 32-state slices in
