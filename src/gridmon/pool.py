@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
 import sys
-import traceback
 
 _in_worker = False  # set in a forked worker as it starts
 _INDEX_BYTES = 4  # one task index in the task pipe: a write this small is atomic
@@ -66,15 +64,12 @@ def _work(fn, tasks, queue: int, out: int):
                 i = int.from_bytes(record, "little")
                 done[i] = fn(tasks[i])
         except Exception as exc:  # raised again by the caller
+            import traceback  # only here: the caller's import need not load it
+
             exc.add_note(f"in pool worker {os.getpid()}:\n{traceback.format_exc()}")
             error = i, exc
-        try:
-            payload = pickle.dumps((done, error))
-        except Exception as exc:  # a result or an exception pickle cannot send
-            payload = pickle.dumps(({}, (i, PoolError(f"a worker could not send its "
-                                                      f"results: {exc!r}"))))
         with open(out, "wb") as f:
-            f.write(payload)
+            f.write(pickle.dumps((done, error)))
         code = 0
     finally:
         try:
@@ -127,6 +122,8 @@ def map_tasks(fn, tasks, cost) -> list:
                 payloads.append(f.read())
             _close(fds, result)
     except BaseException:
+        import signal  # only here, as traceback in a worker
+
         for pid, _ in workers:  # an interrupted call leaves no worker running
             os.kill(pid, signal.SIGKILL)
         raise

@@ -1,5 +1,9 @@
 import dataclasses
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -67,6 +71,39 @@ def test_dead_worker_is_an_error_not_a_hang(two_cpus):
     with pytest.raises(pool.PoolError, match=r"^tasks \[(\d, )*3\] were lost: "
                                               r"worker \d+ exited with status 3$"):
         pool.map_tasks(_exit_at_3, range(6), cost=lambda x: -x)  # dealt 0, 1, ...
+
+
+def _sleep(x):
+    time.sleep(60)
+
+
+def test_an_interrupted_call_leaves_no_worker(two_cpus):
+    """An exception in the caller while it waits (an alarm here, Ctrl-C in
+    use) kills and reaps the workers at once."""
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # a fork child inherits no timer
+        with pytest.raises(KeyboardInterrupt):
+            pool.map_tasks(_sleep, range(2), cost=abs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30
+
+
+def test_the_pool_imports_no_multiprocessing():
+    """Its import alone costs the parent about 1.65 MB RSS."""
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; import gridmon.cli; "
+            "from gridmon import pool; assert pool.map_tasks(abs, [-1, -2], cost=abs) == [1, 2]; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _inner_pids(x):
