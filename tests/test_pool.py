@@ -146,7 +146,7 @@ def test_a_lone_pair_deals_its_nets_and_a_pair_in_a_worker_stacks_them(
     assert stacks({0}) == [["voltage", "loading"]]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     in_workers = map_tasks(lambda _: (stacks({0, 1}), os.getpid()), range(2), cost=abs)
-    assert [stacks for stacks, _ in in_workers] == [[["voltage", "loading"]]] * 2
+    assert [got for got, _ in in_workers] == [[["voltage", "loading"]]] * 2
     assert os.getpid() not in {pid for _, pid in in_workers}
 
 
