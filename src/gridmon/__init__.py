@@ -12,11 +12,10 @@ from .powerflow import InjectionSet, PfSolution, PowerFlowError, solve_pf
 from .scenarios import (DEFAULT_AXES, FIVE_AXES, Scenario, ScenarioAxis,
                         enumerate_tuples, expand, generate_set)
 from .measurements import (FaultInjection, MeasurementSet, MeasurementSpec,
-                           accuracy_to_sd, inject_fault, make_spec, simulate)
+                           accuracy_to_sd, make_spec, simulate)
 from .ann import (AnnArchitecture, AnnModel, TrainConfig, hidden_size, init_model,
                   train)
 from .wls import PseudoSet, build_pseudo, estimate
-from .correction import CorrectionReport, correct_voltages
 from .evaluation import (C1, C2, Criterion, EvalResult, TestCase, load_catalog,
                          run_test_case)
 from .tuning import tune_architecture

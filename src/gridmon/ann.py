@@ -75,8 +75,12 @@ class AnnArchitecture:
     def __post_init__(self):
         if self.n_in < 1 or self.n_out < 1:
             raise AnnError("n_in and n_out must be >= 1")
+        if self.n_hidden_layers < 0:
+            raise AnnError("n_hidden_layers must be >= 0")
         if self.layer_size_multiplier < 1:
             raise AnnError("layer_size_multiplier must be >= 1")
+        if self.hidden_size_override is not None and self.hidden_size_override < 1:
+            raise AnnError("hidden_size_override must be >= 1")
         if self.hidden_activation not in ACTIVATIONS:
             raise AnnError(f"unsupported activation {self.hidden_activation!r}")
 
@@ -223,23 +227,6 @@ def _backprop(weights, biases, kind: str, x: np.ndarray, y: np.ndarray,
             delta = np.matmul(delta, weights[k].swapaxes(-1, -2))
             delta *= _activate_grad(acts[k], kind)
     return diff
-
-
-def loss_and_grads(model: AnnModel, x: np.ndarray, y: np.ndarray, out=None):
-    """MSE over all samples and outputs, with gradients for every parameter.
-
-    ``out`` is an optional ``(grad_w, grad_b)`` pair of arrays shaped like the
-    weights and biases; the gradients are written into them and returned.
-    """
-    if out is None:
-        out = ([np.empty_like(w) for w in model.weights],
-               [np.empty_like(b) for b in model.biases])
-    grad_w, grad_b = out
-    diff = _backprop([w[None] for w in model.weights], [b[None] for b in model.biases],
-                     model.arch.hidden_activation, x, y[None],
-                     [g[None] for g in grad_w], [g[None] for g in grad_b])
-    loss = float(np.sum(diff * diff)) / (y.shape[0] * y.shape[1])
-    return loss, grad_w, grad_b
 
 
 @dataclass

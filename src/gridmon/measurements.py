@@ -20,8 +20,8 @@ and draws each row's noise from its own stream, all B streams seeded in one
 into one ``(N, m)`` array with the truths' rows. A case's faults are
 resolved against the spec once (:func:`resolve_faults`) and applied to such
 a block (:func:`apply_faults`).
-``simulate`` and ``inject_fault`` are the one-vector calls, and
-``MeasurementSet`` wraps one vector for them.
+``simulate`` is the one-vector call, and ``MeasurementSet`` wraps one
+vector for it.
 """
 
 from __future__ import annotations
@@ -104,12 +104,6 @@ class MeasurementSpec:
         locations.setflags(write=False)
         return locations
 
-    def index_of(self, kind: str, location: int) -> int:
-        for i, e in enumerate(self.entries):
-            if e.kind == kind and e.location == location:
-                return i
-        raise MeasurementError(f"no entry {kind}@{location} in spec")
-
     def indices(self, kind: str) -> list[int]:
         return np.flatnonzero(self.kind_code == KIND_CODE[kind]).tolist()
 
@@ -157,10 +151,6 @@ class MeasurementSet:
     switch_states: np.ndarray  # 0/1 per switch, never noisy
     spec_hash: str
 
-    def replaced(self, values: np.ndarray) -> MeasurementSet:
-        return MeasurementSet(values=values, switch_states=self.switch_states,
-                              spec_hash=self.spec_hash)
-
 
 def stacked_starts(n_bus: int, n_line: int) -> np.ndarray:
     """Where each kind's block (``ALL_KINDS`` order) starts in the stacked
@@ -191,12 +181,6 @@ def measured_values(state: StatePass, pos: np.ndarray) -> np.ndarray:
 def _positions(view: GridView, spec: MeasurementSpec) -> np.ndarray:
     return stacked_positions(spec.kind_code, spec.location, view.n_bus,
                              len(view.grid.lines))
-
-
-def true_values(solution: PfSolution, view: GridView, spec: MeasurementSpec) -> np.ndarray:
-    """Noise-free measurement vector for a converged state."""
-    state = StatePass(view.branches, solution.v_mag_pu[None], solution.v_ang_rad[None])
-    return measured_values(state, _positions(view, spec))[0]
 
 
 def simulate_batch(view: GridView, v: np.ndarray, th: np.ndarray, spec: MeasurementSpec,
@@ -331,16 +315,6 @@ def apply_faults(values: np.ndarray, resolved) -> None:
             values[..., targets] = fault.value
         else:
             values[..., targets] /= fault.factor
-
-
-def inject_fault(ms: MeasurementSet, fault: FaultInjection,
-                 spec: MeasurementSpec) -> MeasurementSet:
-    """Apply one fault to a measurement vector (see :func:`apply_faults`)."""
-    if spec.spec_hash != ms.spec_hash:
-        raise MeasurementError("measurement set does not belong to this spec")
-    values = ms.values.copy()
-    apply_faults(values, resolve_faults([fault], spec))
-    return ms.replaced(values)
 
 
 def _targets(fault: FaultInjection, spec: MeasurementSpec, kinds=None) -> np.ndarray:

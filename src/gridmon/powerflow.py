@@ -263,10 +263,6 @@ class LineFlows:
     i_from_pu: np.ndarray
     loading_pct: np.ndarray  # 100 * max(from, to current) / rating
 
-    @property
-    def losses_pu(self) -> np.ndarray:
-        return self.p_from_pu + self.p_to_pu
-
 
 def line_flows(state: StatePass) -> LineFlows:
     """Per-line flows at both ends of the states of a ``grid.StatePass``.

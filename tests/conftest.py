@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gridmon.grid import Bus, GridModel, Line, Switch, Unit, load_bundled
+from gridmon.ann import _backprop
+from gridmon.grid import Bus, GridModel, Line, StatePass, Switch, Unit, load_bundled
+from gridmon.measurements import measured_values, stacked_positions
 
 
 @pytest.fixture(scope="session")
@@ -82,3 +84,31 @@ def n_known(cache):
     """The (config, scenario) truths a truth cache holds, divergences
     included: the rows of its tables."""
     return sum(len(table.diverged) for table in cache.values())
+
+
+def entry_index(spec, kind, location):
+    """The index of the one entry of ``spec`` reading ``kind`` at bus or line
+    ``location``."""
+    (index,) = [i for i, e in enumerate(spec.entries)
+                if (e.kind, e.location) == (kind, location)]
+    return index
+
+
+def noise_free(solution, view, spec):
+    """h(x) of one converged state: its noise-free readings for ``spec``,
+    through ``measurements.measured_values`` on a batch of one."""
+    pos = stacked_positions(spec.kind_code, spec.location, view.n_bus,
+                            len(view.grid.lines))
+    state = StatePass(view.branches, solution.v_mag_pu[None], solution.v_ang_rad[None])
+    return measured_values(state, pos)[0]
+
+
+def mse_and_grads(model, x, y):
+    """One net's MSE on ``(x, y)`` and its gradients, from the training pass
+    ``ann._backprop`` on a stack of one: what the gradient checks difference."""
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    diff = _backprop([w[None] for w in model.weights], [b[None] for b in model.biases],
+                     model.arch.hidden_activation, x, y[None],
+                     [g[None] for g in grad_w], [g[None] for g in grad_b])
+    return float(np.sum(diff * diff)) / y.size, grad_w, grad_b

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from gridmon.ann import (AnnArchitecture, TrainConfig, build_training_set,
-                         init_model, loss_and_grads, train_monitor_pair)
-from gridmon.correction import correct_voltages
+                         init_model, train_monitor_pair)
+from gridmon.correction import correct_rows
 from gridmon.evaluation import (METHOD_ANN, METHOD_WLS, TruthCache, compare_sota,
                                 load_catalog, run_test_case)
 from gridmon.grid import StatePass, apply_switch_config, load_bundled
-from gridmon.measurements import (MeasurementSpec, MeasurementSet, make_spec, simulate_batch,
-                                  true_values)
+from gridmon.measurements import MeasurementSpec, MeasurementSet, make_spec, simulate_batch
 from gridmon.powerflow import InjectionSet, line_flows, solve_pf, solve_truths
 from gridmon.scenarios import (DEFAULT_AXES, bus_injections, generate_set, injections,
                                unit_powers)
 from gridmon.wls import estimate
+
+from conftest import flat_scenario, mse_and_grads, noise_free
 
 TRAIN_SEED = 1001
 TEST_SEED = 2002
@@ -92,7 +93,8 @@ def test_criterion_1_power_flow_oracles(cigre):
         inj = injections(cigre, Scenario(p_kw, q_kvar, (), 0, 0, None))
         sol = solve_pf(view, inj)
         flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
-        balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - flows.losses_pu.sum()
+        losses = flows.p_from_pu + flows.p_to_pu
+        balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - losses.sum()
         worst = max(worst, abs(balance))
     elapsed = time.perf_counter() - start
     ok = two_bus_err < 1e-8 and worst < 1e-8 and elapsed < 10.0
@@ -124,7 +126,7 @@ def test_criterion_3_gradient_check():
     for _point in range(100):
         x = rng.normal(size=(1, 4))
         y = rng.normal(size=(1, 3))
-        _, gw, gb = loss_and_grads(model, x, y)
+        _, gw, gb = mse_and_grads(model, x, y)
         for params, grads in ((model.weights, gw), (model.biases, gb)):
             for p_arr, g_arr in zip(params, grads):
                 flat_p = p_arr.ravel()
@@ -132,9 +134,9 @@ def test_criterion_3_gradient_check():
                 for i in range(flat_p.size):
                     orig = flat_p[i]
                     flat_p[i] = orig + eps
-                    hi, _, _ = loss_and_grads(model, x, y)
+                    hi, _, _ = mse_and_grads(model, x, y)
                     flat_p[i] = orig - eps
-                    lo, _, _ = loss_and_grads(model, x, y)
+                    lo, _, _ = mse_and_grads(model, x, y)
                     flat_p[i] = orig
                     numeric = (hi - lo) / (2 * eps)
                     denom = max(abs(numeric), 1e-8)
@@ -235,16 +237,13 @@ def test_criterion_7_error_correction(bundle):
         rows = slice(ci * n, (ci + 1) * n)
         readings = simulate_batch(views[ci], truths.v[rows], truths.th[rows], spec,
                                   NOISE_SEED, keys)
-        for si, values in enumerate(readings):
-            ms = MeasurementSet(values, np.array(views[ci].config, dtype=float),
-                                spec.spec_hash)
-            rep = correct_voltages(ms, spec)
-            total += 1
-            false_positives += rep.n_replaced > 0
-            if si % 500 == 0:
-                again = correct_voltages(rep.measurements, spec)
-                idempotent &= np.array_equal(again.measurements.values,
-                                             rep.measurements.values)
+        screened = readings.copy()
+        correct_rows(screened, spec)
+        total += len(readings)
+        false_positives += int(np.any(screened != readings, axis=1).sum())
+        again = screened[::500].copy()
+        correct_rows(again, spec)
+        idempotent &= np.array_equal(again, screened[::500])
     fp_rate = false_positives / total
     ok = (base.sr_c1 < 0.05 and corrected.sr_c1 > 0.70
           and fp_rate < 0.01 and idempotent)
@@ -262,13 +261,11 @@ def test_criterion_8_wls_sanity(bundle):
     catalog = bundle["catalog"]
     # noiseless, fully measured estimation recovers the power-flow truth
     view = apply_switch_config(grid, CONFIG_0)
-    from conftest import flat_scenario
-
     sol = solve_pf(view, injections(grid, flat_scenario(grid, load=0.7, dg=0.6)))
     spec = make_spec(grid, v_buses=range(15), s_buses=range(15))
     spec0 = MeasurementSpec(entries=tuple(
         type(e)(e.kind, e.location, 0.0) for e in spec.entries))
-    ms = MeasurementSet(values=true_values(sol, view, spec0),
+    ms = MeasurementSet(values=noise_free(sol, view, spec0),
                         switch_states=np.array(CONFIG_0, dtype=float),
                         spec_hash=spec0.spec_hash)
     est = estimate(view, ms, spec0)

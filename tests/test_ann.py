@@ -6,11 +6,13 @@ import pytest
 
 from gridmon.ann import (AnnArchitecture, AnnError, SpecHashMismatch, TrainConfig,
                          TrainingData, build_training_set, forward, hidden_size, init_model,
-                         load_model, loss_and_grads, predict_batch,
+                         load_model, predict_batch,
                          save_model, train, train_monitor_pair)
 from gridmon.measurements import make_spec
 from gridmon.scenarios import DEFAULT_AXES, generate_set
 from gridmon.seeding import STREAM_ANN, rng as seeded_rng
+
+from conftest import mse_and_grads
 
 CONFIG_0 = (False, False, False, True, True, True)
 
@@ -30,6 +32,11 @@ def test_architecture_layer_sizes():
         == [18, 54, 54, 54, 15]
     assert AnnArchitecture(n_in=18, n_out=15, n_hidden_layers=1,
                            hidden_size_override=2).layer_sizes() == [18, 2, 15]
+    # a negative depth is no linear net, and a zero width no net at all
+    with pytest.raises(AnnError, match="n_hidden_layers"):
+        AnnArchitecture(n_in=18, n_out=15, n_hidden_layers=-2)
+    with pytest.raises(AnnError, match="hidden_size_override"):
+        AnnArchitecture(n_in=18, n_out=15, hidden_size_override=0)
 
 
 def test_init_bounds_follow_fan_in():
@@ -73,9 +80,9 @@ def central_difference_grads(model, x, y, eps=1e-6):
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + eps
-                hi, _, _ = loss_and_grads(model, x, y)
+                hi, _, _ = mse_and_grads(model, x, y)
                 flat_p[i] = orig - eps
-                lo, _, _ = loss_and_grads(model, x, y)
+                lo, _, _ = mse_and_grads(model, x, y)
                 flat_p[i] = orig
                 flat_g[i] = (hi - lo) / (2 * eps)
     return grads_w, grads_b
@@ -87,7 +94,7 @@ def test_gradients_match_central_differences():
     model = init_model(arch, seed=4)
     x = rng.normal(size=(5, 4))
     y = rng.normal(size=(5, 3))
-    _, gw, gb = loss_and_grads(model, x, y)
+    _, gw, gb = mse_and_grads(model, x, y)
     num_w, num_b = central_difference_grads(model, x, y)
     for analytic, numeric in list(zip(gw, num_w)) + list(zip(gb, num_b)):
         scale = np.maximum(np.abs(numeric), 1e-8)
@@ -180,7 +187,7 @@ def reference_train(model, x, y, cfg, standardize_targets=True):
             batch = perm[lo:lo + cfg.batch_size]
             diff = forward(model, xt[batch]) - yt[batch]
             sq_err += np.sum(diff * diff, axis=0)
-            _, gw, gb = loss_and_grads(model, xt[batch], yt[batch])
+            _, gw, gb = mse_and_grads(model, xt[batch], yt[batch])
             t += 1
             for p, g, mk, vk in zip(params, gw + gb, m, v):
                 mk *= beta1

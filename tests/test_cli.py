@@ -191,6 +191,7 @@ def test_evaluate_checks_every_model_before_scoring(tmp_path, trained_dir, capsy
     ("train", "--cases", "M4,XX"),
     ("tune", "--layers", ","),
     ("tune", "--multipliers", "x"),
+    ("tune", "--layers", "-1"),
 ])
 def test_bad_input_fails_before_any_output(tmp_path, capsys, argv):
     code = run(argv[0], "--cases", "M4", "--repetitions", "1", "--out", str(tmp_path),

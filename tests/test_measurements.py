@@ -5,16 +5,15 @@ from gridmon import powerflow
 from gridmon.grid import apply_switch_config
 from gridmon.measurements import (FaultInjection, MeasurementError,
                                   MeasurementSpec, accuracy_to_sd, apply_faults,
-                                  assumed_sd_overrides, inject_fault,
-                                  make_spec, resolve_faults, scale_powers_at,
-                                  simulate, simulate_batch, simulate_truths,
-                                  stacked_positions, true_values)
+                                  assumed_sd_overrides, make_spec, resolve_faults,
+                                  scale_powers_at, simulate, simulate_batch,
+                                  simulate_truths, stacked_positions)
 from gridmon.powerflow import solve_pf, solve_truths
 from gridmon.scenarios import (DEFAULT_AXES, bus_injections, generate_set,
                                injections)
 from gridmon.seeding import STREAM_MEASUREMENT, rng
 
-from conftest import flat_scenario
+from conftest import entry_index, flat_scenario, noise_free
 
 CONFIG_0 = (False, False, False, True, True, True)
 
@@ -71,7 +70,7 @@ def test_unknown_kind_is_measurement_error(cigre, cigre_solution):
     spec = m4_spec(cigre)
     odd = MeasurementSpec(entries=spec.entries + (type(spec.entries[0])("f_bus", 0, 1.0),))
     with pytest.raises(MeasurementError, match="f_bus"):
-        true_values(sol, view, odd)
+        simulate_batch(view, sol.v_mag_pu[None], sol.v_ang_rad[None], odd, 5, [()])
 
 
 def test_zero_sd_reproduces_truth(cigre, cigre_solution):
@@ -80,7 +79,7 @@ def test_zero_sd_reproduces_truth(cigre, cigre_solution):
     noiseless = MeasurementSpec(entries=tuple(
         type(e)(e.kind, e.location, 0.0) for e in spec.entries))
     ms = simulate(sol, view, noiseless, seed=5)
-    assert np.array_equal(ms.values, true_values(sol, view, noiseless))
+    assert np.array_equal(ms.values, noise_free(sol, view, noiseless))
     assert np.array_equal(ms.switch_states, np.array(CONFIG_0, dtype=float))
 
 
@@ -107,72 +106,75 @@ def test_noise_statistics(cigre, cigre_solution):
 def test_bus_power_measurement_equals_net_injection(cigre, cigre_solution):
     view, sol = cigre_solution
     spec = m4_spec(cigre)
-    truth = true_values(sol, view, spec)
+    truth = noise_free(sol, view, spec)
     inj = injections(cigre, flat_scenario(cigre, load=0.6, dg=0.5))
-    assert truth[spec.index_of("p_bus", 4)] == pytest.approx(inj.p_pu[4], abs=1e-8)
-    assert truth[spec.index_of("q_bus", 7)] == pytest.approx(inj.q_pu[7], abs=1e-8)
+    assert truth[entry_index(spec, "p_bus", 4)] == pytest.approx(inj.p_pu[4], abs=1e-8)
+    assert truth[entry_index(spec, "q_bus", 7)] == pytest.approx(inj.q_pu[7], abs=1e-8)
 
 
 def test_i_line_truth_is_from_end_per_unit(cigre, cigre_solution):
     view, sol = cigre_solution
     spec = make_spec(cigre, v_buses=[0], i_lines=["1-2"])
-    truth = true_values(sol, view, spec)
+    truth = noise_free(sol, view, spec)
     ln = cigre.line_by_name("1-2")
     assert truth[1] == pytest.approx(
         sol.i_line_amps[ln.id] / cigre.i_base_amps(ln.from_bus))
 
 
-def zero_noise_ms(cigre, view, sol, spec):
+def zero_noise_readings(view, sol, spec):
     noiseless = MeasurementSpec(entries=tuple(
         type(e)(e.kind, e.location, 0.0) for e in spec.entries))
-    ms = simulate(sol, view, noiseless, seed=1)
-    return ms, noiseless
+    return simulate(sol, view, noiseless, seed=1).values, noiseless
+
+
+def faulted(values, faults, spec):
+    """A copy of readings ``([B,] m)`` with ``faults`` applied."""
+    out = values.copy()
+    apply_faults(out, resolve_faults(faults, spec))
+    return out
 
 
 def test_fault_zero_value_voltage(cigre, cigre_solution):
     view, sol = cigre_solution
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
+    values, spec = zero_noise_readings(view, sol, m4_spec(cigre))
     fault = FaultInjection(kind="zero_value", target_kind="v_bus", buses=(8,))
-    out = inject_fault(ms, fault, spec)
-    idx = spec.index_of("v_bus", 8)
-    assert out.values[idx] == 0.0
+    out = faulted(values, [fault], spec)
+    idx = entry_index(spec, "v_bus", 8)
+    assert out[idx] == 0.0
     untouched = np.delete(np.arange(len(spec.entries)), idx)
-    assert np.array_equal(out.values[untouched], ms.values[untouched])
+    assert np.array_equal(out[untouched], values[untouched])
 
 
 def test_fault_scale_150_percent(cigre, cigre_solution):
     view, sol = cigre_solution
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
+    values, spec = zero_noise_readings(view, sol, m4_spec(cigre))
     fault = FaultInjection(kind="scale_value", target_kind="v_bus", buses=(8,),
                            factor=1.5)
-    out = inject_fault(ms, fault, spec)
-    idx = spec.index_of("v_bus", 8)
-    assert out.values[idx] == pytest.approx(1.5 * sol.v_mag_pu[8])
+    out = faulted(values, [fault], spec)
+    assert out[entry_index(spec, "v_bus", 8)] == pytest.approx(1.5 * sol.v_mag_pu[8])
 
 
 def test_fault_constant_substitute(cigre, cigre_solution):
     view, sol = cigre_solution
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
+    values, spec = zero_noise_readings(view, sol, m4_spec(cigre))
     fault = FaultInjection(kind="constant_substitute", target_kind="v_bus",
                            buses=(8,), value=1.0)
-    assert inject_fault(ms, fault, spec).values[spec.index_of("v_bus", 8)] == 1.0
+    assert faulted(values, [fault], spec)[entry_index(spec, "v_bus", 8)] == 1.0
 
 
 def test_fault_zero_line_pq(cigre, cigre_solution):
     view, sol = cigre_solution
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
+    values, spec = zero_noise_readings(view, sol, m4_spec(cigre))
     line = cigre.line_by_name("1-2").id
-    out = inject_fault(ms, FaultInjection(kind="zero_value", lines=(line,)), spec)
-    assert out.values[spec.index_of("p_line", line)] == 0.0
-    assert out.values[spec.index_of("q_line", line)] == 0.0
+    out = faulted(values, [FaultInjection(kind="zero_value", lines=(line,))], spec)
+    assert out[entry_index(spec, "p_line", line)] == 0.0
+    assert out[entry_index(spec, "q_line", line)] == 0.0
 
 
-def test_fault_requires_existing_target(cigre, cigre_solution):
-    view, sol = cigre_solution
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
+def test_fault_requires_existing_target(cigre):
     with pytest.raises(MeasurementError, match="targets nothing"):
-        inject_fault(ms, FaultInjection(kind="zero_value", target_kind="v_bus",
-                                        buses=(5,)), spec)
+        resolve_faults([FaultInjection(kind="zero_value", target_kind="v_bus",
+                                       buses=(5,))], m4_spec(cigre))
 
 
 def test_power_deviation_restores_stale_reading(cigre):
@@ -182,15 +184,15 @@ def test_power_deviation_restores_stale_reading(cigre):
     actual = bus_injections(cigre, *scale_powers_at(cigre, (4,), 0.7, scenario.p_kw,
                                                     scenario.q_kvar))
     sol = solve_pf(view, actual)
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
-    out = inject_fault(ms, FaultInjection(kind="power_deviation", buses=(4,),
-                                          factor=0.7), spec)
+    values, spec = zero_noise_readings(view, sol, m4_spec(cigre))
+    out = faulted(values, [FaultInjection(kind="power_deviation", buses=(4,),
+                                          factor=0.7)], spec)
     original = injections(cigre, scenario)
     # the reading is PF-consistent, so agreement is limited by the mismatch tol
-    assert out.values[spec.index_of("p_bus", 4)] == pytest.approx(
+    assert out[entry_index(spec, "p_bus", 4)] == pytest.approx(
         original.p_pu[4], abs=1e-7)
     # actual injected power is 70 % of the reported value
-    assert 0.7 * out.values[spec.index_of("p_bus", 4)] == pytest.approx(
+    assert 0.7 * out[entry_index(spec, "p_bus", 4)] == pytest.approx(
         actual.p_pu[4], abs=1e-7)
 
 
@@ -206,26 +208,16 @@ def test_power_deviation_composition(cigre):
 
 def test_wrong_assumed_sd_leaves_values(cigre, cigre_solution):
     view, sol = cigre_solution
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
+    values, spec = zero_noise_readings(view, sol, m4_spec(cigre))
     faults = [FaultInjection(kind="wrong_assumed_sd", buses=(4,), assumed_sd_pct=6.0),
               FaultInjection(kind="wrong_assumed_sd", target_kind="v_bus",
                              buses=(8,), assumed_sd_pct=3.0)]
-    out = inject_fault(ms, faults[0], spec)
-    assert np.array_equal(out.values, ms.values)
+    assert np.array_equal(faulted(values, faults[:1], spec), values)
     overrides = assumed_sd_overrides(faults, spec)
-    assert overrides[spec.index_of("p_bus", 4)] == 6.0
-    assert overrides[spec.index_of("q_bus", 4)] == 6.0
-    assert overrides[spec.index_of("v_bus", 8)] == 3.0
+    assert overrides[entry_index(spec, "p_bus", 4)] == 6.0
+    assert overrides[entry_index(spec, "q_bus", 4)] == 6.0
+    assert overrides[entry_index(spec, "v_bus", 8)] == 3.0
     assert len(overrides) == 3
-
-
-def test_hash_guard_on_inject(cigre, cigre_solution):
-    view, sol = cigre_solution
-    ms, spec = zero_noise_ms(cigre, view, sol, m4_spec(cigre))
-    other = make_spec(cigre, v_buses=[0])
-    with pytest.raises(MeasurementError, match="spec"):
-        inject_fault(ms, FaultInjection(kind="zero_value", target_kind="v_bus",
-                                        buses=(0,)), other)
 
 
 @pytest.fixture(scope="module")
@@ -310,13 +302,14 @@ def test_resolved_faults_on_a_block_equal_per_vector_injection(cigre, cigre_solu
     # value faults first, then power deviations; wrong_assumed_sd changes no reading
     assert [f.kind for f, _ in resolved] == [
         "scale_value", "zero_value", "constant_substitute", "power_deviation"]
-    sets = [simulate(sol, view, spec, seed=k) for k in range(5)]
-    block = np.array([ms.values for ms in sets])
-    apply_faults(block, resolved)
-    for row, ms in zip(block, sets):
+    block = np.array([simulate(sol, view, spec, seed=k).values for k in range(5)])
+    got = faulted(block, faults, spec)
+    for row, values in zip(got, block):
+        # a batch of one, each fault resolved and applied on its own
+        one = values[None]
         for fault in faults[2:] + faults[:2]:
-            ms = inject_fault(ms, fault, spec)
-        assert _bits(row) == _bits(ms.values)
+            one = faulted(one, [fault], spec)
+        assert _bits(row) == _bits(one[0])
 
 
 def test_unknown_fault_kind_is_measurement_error(cigre):

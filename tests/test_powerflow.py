@@ -79,14 +79,14 @@ def test_power_balance_identity(cigre):
     sol = solve_pf(view, inj)
     flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
     total_injection = inj.p_pu.sum() + sol.p_slack_kw / (cigre.s_base_mva * 1e3)
-    assert abs(total_injection - flows.losses_pu.sum()) < 1e-8
+    assert abs(total_injection - (flows.p_from_pu + flows.p_to_pu).sum()) < 1e-8
 
 
 def test_losses_nonnegative_with_resistance(cigre):
     view = apply_switch_config(cigre, CONFIG_0)
     sol = solve_pf(view, injections(cigre, flat_scenario(cigre, load=0.7, dg=0.9)))
     flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
-    assert (flows.losses_pu >= -1e-12).all()
+    assert (flows.p_from_pu + flows.p_to_pu >= -1e-12).all()
 
 
 def test_lossless_line_conserves_power(two_bus):
@@ -146,7 +146,8 @@ def test_scenario_set_converges_and_balances(cigre):
         inj = injections(cigre, sc)
         sol = solve_pf(view, inj)
         flows = line_flows(StatePass(view.branches, sol.v_mag_pu, sol.v_ang_rad))
-        balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - flows.losses_pu.sum()
+        losses = flows.p_from_pu + flows.p_to_pu
+        balance = inj.p_pu.sum() + sol.p_slack_kw / 1e3 - losses.sum()
         assert abs(balance) < 1e-8
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from gridmon import wls
 from gridmon.wls import (MAX_ITERATIONS, ObservabilityError, build_pseudo, estimate,
                          estimate_batch, pseudo_batch)
 
-from conftest import flat_scenario
+from conftest import entry_index, flat_scenario, noise_free
 
 CONFIG_0 = (False, False, False, True, True, True)
 
@@ -23,10 +25,8 @@ def noiseless_spec(spec):
 
 
 def exact_measurements(grid, view, sol, spec):
-    from gridmon.measurements import true_values
-
     spec0 = noiseless_spec(spec)
-    values = true_values(sol, view, spec0)
+    values = noise_free(sol, view, spec0)
     return MeasurementSet(values=values,
                           switch_states=np.array(view.config, dtype=float),
                           spec_hash=spec0.spec_hash), spec0
@@ -94,7 +94,7 @@ def test_build_pseudo_balance_identity(cigre, cigre_case):
     pseudo = build_pseudo(cigre, ms, spec)
     assert len(pseudo.value) == 24  # 12 unmeasured buses x (P, Q)
     p_pseudo = sum(pseudo.value[pseudo.kind == KIND_CODE["p_bus"]])
-    p_measured = sum(float(ms.values[spec.index_of("p_bus", b)]) for b in (4, 7))
+    p_measured = sum(float(ms.values[entry_index(spec, "p_bus", b)]) for b in (4, 7))
     p_slack = sum(float(ms.values[i]) for i in spec.indices("p_line"))
     assert p_pseudo + p_measured + p_slack == pytest.approx(0.0, abs=1e-9)
 
@@ -134,9 +134,7 @@ def test_tighter_duplicate_measurement_dominates(two_bus):
     extra_tight = type(base.entries[0])("v_bus", 1, 0.1)
     extra_loose = type(base.entries[0])("v_bus", 1, 5.0)
     spec = MeasurementSpec(entries=base.entries + (extra_tight, extra_loose))
-    from gridmon.measurements import true_values
-
-    truth = true_values(sol, view, spec)
+    truth = noise_free(sol, view, spec)
     values = truth.copy()
     tight_idx, loose_idx = len(base.entries), len(base.entries) + 1
     values[tight_idx] = truth[tight_idx] - 0.01
@@ -177,11 +175,11 @@ def test_batch_is_bitwise_per_sample_estimates(cigre, cigre_case):
     spec = load_catalog(cigre).case("M4").spec(cigre)
     assert 70 > (ELISION_ELEMENTS - 1) // (len(cigre.lines) * cigre.n_bus)
     sets = [simulate(sol, view, spec, seed=seed) for seed in range(70)]
-    v8 = spec.index_of("v_bus", 8)
+    v8 = entry_index(spec, "v_bus", 8)
     for b, reading in ((5, 0.0), (6, np.nan), (66, 0.0)):
         values = sets[b].values.copy()
         values[v8] = reading
-        sets[b] = sets[b].replaced(values)
+        sets[b] = replace(sets[b], values=values)
 
     batch = estimate_batch(view, np.array([ms.values for ms in sets]), spec)
     assert len(batch.status) == len(sets)
@@ -212,12 +210,12 @@ def test_each_status_code_maps_to_its_one_sample_outcome(cigre, cigre_case, two_
     limit and raises the two failures with their own messages."""
     view, _, sol = cigre_case
     spec = load_catalog(cigre).case("M4").spec(cigre)
-    v8 = spec.index_of("v_bus", 8)
+    v8 = entry_index(spec, "v_bus", 8)
     sets = [simulate(sol, view, spec, seed=seed) for seed in range(3)]
     for b, reading in ((1, 0.0), (2, np.nan)):
         values = sets[b].values.copy()
         values[v8] = reading
-        sets[b] = sets[b].replaced(values)
+        sets[b] = replace(sets[b], values=values)
     batch = estimate_batch(view, np.array([ms.values for ms in sets]), spec)
     assert batch.status.tolist() == [wls.CONVERGED, wls.ITERATION_LIMIT,
                                      wls.NON_FINITE_STEP]
@@ -379,7 +377,7 @@ def test_rows_at_dead_bus_are_dropped(dead_end):
                              switch_states=ms_full.switch_states,
                              spec_hash=live.spec_hash)
 
-    with_dead = estimate(view, ms_full.replaced(values), full)
+    with_dead = estimate(view, replace(ms_full, values=values), full)
     without = estimate(view, ms_live, live)
     assert with_dead.converged and without.converged
     assert with_dead.v_mag.tobytes() == without.v_mag.tobytes()
@@ -417,11 +415,11 @@ def test_zeroed_voltage_reading_weighs_as_a_half_pu_reading(cigre, cigre_case):
     spec = make_spec(cigre, v_buses=[0, 6, 8, 10], s_buses=[4, 7],
                      s_lines=["1-2", "12-13"])
     ms = simulate(sol, view, spec, seed=3)
-    i = spec.index_of("v_bus", 8)
+    i = entry_index(spec, "v_bus", 8)
     zeroed = ms.values.copy()
     zeroed[i] = 0.0
     clean = estimate(view, ms, spec).objective_history[0]
-    faulted = estimate(view, ms.replaced(zeroed), spec).objective_history[0]
+    faulted = estimate(view, replace(ms, values=zeroed), spec).objective_history[0]
     # at the flat start only bus 8's voltage row differs; the zeroed reading's
     # SD is the class SD of a 0.5 pu reading, no longer a 1e-6 pu floor
     sd_clean = accuracy_to_sd("v_bus") / 100.0 * ms.values[i]
